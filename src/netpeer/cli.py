@@ -227,15 +227,26 @@ def _cmd_mc(v: dict, out: str) -> None:
             _parse_list(v["fraction"], float),
         )
     ]
-    results = []
+    # a cell that cannot be computed (every replication failed, or no
+    # connected fixed graph) does not stop the grid: the completed cells are
+    # written and the failures reported together
+    results, failed = [], []
     for idx, cell in enumerate(cells):
-        report, records = montecarlo.run_cell(cell, workers=v["workers"])
+        try:
+            report, records = montecarlo.run_cell(cell, workers=v["workers"])
+        except ComputationError as exc:
+            failed.append(f"N={cell.n_pop}, p={cell.density}, f={cell.fraction}: {exc}")
+            continue
         results.append((cell, report))
         if v["save_records"]:
             montecarlo.write_records_csv(
                 cell, records, os.path.join(out, f"records_cell{idx}.csv")
             )
     montecarlo.write_grid_csv(results, os.path.join(out, "results.csv"))
+    if failed:
+        raise ComputationError(
+            f"{len(failed)} of {len(cells)} cells failed: " + "; ".join(failed)
+        )
 
 
 def _cmd_identify_demo(v: dict, out: str) -> None:

@@ -110,11 +110,11 @@ def build_observed_design(s: RecruitmentSample) -> ObservedDesign:
         raise RankDeficiencyError(
             f"only {retained.size} retained rows (need at least 4)"
         )
-    flat, offsets = s.g_r.flat()
+    offsets = s.g_r.offsets
     sums = np.zeros(s.n)
-    # flat neighbor lists are grouped by vertex, so a segmented sum works
+    # CSR rows are grouped by vertex, so a segmented sum works
     nonzero = np.flatnonzero(np.diff(offsets) > 0)
-    sums[nonzero] = np.add.reduceat(s.x_obs[flat], offsets[nonzero])
+    sums[nonzero] = np.add.reduceat(s.x_obs[s.g_r.indices], offsets[nonzero])
     x_star = sums[retained] / s.observed_degrees[retained]
     X = np.column_stack([np.ones(retained.size), s.x_obs[retained], x_star])
     return ObservedDesign(

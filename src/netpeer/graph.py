@@ -1,119 +1,126 @@
 """Undirected simple graphs: Erdős–Rényi generation and structural queries.
 
-Vertices are dense 0-based indices. Adjacency is stored as one sorted
-integer array of neighbors per vertex; graphs are treated as immutable
+Vertices are dense 0-based indices. Adjacency is stored in CSR form: one
+flat int64 array `indices` holding every vertex's neighbors, row after
+row, each row sorted ascending, plus `offsets` (length n_vertices + 1)
+so that row j is indices[offsets[j]:offsets[j + 1]]. Graphs are frozen
 after construction and are safe to share across worker processes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConnectivityError, ValidationError
 
-_EMPTY = np.empty(0, dtype=np.int64)
 
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected simple graph over vertices 0..n_vertices-1."""
+    """Undirected simple graph over vertices 0..n_vertices-1, in CSR form."""
 
     n_vertices: int
-    neighbors: list  # list[np.ndarray], sorted, no duplicates, no self-loops
-    _flat: tuple = field(default=None, repr=False, compare=False)
+    indices: np.ndarray  # int64; rows sorted, no duplicates, no self-loops
+    offsets: np.ndarray  # int64, length n_vertices + 1, offsets[0] == 0
+
+    def neighbors(self, j: int) -> np.ndarray:
+        """Sorted neighbors of vertex j (a view into `indices`)."""
+        return self.indices[self.offsets[j]:self.offsets[j + 1]]
 
     def degree(self, j: int) -> int:
-        return len(self.neighbors[j])
+        return int(self.offsets[j + 1] - self.offsets[j])
 
     def n_edges(self) -> int:
-        return sum(len(a) for a in self.neighbors) // 2
-
-    def flat(self):
-        """Concatenated neighbor arrays plus per-vertex offsets (len n+1)."""
-        if self._flat is None:
-            degs = np.fromiter(
-                (len(a) for a in self.neighbors), dtype=np.int64, count=self.n_vertices
-            )
-            offsets = np.zeros(self.n_vertices + 1, dtype=np.int64)
-            np.cumsum(degs, out=offsets[1:])
-            flat = np.concatenate(self.neighbors) if self.n_vertices else _EMPTY
-            self._flat = (flat.astype(np.int64, copy=False), offsets)
-        return self._flat
+        return self.indices.size // 2
 
     def edge_array(self) -> np.ndarray:
-        """All edges as an (m, 2) array with first column < second column."""
-        rows = []
-        for j, nbrs in enumerate(self.neighbors):
-            upper = nbrs[nbrs > j]
-            if upper.size:
-                rows.append(np.column_stack([np.full(upper.size, j, dtype=np.int64), upper]))
-        if not rows:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.concatenate(rows)
+        """All edges as an (m, 2) array, j < k in each row, rows ascending."""
+        src = _row_ids(self.offsets)
+        upper = self.indices > src
+        return np.column_stack([src[upper], self.indices[upper]])
 
     def validate(self) -> None:
         """Check the structural invariants; raises ValidationError on violation."""
-        if self.n_vertices < 0:
+        n = self.n_vertices
+        if n < 0:
             raise ValidationError("negative vertex count")
-        if len(self.neighbors) != self.n_vertices:
-            raise ValidationError("adjacency length does not match vertex count")
-        edge_set = set()
-        for j, nbrs in enumerate(self.neighbors):
-            arr = np.asarray(nbrs)
-            if arr.size and (arr.min() < 0 or arr.max() >= self.n_vertices):
-                raise ValidationError(f"vertex {j}: neighbor index out of range")
-            if np.any(arr == j):
-                raise ValidationError(f"vertex {j}: self-loop")
-            if arr.size != np.unique(arr).size:
-                raise ValidationError(f"vertex {j}: duplicate neighbor")
-            if not np.all(arr[:-1] <= arr[1:]):
-                raise ValidationError(f"vertex {j}: neighbor list not sorted")
-            edge_set.update((j, int(k)) for k in arr)
-        for j, k in edge_set:
-            if (k, j) not in edge_set:
-                raise ValidationError(f"asymmetric edge ({j},{k})")
+        offsets, indices = np.asarray(self.offsets), np.asarray(self.indices)
+        if offsets.shape != (n + 1,):
+            raise ValidationError("offsets length does not match vertex count")
+        if offsets[0] != 0 or offsets[-1] != indices.size or np.any(np.diff(offsets) < 0):
+            raise ValidationError("offsets are not a nondecreasing cover of indices")
+        if indices.size and (indices.min() < 0 or indices.max() >= n):
+            raise ValidationError("neighbor index out of range")
+        src = _row_ids(offsets)
+        if np.any(indices == src):
+            raise ValidationError(f"vertex {src[np.argmax(indices == src)]}: self-loop")
+        same_row = src[1:] == src[:-1]
+        step = np.diff(indices)
+        for bad, what in ((step == 0, "duplicate neighbor"), (step < 0, "row not sorted")):
+            bad &= same_row
+            if bad.any():
+                raise ValidationError(f"vertex {src[np.argmax(bad)]}: {what}")
+        # rows are sorted, so src*n + indices is ascending; symmetry means the
+        # reversed pairs give the same key set
+        if not np.array_equal(src * n + indices, np.sort(indices * n + src)):
+            raise ValidationError("asymmetric edge")
 
 
-def _build_neighbors(n: int, edges: np.ndarray) -> list:
-    """Adjacency lists from an (m, 2) edge array (each edge listed once)."""
-    if len(edges) == 0:
-        return [_EMPTY] * n
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    counts = np.bincount(src, minlength=n)
-    return np.split(dst, np.cumsum(counts)[:-1])
+def _row_ids(offsets: np.ndarray) -> np.ndarray:
+    """Row (vertex) of every entry of a CSR `indices` array."""
+    n = offsets.size - 1
+    return np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+
+
+def _row_positions(offsets: np.ndarray, rows: np.ndarray) -> tuple:
+    """Positions in `indices` of the listed rows, concatenated, and the
+    offsets (length rows.size + 1) of those rows within the concatenation."""
+    starts = offsets[rows]
+    bounds = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(offsets[rows + 1] - starts, out=bounds[1:])
+    shift = np.repeat(starts - bounds[:-1], np.diff(bounds))
+    return shift + np.arange(bounds[-1], dtype=np.int64), bounds
+
+
+def _csr(n: int, a: np.ndarray, b: np.ndarray) -> Graph:
+    """CSR graph of the edges (a[e], b[e]), each edge listed once.
+
+    Both orientations are keyed as src * n + dst; sorting the keys groups
+    them by source with every row's neighbors ascending.
+    """
+    keys = np.concatenate([a * n + b, b * n + a])
+    keys.sort()
+    offsets = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    return Graph(n, keys % n, offsets)
 
 
 def from_edges(n: int, edges: np.ndarray) -> Graph:
     """Build a Graph from an edge array, rejecting self-loops and duplicates."""
+    if n < 0:
+        raise ValidationError("vertex count must be nonnegative")
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.size:
         if edges.min() < 0 or edges.max() >= n:
             raise ValidationError("edge endpoint out of range")
         if np.any(edges[:, 0] == edges[:, 1]):
             raise ValidationError("self-loop in edge list")
-        canon = np.sort(edges, axis=1)
-        keys = canon[:, 0] * n + canon[:, 1]
-        if np.unique(keys).size != keys.size:
-            raise ValidationError("duplicate edge in edge list")
-        edges = canon
-    return Graph(n, _build_neighbors(n, edges))
+    canon = np.sort(edges, axis=1)
+    if np.unique(canon[:, 0] * n + canon[:, 1]).size != len(edges):
+        raise ValidationError("duplicate edge in edge list")
+    return _csr(n, edges[:, 0], edges[:, 1])
 
 
-def _pair_index_to_edges(idx: np.ndarray, n: int) -> np.ndarray:
-    """Map linear indices over the n*(n-1)/2 unordered pairs to (i, j), i<j.
+def _pair_index_to_edges(idx: np.ndarray, n: int) -> tuple:
+    """Map ascending linear indices over the n*(n-1)/2 unordered pairs to
+    (i, j) arrays, i<j.
 
     Pairs are enumerated lexicographically: row i covers pairs (i, i+1..n-1).
     """
     rows = np.arange(n - 1, dtype=np.int64)
     starts = rows * n - rows * (rows + 1) // 2
-    i = np.searchsorted(starts, idx, side="right") - 1
-    j = idx - starts[i] + i + 1
-    return np.column_stack([i, j])
+    i = np.repeat(rows, np.diff(np.searchsorted(idx, starts), append=idx.size))
+    return i, idx - starts[i] + i + 1
 
 
 def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
@@ -129,10 +136,9 @@ def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
         raise ValidationError("p must be in [0, 1]")
     m_total = n * (n - 1) // 2
     if m_total == 0 or p == 0.0:
-        return Graph(n, [_EMPTY] * n)
+        return Graph(n, np.empty(0, dtype=np.int64), np.zeros(n + 1, dtype=np.int64))
     if p == 1.0:
-        tri = np.triu_indices(n, k=1)
-        return from_edges(n, np.column_stack(tri))
+        return _csr(n, *np.triu_indices(n, k=1))
     indices = []
     current = -1
     while True:
@@ -145,8 +151,8 @@ def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
         if hits.size < cand.size or cand[-1] >= m_total - 1:
             break
         current = int(cand[-1])
-    idx = np.concatenate(indices)
-    return Graph(n, _build_neighbors(n, _pair_index_to_edges(idx, n)))
+    # the skips are positive, so the pair indices come out ascending
+    return _csr(n, *_pair_index_to_edges(np.concatenate(indices), n))
 
 
 def generate_connected_er(
@@ -167,28 +173,21 @@ def is_connected(g: Graph) -> bool:
     n = g.n_vertices
     if n <= 1:
         return True
-    flat, offsets = g.flat()
     visited = np.zeros(n, dtype=bool)
     visited[0] = True
-    frontier = np.array([0], dtype=np.int64)
-    count = 1
+    frontier = np.zeros(1, dtype=np.int64)
     while frontier.size:
-        cand = np.concatenate([flat[offsets[v]:offsets[v + 1]] for v in frontier])
-        cand = cand[~visited[cand]]
-        if not cand.size:
-            break
-        cand = np.unique(cand)
-        visited[cand] = True
-        count += cand.size
-        frontier = cand
-    return count == n
+        reached = np.zeros(n, dtype=bool)
+        reached[g.indices[_row_positions(g.offsets, frontier)[0]]] = True
+        reached &= ~visited
+        visited |= reached
+        frontier = np.flatnonzero(reached)
+    return bool(visited.all())
 
 
 def degrees(g: Graph) -> np.ndarray:
     """Degree of every vertex, as an int array of length n_vertices."""
-    return np.fromiter(
-        (len(a) for a in g.neighbors), dtype=np.int64, count=g.n_vertices
-    )
+    return np.diff(g.offsets)
 
 
 def induced_subgraph(g: Graph, members) -> tuple:
@@ -203,23 +202,19 @@ def induced_subgraph(g: Graph, members) -> tuple:
         raise ValidationError("vertex set member out of range")
     mapping = np.full(g.n_vertices, -1, dtype=np.int64)
     mapping[members] = np.arange(members.size, dtype=np.int64)
-    in_set = np.zeros(g.n_vertices, dtype=bool)
-    in_set[members] = True
-    new_neighbors = []
-    for m in members:
-        nb = g.neighbors[m]
-        new_neighbors.append(mapping[nb[in_set[nb]]])
-    return Graph(int(members.size), new_neighbors), mapping
+    pos, bounds = _row_positions(g.offsets, members)
+    # mapping is increasing on members, so the kept rows stay sorted
+    new = mapping[g.indices[pos]]
+    kept = np.flatnonzero(new >= 0)
+    return Graph(int(members.size), new[kept], np.searchsorted(kept, bounds)), mapping
 
 
 def write_edge_list(g: Graph, path, tags=()) -> None:
     """Write the edge-list format: `# vertices=<n>` header then `j,k` lines, j<k."""
+    head = [f"# vertices={g.n_vertices}\n"] + [f"# {tag}\n" for tag in tags]
+    body = [f"{j},{k}\n" for j, k in g.edge_array().tolist()]
     with open(path, "w") as fh:
-        fh.write(f"# vertices={g.n_vertices}\n")
-        for tag in tags:
-            fh.write(f"# {tag}\n")
-        for j, k in g.edge_array():
-            fh.write(f"{j},{k}\n")
+        fh.write("".join(head + body))
 
 
 def read_edge_list(path) -> Graph:

@@ -63,11 +63,11 @@ def is_compatible(candidate: CompletionCandidate, observed: RecruitmentSample) -
         return False
     if not np.allclose(candidate.x_tilde[:n], observed.x_obs, rtol=0, atol=0):
         return False
-    for j in range(n):
-        have = set(int(k) for k in candidate.g_p.neighbors[j])
-        if any(int(k) not in have for k in observed.g_r.neighbors[j]):
-            return False
-    return True
+    # both edge arrays list j < k; key each edge by its position in an m x m grid
+    m = candidate.g_p.n_vertices
+    need = observed.g_r.edge_array() @ np.array([m, 1])
+    have = candidate.g_p.edge_array() @ np.array([m, 1])
+    return bool(np.isin(need, have).all())
 
 
 def build_swap_pair(
@@ -133,7 +133,7 @@ def candidate_means(
         d_r = observed.reported_degrees[r]
         if d_r == 0:
             raise IsolatedVertexError(r)
-        nbrs = candidate.g_p.neighbors[r]
+        nbrs = candidate.g_p.neighbors(r)
         means[r] = (
             params.beta0
             + params.beta1 * observed.x_obs[r]

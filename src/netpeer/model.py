@@ -48,17 +48,16 @@ def neighbor_mean_vector(g: Graph, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if g.n_vertices == 0:
         return np.empty(0)
-    flat, offsets = g.flat()
-    degs = np.diff(offsets)
+    degs = np.diff(g.offsets)
     if np.any(degs == 0):
         raise IsolatedVertexError(int(np.argmax(degs == 0)))
-    sums = np.add.reduceat(x[flat], offsets[:-1])
+    sums = np.add.reduceat(x[g.indices], g.offsets[:-1])
     return sums / degs
 
 
 def neighborhood_mean(g: Graph, x, j: int) -> float:
     """(1/d_j) * sum of x over the neighbors of j; undefined for isolated j."""
-    nbrs = g.neighbors[j]
+    nbrs = g.neighbors(j)
     if nbrs.size == 0:
         raise IsolatedVertexError(j)
     return float(np.asarray(x, dtype=float)[nbrs].mean())

@@ -103,28 +103,21 @@ def rns_sample(
 def population_induced(g: Graph, s: RecruitmentSample) -> PopulationInducedSubgraph:
     """Extend G_R with the unsampled neighbors of sampled units.
 
-    V_U collects every unsampled unit adjacent to the sample; the added
-    edges are exactly the sample-to-boundary edges of g (no boundary-
-    boundary edges by construction).
+    V_U collects every unsampled unit adjacent to the sample. g_p keeps
+    every edge of g with at least one sampled end: the G_R edges plus the
+    sample-to-boundary edges (no boundary-boundary edges by construction).
     """
     ids = s.sampled_ids
     in_sample = np.zeros(g.n_vertices, dtype=bool)
     in_sample[ids] = True
-    outside = [g.neighbors[j][~in_sample[g.neighbors[j]]] for j in ids]
-    boundary = (
-        np.unique(np.concatenate(outside)) if any(a.size for a in outside)
-        else np.empty(0, dtype=np.int64)
-    )
+    edges = g.edge_array()
+    edges = edges[in_sample[edges].any(axis=1)]
+    boundary = np.unique(edges[~in_sample[edges]])
     n, u = ids.size, boundary.size
     local = np.full(g.n_vertices, -1, dtype=np.int64)
     local[ids] = np.arange(n)
     local[boundary] = n + np.arange(u)
-    edges = list(s.g_r.edge_array())
-    for i, j in enumerate(ids):
-        for b in outside[i]:
-            edges.append((i, local[b]))
-    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    g_p = graphmod.from_edges(n + u, edges)
+    g_p = graphmod.from_edges(n + u, local[edges])
     return PopulationInducedSubgraph(
         g_p=g_p,
         boundary_ids=boundary,
@@ -144,8 +137,8 @@ def scaling_factor(s: RecruitmentSample) -> float:
     mask = s.observed_degrees > 0
     if not mask.any():
         raise AllIsolatedSampleError()
-    num = math.fsum(1.0 / d for d in s.reported_degrees[mask])
-    den = math.fsum(1.0 / d for d in s.observed_degrees[mask])
+    num = math.fsum((1.0 / s.reported_degrees[mask]).tolist())
+    den = math.fsum((1.0 / s.observed_degrees[mask]).tolist())
     return num / den
 
 
@@ -174,15 +167,15 @@ def n_isolated(s: RecruitmentSample) -> int:
 
 def write_sample_csv(s: RecruitmentSample, path) -> None:
     """Sample export: `unit_id,d_true,d_obs,x,y` rows, one per sampled unit."""
+    cols = [s.sampled_ids.tolist(), s.reported_degrees.tolist(), s.observed_degrees.tolist()]
+    for vec in (s.x_obs, s.y_obs):
+        cols.append(
+            [""] * s.n if vec is None
+            else [repr(v) for v in np.asarray(vec, dtype=float).tolist()]
+        )
+    lines = "".join(",".join(map(str, row)) + "\n" for row in zip(*cols))
     with open(path, "w") as fh:
-        fh.write("unit_id,d_true,d_obs,x,y\n")
-        for i in range(s.n):
-            x = "" if s.x_obs is None else repr(float(s.x_obs[i]))
-            y = "" if s.y_obs is None else repr(float(s.y_obs[i]))
-            fh.write(
-                f"{s.sampled_ids[i]},{s.reported_degrees[i]},"
-                f"{s.observed_degrees[i]},{x},{y}\n"
-            )
+        fh.write("unit_id,d_true,d_obs,x,y\n" + lines)
 
 
 def read_sample_csv(path, g_r: Graph) -> RecruitmentSample:

@@ -164,6 +164,16 @@ class TestMcCommand:
         ]) == 0
         assert (tmp_path / "records_cell0.csv").exists()
 
+    def test_failed_cell_does_not_stop_grid(self, tmp_path, capsys):
+        # at N=300, p=1% no draw is connected, so every rep of that cell fails
+        assert run([
+            "mc", "--n-pop", "300,1000", "--density", "0.01", "--fraction", "0.2",
+            "--reps", 4, "--seed", 5, "--out", tmp_path,
+        ]) == 3
+        rows = (tmp_path / "results.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[:2] for r in rows] == [["1000", "0.01"]] * 2
+        assert "N=300, p=0.01, f=0.2" in capsys.readouterr().err
+
 
 class TestIdentifyDemo:
     def test_witness_found(self, tmp_path):

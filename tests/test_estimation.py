@@ -68,7 +68,7 @@ class TestBuildObservedDesign:
         # guard is at 4 rows; compute x* directly instead
         flat_means = []
         for j in range(3):
-            nb = sub.neighbors[j]
+            nb = sub.neighbors(j)
             flat_means.append(s.x_obs[nb].mean())
         assert flat_means == [2.0, 2.0, 2.0]
 

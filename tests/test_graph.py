@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netpeer import graph as graphmod
 from netpeer.errors import ConnectivityError, ValidationError
@@ -30,12 +32,20 @@ def complete(n):
     return from_edges(n, list(itertools.combinations(range(n), 2)))
 
 
+def same_csr(a, b):
+    return (
+        a.n_vertices == b.n_vertices
+        and np.array_equal(a.indices, b.indices)
+        and np.array_equal(a.offsets, b.offsets)
+    )
+
+
 def reachable_oracle(g):
     """Brute-force reachability: DFS from every vertex over python sets."""
     n = g.n_vertices
     if n <= 1:
         return True
-    adj = {j: set(int(k) for k in g.neighbors[j]) for j in range(n)}
+    adj = {j: set(g.neighbors(j).tolist()) for j in range(n)}
     for start in range(n):
         seen = {start}
         stack = [start]
@@ -83,7 +93,7 @@ class TestGenerateEr:
     def test_deterministic_given_seed(self):
         a = generate_er(100, 0.05, np.random.default_rng(7))
         b = generate_er(100, 0.05, np.random.default_rng(7))
-        assert all(np.array_equal(x, y) for x, y in zip(a.neighbors, b.neighbors))
+        assert same_csr(a, b)
 
     def test_rejects_bad_p(self):
         with pytest.raises(ValidationError):
@@ -117,7 +127,7 @@ class TestIsConnected:
         assert is_connected(g)
 
     def test_trivial_graphs(self):
-        assert is_connected(Graph(0, []))
+        assert is_connected(from_edges(0, []))
         assert is_connected(from_edges(1, []))
 
     def test_matches_oracle_exhaustively_small(self):
@@ -154,7 +164,7 @@ class TestInducedSubgraph:
         g = generate_er(30, 0.2, np.random.default_rng(1))
         sub, mapping = induced_subgraph(g, np.arange(30))
         assert np.array_equal(mapping, np.arange(30))
-        assert all(np.array_equal(a, b) for a, b in zip(g.neighbors, sub.neighbors))
+        assert same_csr(g, sub)
 
     def test_degree_monotone(self):
         g = generate_er(40, 0.3, np.random.default_rng(2))
@@ -183,7 +193,7 @@ class TestEdgeListIO:
         write_edge_list(g, p)
         h = read_edge_list(p)
         assert h.n_vertices == g.n_vertices
-        assert all(np.array_equal(a, b) for a, b in zip(g.neighbors, h.neighbors))
+        assert same_csr(g, h)
 
     def test_header_format(self, tmp_path):
         p = tmp_path / "g.edges"
@@ -226,3 +236,112 @@ class TestFromEdges:
             from_edges(3, [(2, 2)])
         with pytest.raises(ValidationError):
             from_edges(3, [(0, 5)])
+
+    def test_rejects_negative_vertex_count(self, tmp_path):
+        p = tmp_path / "neg.edges"
+        p.write_text("# vertices=-1\n")
+        with pytest.raises(ValidationError):
+            read_edge_list(p)
+
+
+class TestSamplerPinned:
+    """The geometric-skip draw is pinned bit for bit: the Monte Carlo records
+    at a fixed seed depend on it."""
+
+    @pytest.mark.parametrize("n,seed,m,digest", [
+        (1000, 7, 5024,
+         "45b9747b3e7bf60481bd02c44d342352ba5a2eb42647d8b19e9a22d58d50e9c2"),
+        (10000, 8, 499680,
+         "8b62e2acf558e21b9f624a05ee136e06c080a8553a0e34194ef36fabbbbe3b93"),
+    ])
+    def test_edge_digest(self, n, seed, m, digest):
+        g = generate_er(n, 0.01, np.random.default_rng(seed))
+        assert g.n_edges() == m
+        edges = g.edge_array().astype("<i8").tobytes()
+        assert hashlib.sha256(edges).hexdigest() == digest
+
+
+def csr(n, rows):
+    """A Graph built directly from per-vertex neighbor lists, unchecked."""
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=offsets[1:])
+    indices = np.array([k for r in rows for k in r], dtype=np.int64)
+    return Graph(n, indices, offsets)
+
+
+class TestValidate:
+    def test_valid_graph_passes(self):
+        csr(3, [[1, 2], [0], [0]]).validate()
+
+    @pytest.mark.parametrize("rows,message", [
+        ([[1, 3], [0], []], "out of range"),
+        ([[0, 1], [0], []], "self-loop"),
+        ([[1, 1], [0, 0], []], "duplicate"),
+        ([[2, 1], [0], [0]], "not sorted"),
+        ([[1, 2], [0], []], "asymmetric"),
+    ])
+    def test_rejects_broken_rows(self, rows, message):
+        with pytest.raises(ValidationError, match=message):
+            csr(3, rows).validate()
+
+    def test_rejects_wrong_offsets_length(self):
+        g = csr(3, [[1], [0], []])
+        with pytest.raises(ValidationError, match="offsets length"):
+            Graph(4, g.indices, g.offsets).validate()
+
+
+def set_adjacency(n, edges):
+    adj = {j: set() for j in range(n)}
+    for j, k in edges:
+        adj[j].add(k)
+        adj[k].add(j)
+    return adj
+
+
+def set_connected(n, adj):
+    if n <= 1:
+        return True
+    seen, stack = {0}, [0]
+    while stack:
+        for w in adj[stack.pop()] - seen:
+            seen.add(w)
+            stack.append(w)
+    return len(seen) == n
+
+
+@st.composite
+def edge_lists(draw):
+    n = draw(st.integers(0, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    # either orientation, any order: from_edges must canonicalise
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    edges = [(k, j) if flip else (j, k) for (j, k), flip in zip(chosen, flips)]
+    return n, edges
+
+
+class TestAgainstSetAdjacency:
+    @settings(max_examples=200, deadline=None)
+    @given(edge_lists(), st.data())
+    def test_csr_matches_sets(self, tmp_path_factory, case, data):
+        n, edges = case
+        g = from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+        g.validate()
+        adj = set_adjacency(n, edges)
+        assert [set(g.neighbors(j).tolist()) for j in range(n)] == [adj[j] for j in range(n)]
+        assert g.edge_array().tolist() == sorted(sorted(e) for e in edges)
+        assert is_connected(g) == set_connected(n, adj)
+
+        members = sorted(data.draw(st.sets(st.integers(0, max(n - 1, 0))))) if n else []
+        sub, mapping = induced_subgraph(g, members)
+        sub.validate()
+        new = {old: i for i, old in enumerate(members)}
+        assert [set(sub.neighbors(new[j]).tolist()) for j in members] == [
+            {new[k] for k in adj[j] if k in new} for j in members
+        ]
+        assert mapping.tolist() == [new.get(j, -1) for j in range(n)]
+
+        p = tmp_path_factory.mktemp("io") / "g.edges"
+        write_edge_list(g, p)
+        h = read_edge_list(p)
+        assert same_csr(g, h)
