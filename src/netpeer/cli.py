@@ -17,8 +17,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import estimation, graph as graphmod, identification, model, montecarlo, sampling
 from .errors import ComputationError, ValidationError
 from .model import ModelParams
@@ -147,33 +145,19 @@ def _parse_list(raw: str, typ):
         raise ValidationError(f"malformed list value {raw!r}")
 
 
-def _simulate_instance(v: dict):
-    """Shared pipeline for `simulate` and `identify-demo`: graph, data, sample."""
-    rng_graph = np.random.default_rng(np.random.SeedSequence([v["seed"], 0]))
-    rng_cov = np.random.default_rng(np.random.SeedSequence([v["seed"], 1]))
-    rng_noise = np.random.default_rng(np.random.SeedSequence([v["seed"], 2]))
-    rng_samp = np.random.default_rng(np.random.SeedSequence([v["seed"], 3]))
-    if v.get("allow_disconnected"):
-        g = graphmod.generate_er(v["n"], v["p"], rng_graph)
-    else:
-        g = graphmod.generate_connected_er(
-            v["n"], v["p"], rng_graph, max_attempts=v.get("max_attempts", 1000)
-        )
-    x = model.gen_covariates(v["n"], v["x_mean"], v["x_sd"], rng_cov)
-    y = model.simulate_outcomes(g, x, _model_params(v), rng_noise)
-    n_sample = sampling.sample_size(v["n"], v["f"])
-    s = sampling.rns_sample(g, n_sample, rng_samp, x, y)
-    return g, x, y, s
+def _instance(v: dict):
+    """`simulate` and `identify-demo`: the shared builder under seed prefix (seed,)."""
+    return montecarlo.build_instance(
+        (v["seed"],), v["n"], v["p"], v["f"], _model_params(v), v["x_mean"], v["x_sd"],
+        allow_disconnected=v.get("allow_disconnected", False),
+        max_attempts=v.get("max_attempts", 1000),
+    )
 
 
 def _cmd_generate(v: dict, out: str) -> None:
-    rng = np.random.default_rng(np.random.SeedSequence([v["seed"], 0]))
-    if v["allow_disconnected"]:
-        g = graphmod.generate_er(v["n"], v["p"], rng)
-    else:
-        g = graphmod.generate_connected_er(
-            v["n"], v["p"], rng, max_attempts=v["max_attempts"]
-        )
+    g = montecarlo.draw_graph(
+        (v["seed"],), v["n"], v["p"], v["allow_disconnected"], v["max_attempts"]
+    )
     graphmod.write_edge_list(g, os.path.join(out, "graph.edges"))
 
 
@@ -185,14 +169,14 @@ def _cmd_sample(v: dict, out: str) -> None:
     if bool(v["n_sample"]) == bool(v["f"]):
         raise ValidationError("specify exactly one of n_sample or f")
     n = v["n_sample"] or sampling.sample_size(g.n_vertices, v["f"])
-    rng = np.random.default_rng(np.random.SeedSequence([v["seed"], 3]))
+    rng = montecarlo.stream((v["seed"],), montecarlo.STREAM_SAMPLING)
     s = sampling.rns_sample(g, n, rng, x, y)
     sampling.write_sample_csv(s, os.path.join(out, "sample.csv"))
     graphmod.write_edge_list(s.g_r, os.path.join(out, "sample.edges"), tags=("sample",))
 
 
 def _cmd_simulate(v: dict, out: str) -> None:
-    g, x, y, s = _simulate_instance(v)
+    g, x, y, s = _instance(v)
     graphmod.write_edge_list(g, os.path.join(out, "graph.edges"))
     model.write_unit_csv(x, y, os.path.join(out, "population.csv"))
     sampling.write_sample_csv(s, os.path.join(out, "sample.csv"))
@@ -202,12 +186,7 @@ def _cmd_simulate(v: dict, out: str) -> None:
 def _cmd_fit(v: dict, out: str) -> None:
     g_r = graphmod.read_edge_list(v["edges"])
     s = sampling.read_sample_csv(v["sample"], g_r)
-    design = estimation.build_observed_design(s)
-    fit = estimation.fit_mle(design, level=v["level"], use_t=v["use_t"])
-    w_hat = sampling.scaling_factor(s)
-    fit = estimation.apply_correction(
-        fit, w_hat, sampling.scaling_factor_variance(s, w_hat)
-    )
+    fit = estimation.fit_corrected(s, level=v["level"], use_t=v["use_t"])
     with open(os.path.join(out, "fit.json"), "w") as fh:
         fh.write(fit.to_json() + "\n")
 
@@ -229,19 +208,19 @@ def _cmd_mc(v: dict, out: str) -> None:
     ]
     # a cell that cannot be computed (every replication failed, or no
     # connected fixed graph) does not stop the grid: the completed cells are
-    # written and the failures reported together
+    # written, the records of a cell whose every replication failed too, and
+    # the failures reported together
     results, failed = [], []
     for idx, cell in enumerate(cells):
         try:
-            report, records = montecarlo.run_cell(cell, workers=v["workers"])
+            records = montecarlo.run_reps(cell, workers=v["workers"])
+            if v["save_records"]:
+                montecarlo.write_records_csv(
+                    cell, records, os.path.join(out, f"records_cell{idx}.csv")
+                )
+            results.append((cell, montecarlo.summarize(cell, records)))
         except ComputationError as exc:
             failed.append(f"N={cell.n_pop}, p={cell.density}, f={cell.fraction}: {exc}")
-            continue
-        results.append((cell, report))
-        if v["save_records"]:
-            montecarlo.write_records_csv(
-                cell, records, os.path.join(out, f"records_cell{idx}.csv")
-            )
     montecarlo.write_grid_csv(results, os.path.join(out, "results.csv"))
     if failed:
         raise ComputationError(
@@ -250,7 +229,7 @@ def _cmd_mc(v: dict, out: str) -> None:
 
 
 def _cmd_identify_demo(v: dict, out: str) -> None:
-    _, _, _, s = _simulate_instance(v)
+    *_, s = _instance(v)
     params = _model_params(v)
     x_u1 = float(v["x_u1"]) if v["x_u1"] != "" else None
     x_u2 = float(v["x_u2"]) if v["x_u2"] != "" else None

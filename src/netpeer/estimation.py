@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from . import sampling as samplingmod
+from . import graph as graphmod, sampling as samplingmod
 from .errors import AllIsolatedSampleError, RankDeficiencyError, ValidationError
 from .sampling import RecruitmentSample
 
@@ -67,11 +67,13 @@ class FitResult:
     level: float
     crit: float  # CI critical value at `level`
     var_beta2_hc1: float  # HC1 sandwich variance of beta2_naive
+    sxx_star: float  # centered sum of squares of the peer regressor x*
     ci_naive: tuple
     w_hat: float = None
     beta2_corrected: float = None
     ci_corrected: tuple = None
     ci_corrected_wald: tuple = None
+    var_corrected: float = None  # sigma2 / (w_hat^2 * sxx_star)
 
     def to_dict(self) -> dict:
         return {
@@ -110,11 +112,7 @@ def build_observed_design(s: RecruitmentSample) -> ObservedDesign:
         raise RankDeficiencyError(
             f"only {retained.size} retained rows (need at least 4)"
         )
-    offsets = s.g_r.offsets
-    sums = np.zeros(s.n)
-    # CSR rows are grouped by vertex, so a segmented sum works
-    nonzero = np.flatnonzero(np.diff(offsets) > 0)
-    sums[nonzero] = np.add.reduceat(s.x_obs[s.g_r.indices], offsets[nonzero])
+    sums = graphmod.neighbor_sums(s.g_r, s.x_obs)
     x_star = sums[retained] / s.observed_degrees[retained]
     X = np.column_stack([np.ones(retained.size), s.x_obs[retained], x_star])
     return ObservedDesign(
@@ -135,8 +133,8 @@ def fit_mle(d: ObservedDesign, level: float = 0.95, use_t: bool = False) -> FitR
     Solved by least squares via an orthogonal decomposition; the
     residual variance uses the (n - 3) degrees-of-freedom divisor and
     the naive CI for beta2 uses the Gaussian (or, optionally, t)
-    critical value. The HC1 sandwich variance of beta2 is kept for the
-    corrected Wald interval.
+    critical value. The HC1 sandwich variance of beta2 and the centered
+    sum of squares of x* are kept for the corrected estimator's variances.
     """
     if not 0.0 < level < 1.0:
         raise ValidationError("confidence level must be in (0, 1)")
@@ -145,6 +143,10 @@ def fit_mle(d: ObservedDesign, level: float = 0.95, use_t: bool = False) -> FitR
     beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
     if rank < 3:
         raise RankDeficiencyError(_collinear_detail(X))
+    x_star = d.x_star
+    sxx = float(np.sum((x_star - x_star.mean()) ** 2))
+    if sxx <= 0:
+        raise RankDeficiencyError("zero variance in the peer regressor")
     resid = y - X @ beta
     sigma2 = float(resid @ resid) / (n - 3)
     xtx_inv = np.linalg.inv(X.T @ X)
@@ -169,6 +171,7 @@ def fit_mle(d: ObservedDesign, level: float = 0.95, use_t: bool = False) -> FitR
         level=level,
         crit=crit,
         var_beta2_hc1=var_hc1,
+        sxx_star=sxx,
         ci_naive=ci,
     )
 
@@ -176,10 +179,12 @@ def fit_mle(d: ObservedDesign, level: float = 0.95, use_t: bool = False) -> FitR
 def apply_correction(fit: FitResult, w_hat: float, var_w_hat: float = 0.0) -> FitResult:
     """Rescale the peer-effect estimate and its CI limits by 1/w_hat.
 
-    Also emits a Wald interval for beta2_naive / w_hat from the delta
-    method: var_beta2_hc1 / w^2 + beta2_naive^2 * var_w_hat / w^4. Pass
-    var_w_hat from `sampling.scaling_factor_variance`; 0 treats w_hat
-    as known (a census has w_hat = 1 and zero variance exactly).
+    Sets the plug-in sampling variance of the corrected estimator,
+    sigma2 / (w^2 * sum (x* - mean)^2), and emits a Wald interval for
+    beta2_naive / w_hat from the delta method: var_beta2_hc1 / w^2 +
+    beta2_naive^2 * var_w_hat / w^4. Pass var_w_hat from
+    `sampling.scaling_factor_variance`; 0 treats w_hat as known (a
+    census has w_hat = 1 and zero variance exactly).
     """
     if not w_hat > 0:
         raise ValidationError("scaling factor must be positive")
@@ -197,16 +202,17 @@ def apply_correction(fit: FitResult, w_hat: float, var_w_hat: float = 0.0) -> Fi
         beta2_corrected=corrected,
         ci_corrected=(lo / w_hat, hi / w_hat),
         ci_corrected_wald=(corrected - half, corrected + half),
+        var_corrected=fit.sigma2_hat / (w_hat**2 * fit.sxx_star),
     )
 
 
-def asymptotic_variance(d: ObservedDesign, sigma2: float, w_hat: float) -> float:
-    """Sampling variance of the corrected estimator: sigma2 / (w^2 * sum (x*-mean)^2)."""
-    x_star = d.x_star
-    sxx = float(np.sum((x_star - x_star.mean()) ** 2))
-    if sxx <= 0:
-        raise RankDeficiencyError("zero variance in the peer regressor")
-    return sigma2 / (w_hat**2 * sxx)
+def fit_corrected(
+    s: RecruitmentSample, level: float = 0.95, use_t: bool = False
+) -> FitResult:
+    """The corrected estimator on one sample: design, MLE, then the w_hat rescaling."""
+    fit = fit_mle(build_observed_design(s), level=level, use_t=use_t)
+    w_hat = samplingmod.scaling_factor(s)
+    return apply_correction(fit, w_hat, samplingmod.scaling_factor_variance(s, w_hat))
 
 
 def diagnostics(d: ObservedDesign, s: RecruitmentSample) -> dict:

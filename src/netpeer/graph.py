@@ -190,6 +190,15 @@ def degrees(g: Graph) -> np.ndarray:
     return np.diff(g.offsets)
 
 
+def neighbor_sums(g: Graph, values: np.ndarray) -> np.ndarray:
+    """Sum of `values` over each vertex's neighbors; 0.0 for an isolated vertex."""
+    sums = np.zeros(g.n_vertices)
+    # CSR rows are grouped by vertex, so a segmented sum over the nonempty rows works
+    nonempty = np.flatnonzero(np.diff(g.offsets) > 0)
+    sums[nonempty] = np.add.reduceat(values[g.indices], g.offsets[nonempty])
+    return sums
+
+
 def induced_subgraph(g: Graph, members) -> tuple:
     """Subgraph induced on a vertex set, plus the old->new index map.
 

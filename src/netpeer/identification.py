@@ -127,19 +127,11 @@ def candidate_means(
     The peer term divides the sum over the candidate's neighbors by the
     unit's *reported* (true) degree.
     """
-    n = observed.n
-    means = np.empty(n)
-    for r in range(n):
-        d_r = observed.reported_degrees[r]
-        if d_r == 0:
-            raise IsolatedVertexError(r)
-        nbrs = candidate.g_p.neighbors(r)
-        means[r] = (
-            params.beta0
-            + params.beta1 * observed.x_obs[r]
-            + params.beta2 * float(candidate.x_tilde[nbrs].sum()) / d_r
-        )
-    return means
+    d = observed.reported_degrees
+    if np.any(d == 0):
+        raise IsolatedVertexError(int(np.argmax(d == 0)))
+    sums = graphmod.neighbor_sums(candidate.g_p, candidate.x_tilde)[:observed.n]
+    return params.beta0 + params.beta1 * observed.x_obs + params.beta2 * sums / d
 
 
 def mean_sum_gap(pair: WitnessPair, params: ModelParams) -> float:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graph as graphmod
 from .errors import IsolatedVertexError, ValidationError
 from .graph import Graph
 
@@ -45,14 +46,10 @@ def neighbor_mean_vector(g: Graph, x: np.ndarray) -> np.ndarray:
 
     Raises IsolatedVertexError if any vertex has degree zero.
     """
-    x = np.asarray(x, dtype=float)
-    if g.n_vertices == 0:
-        return np.empty(0)
     degs = np.diff(g.offsets)
     if np.any(degs == 0):
         raise IsolatedVertexError(int(np.argmax(degs == 0)))
-    sums = np.add.reduceat(x[g.indices], g.offsets[:-1])
-    return sums / degs
+    return graphmod.neighbor_sums(g, np.asarray(x, dtype=float)) / degs
 
 
 def neighborhood_mean(g: Graph, x, j: int) -> float:
@@ -82,12 +79,11 @@ def simulate_outcomes(
 
 def write_unit_csv(x, y, path) -> None:
     """Unit-data export: `unit_id,x,y` rows over all population units."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float).tolist()
+    y = np.asarray(y, dtype=float).tolist()
+    lines = "".join(f"{i},{xv!r},{yv!r}\n" for i, (xv, yv) in enumerate(zip(x, y)))
     with open(path, "w") as fh:
-        fh.write("unit_id,x,y\n")
-        for i in range(x.size):
-            fh.write(f"{i},{float(x[i])!r},{float(y[i])!r}\n")
+        fh.write("unit_id,x,y\n" + lines)
 
 
 def read_unit_csv(path):

@@ -1,15 +1,16 @@
-"""Seeded replication engine for the bias/RMSE/coverage experiments.
+"""Seeded simulate -> sample -> fit pipeline and the replication engine.
 
-Each replication draws a fresh connected random graph, simulates
-covariates and outcomes, takes an RNS sample, fits the model on the
-incomplete data and applies the scaling-factor correction. Per-purpose
-random streams are derived from (master_seed, rep_index), so results
-are bit-identical across runs and across worker counts.
+`build_instance` draws a connected random graph, simulates covariates
+and outcomes and takes an RNS sample; `estimation.fit_corrected` then
+fits the model on the incomplete data and applies the scaling-factor
+correction. The CLI and the Monte Carlo engine share both. Every random
+draw comes from its own stream SeedSequence([*prefix, purpose]): the
+engine passes the prefix (master_seed, rep_index), the CLI (seed,), so
+results are bit-identical across runs and across worker counts.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -20,16 +21,38 @@ from .errors import AllRepsFailedError, ComputationError, ValidationError
 from .model import ModelParams
 
 # stream purposes, fixed forever for reproducibility
-_STREAM_GRAPH = 0
-_STREAM_COVARIATES = 1
-_STREAM_NOISE = 2
-_STREAM_SAMPLING = 3
+STREAM_GRAPH, STREAM_COVARIATES, STREAM_NOISE, STREAM_SAMPLING = range(4)
 
 
-def _rng(master_seed: int, rep_index: int, purpose: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence([int(master_seed), int(rep_index), int(purpose)])
+def stream(prefix, purpose: int) -> np.random.Generator:
+    """The random stream of one purpose: SeedSequence([*prefix, purpose])."""
+    return np.random.default_rng(np.random.SeedSequence([*map(int, prefix), purpose]))
+
+
+def draw_graph(prefix, n, p, allow_disconnected=False, max_attempts=1000):
+    """G(n, p) from the graph stream: the first connected draw, or any draw."""
+    rng = stream(prefix, STREAM_GRAPH)
+    if allow_disconnected:
+        return graphmod.generate_er(n, p, rng)
+    return graphmod.generate_connected_er(n, p, rng, max_attempts=max_attempts)
+
+
+def build_instance(
+    prefix, n_pop, density, fraction, params: ModelParams, x_mean=3.0, x_sd=1.5,
+    allow_disconnected=False, max_attempts=1000, graph=None,
+):
+    """One simulated instance: graph, covariates, outcomes and an RNS sample.
+
+    Returns (g, x, y, sample). A given `graph` replaces the graph draw.
+    """
+    g = graph if graph is not None else draw_graph(
+        prefix, n_pop, density, allow_disconnected, max_attempts
     )
+    x = model.gen_covariates(n_pop, x_mean, x_sd, stream(prefix, STREAM_COVARIATES))
+    y = model.simulate_outcomes(g, x, params, stream(prefix, STREAM_NOISE))
+    n = sampling.sample_size(n_pop, fraction)
+    s = sampling.rns_sample(g, n, stream(prefix, STREAM_SAMPLING), x, y)
+    return g, x, y, s
 
 
 @dataclass(frozen=True)
@@ -94,37 +117,16 @@ class CellReport:
     reps_failed: int
 
 
-def _cell_graph(cell: ExperimentCell, rep_index: int):
-    rng = _rng(cell.master_seed, rep_index, _STREAM_GRAPH)
-    if cell.allow_disconnected:
-        return graphmod.generate_er(cell.n_pop, cell.density, rng)
-    return graphmod.generate_connected_er(
-        cell.n_pop, cell.density, rng, max_attempts=cell.max_attempts
-    )
-
-
 def run_replication(cell: ExperimentCell, rep_index: int, graph=None) -> RepRecord:
     """One full pipeline pass; failures are recorded, not raised."""
     try:
-        g = graph if graph is not None else _cell_graph(cell, rep_index)
-        x = model.gen_covariates(
-            cell.n_pop, cell.x_mean, cell.x_sd,
-            _rng(cell.master_seed, rep_index, _STREAM_COVARIATES),
+        *_, s = build_instance(
+            (cell.master_seed, rep_index), cell.n_pop, cell.density, cell.fraction,
+            cell.params, cell.x_mean, cell.x_sd,
+            allow_disconnected=cell.allow_disconnected,
+            max_attempts=cell.max_attempts, graph=graph,
         )
-        y = model.simulate_outcomes(
-            g, x, cell.params, _rng(cell.master_seed, rep_index, _STREAM_NOISE)
-        )
-        n = sampling.sample_size(cell.n_pop, cell.fraction)
-        s = sampling.rns_sample(
-            g, n, _rng(cell.master_seed, rep_index, _STREAM_SAMPLING), x, y
-        )
-        design = estimation.build_observed_design(s)
-        fit = estimation.fit_mle(design, level=cell.level)
-        w_hat = sampling.scaling_factor(s)
-        fit = estimation.apply_correction(
-            fit, w_hat, sampling.scaling_factor_variance(s, w_hat)
-        )
-        var_c = estimation.asymptotic_variance(design, fit.sigma2_hat, w_hat)
+        fit = estimation.fit_corrected(s, level=cell.level)
     except ComputationError as exc:
         return RepRecord(rep_index=rep_index, ok=False, error=str(exc))
     return RepRecord(
@@ -136,7 +138,7 @@ def run_replication(cell: ExperimentCell, rep_index: int, graph=None) -> RepReco
         ci_corrected=tuple(map(float, fit.ci_corrected)),
         ci_corrected_wald=tuple(map(float, fit.ci_corrected_wald)),
         w_hat=float(fit.w_hat),
-        var_corrected=float(var_c),
+        var_corrected=float(fit.var_corrected),
     )
 
 
@@ -144,9 +146,15 @@ def _run_chunk(cell: ExperimentCell, indices, pickled_graph=None):
     return [run_replication(cell, i, graph=pickled_graph) for i in indices]
 
 
-def run_cell(cell: ExperimentCell, workers: int = 1):
-    """All replications of a cell; returns (CellReport, records in rep order)."""
-    shared = _cell_graph(cell, 0) if cell.fixed_graph else None
+def run_reps(cell: ExperimentCell, workers: int = 1) -> list:
+    """All replications of a cell, as records in rep order.
+
+    A fixed-graph cell shares rep 0's graph draw.
+    """
+    shared = draw_graph(
+        (cell.master_seed, 0), cell.n_pop, cell.density,
+        cell.allow_disconnected, cell.max_attempts,
+    ) if cell.fixed_graph else None
     indices = list(range(cell.reps))
     if workers <= 1:
         records = _run_chunk(cell, indices, shared)
@@ -158,6 +166,12 @@ def run_cell(cell: ExperimentCell, workers: int = 1):
             parts = [f.result() for f in futures]
         records = [rec for part in parts for rec in part]
     records.sort(key=lambda r: r.rep_index)
+    return records
+
+
+def run_cell(cell: ExperimentCell, workers: int = 1):
+    """All replications of a cell; returns (CellReport, records in rep order)."""
+    records = run_reps(cell, workers=workers)
     return summarize(cell, records), records
 
 
@@ -193,11 +207,6 @@ def summarize(cell: ExperimentCell, records) -> CellReport:
     )
 
 
-def run_grid(cells, workers: int = 1):
-    """Run every cell; returns a list of (cell, CellReport) pairs."""
-    return [(cell, run_cell(cell, workers=workers)[0]) for cell in cells]
-
-
 def write_grid_csv(results, path) -> None:
     """Emit two rows (naive, corrected) per cell in a fixed column layout."""
     with open(path, "w") as fh:
@@ -231,7 +240,3 @@ def write_records_csv(cell: ExperimentCell, records, path) -> None:
                 )
             else:
                 fh.write(f"{r.rep_index},0,,,,,,,,{r.error}\n")
-
-
-def default_workers() -> int:
-    return max(1, os.cpu_count() or 1)

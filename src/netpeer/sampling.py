@@ -160,11 +160,6 @@ def scaling_factor_variance(s: RecruitmentSample, w_hat: float) -> float:
     return float(r @ r) * m / ((m - 1) * float(b.sum()) ** 2)
 
 
-def n_isolated(s: RecruitmentSample) -> int:
-    """Number of sampled units with observed degree 0 (excluded from w_hat)."""
-    return int(np.sum(s.observed_degrees == 0))
-
-
 def write_sample_csv(s: RecruitmentSample, path) -> None:
     """Sample export: `unit_id,d_true,d_obs,x,y` rows, one per sampled unit."""
     cols = [s.sampled_ids.tolist(), s.reported_degrees.tolist(), s.observed_degrees.tolist()]

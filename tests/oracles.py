@@ -13,6 +13,10 @@ large-replication mean is the ratio of the per-unit expectations
 with d ~ Bin(N - 1, p) and, given d, d^R ~ Hypergeom(N - 1, n - 1, d):
 the unit's d neighbors are among the N - 1 other units, n - 1 of which
 are sampled with it. As N grows at fixed f, w tends to f from below.
+
+candidate_means_loop(candidate, observed, params) is the per-unit loop
+that `identification.candidate_means` replaced by a segmented sum: it
+reads only the arrays of the netpeer objects it is given.
 """
 
 import math
@@ -36,3 +40,18 @@ def expected_scaling_factor(n_pop: int, p: float, f: float) -> float:
     num = float(np.sum(weight * pmf.sum(axis=1) / d))
     den = float(np.sum(weight * (pmf / k[None, :]).sum(axis=1)))
     return num / den
+
+
+def candidate_means_loop(candidate, observed, params) -> np.ndarray:
+    """Per-sampled-unit conditional means under a completion, one unit at a time.
+
+    The peer term sums x_tilde over the unit's neighbors in the candidate
+    graph (row r of its CSR arrays) and divides by the reported degree.
+    """
+    g = candidate.g_p
+    means = np.empty(observed.n)
+    for r in range(observed.n):
+        nbrs = g.indices[g.offsets[r]:g.offsets[r + 1]]
+        peer = float(candidate.x_tilde[nbrs].sum()) / observed.reported_degrees[r]
+        means[r] = params.beta0 + params.beta1 * observed.x_obs[r] + params.beta2 * peer
+    return means

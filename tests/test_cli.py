@@ -1,5 +1,5 @@
+import hashlib
 import json
-import os
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ import pytest
 from netpeer import estimation, graph as graphmod, model, sampling
 from netpeer.cli import main
 from netpeer.model import ModelParams
+from netpeer.montecarlo import build_instance
 
 
 def run(args):
@@ -52,13 +53,8 @@ class TestSimulateAndFit:
         with open(tmp_path / "fit.json") as fh:
             out = json.load(fh)
 
-        # rebuild the same instance in process
-        from netpeer.cli import _simulate_instance
-
-        v = dict(n=300, p=0.04, f=0.4, seed=11, allow_disconnected=False,
-                 max_attempts=1000, beta0=0.0, beta1=1.0, beta2=1.5,
-                 sigma2_eps=1.0, x_mean=3.0, x_sd=1.5)
-        _, _, _, s = _simulate_instance(v)
+        # rebuild the same instance in process: the CLI's seed prefix is (seed,)
+        *_, s = build_instance((11,), 300, 0.04, 0.4, ModelParams(0.0, 1.0, 1.5, 1.0))
         design = estimation.build_observed_design(s)
         fit = estimation.fit_mle(design)
         fit = estimation.apply_correction(fit, sampling.scaling_factor(s))
@@ -90,6 +86,36 @@ class TestSimulateAndFit:
         assert "n = 100" in text
         assert "seed = 9" in text
         assert "beta2 = 1.5" in text
+
+
+class TestPinnedOutputs:
+    """File bytes of simulate -> sample -> fit, pinned so a refactor cannot move them."""
+
+    DIGESTS = {
+        "sim/graph.edges": "e0888a613f815ff2b25b843df4b37708f7e1c20dfecbbf7b94914b9934b84706",
+        "sim/population.csv": "b2ffc026f1193dfb009965c48c7f330b7a56ce997c5a17e3bb462d065ad02a05",
+        "sim/sample.csv": "1611988788bb6be51c50e2d80c6bb6f717af1b40cc36b45249b2111b52795e57",
+        "sim/sample.edges": "2ef08f2d141e53a1dd8291befa283064c99e0bb02ce2ae3d5ecc012013f1bd6c",
+        # `sample` draws from the same sampling stream as `simulate`
+        "rs/sample.csv": "1611988788bb6be51c50e2d80c6bb6f717af1b40cc36b45249b2111b52795e57",
+        "rs/sample.edges": "2ef08f2d141e53a1dd8291befa283064c99e0bb02ce2ae3d5ecc012013f1bd6c",
+        "fit/fit.json": "44efb3b85247f27e4cf85617b1cb3fdde442827dc7d6387b9c73b7e54fd549e3",
+    }
+
+    def test_simulate_sample_fit_digests(self, tmp_path):
+        sim, rs = tmp_path / "sim", tmp_path / "rs"
+        assert run(["simulate", "--n", 300, "--p", 0.04, "--f", 0.4,
+                    "--seed", 11, "--out", sim]) == 0
+        assert run(["sample", "--graph", sim / "graph.edges",
+                    "--data", sim / "population.csv",
+                    "--f", 0.4, "--seed", 11, "--out", rs]) == 0
+        assert run(["fit", "--sample", rs / "sample.csv", "--edges", rs / "sample.edges",
+                    "--out", tmp_path / "fit"]) == 0
+        got = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in self.DIGESTS
+        }
+        assert got == self.DIGESTS
 
 
 class TestSampleCommand:
@@ -168,11 +194,17 @@ class TestMcCommand:
         # at N=300, p=1% no draw is connected, so every rep of that cell fails
         assert run([
             "mc", "--n-pop", "300,1000", "--density", "0.01", "--fraction", "0.2",
-            "--reps", 4, "--seed", 5, "--out", tmp_path,
+            "--reps", 4, "--seed", 5, "--save-records", "--out", tmp_path,
         ]) == 3
         rows = (tmp_path / "results.csv").read_text().splitlines()[1:]
         assert [r.split(",")[:2] for r in rows] == [["1000", "0.01"]] * 2
         assert "N=300, p=0.01, f=0.2" in capsys.readouterr().err
+        # the failed cell's records still say why each replication failed
+        failed = (tmp_path / "records_cell0.csv").read_text().splitlines()[1:]
+        assert [r.split(",", 2)[:2] for r in failed] == [[str(i), "0"] for i in range(4)]
+        assert all("no connected graph found" in r for r in failed)
+        done = (tmp_path / "records_cell1.csv").read_text().splitlines()[1:]
+        assert len(done) == 4 and all(r.split(",")[1] == "1" for r in done)
 
 
 class TestIdentifyDemo:

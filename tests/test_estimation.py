@@ -6,14 +6,19 @@ from netpeer.errors import RankDeficiencyError, ValidationError
 from netpeer.estimation import (
     ObservedDesign,
     apply_correction,
-    asymptotic_variance,
     build_observed_design,
     diagnostics,
+    fit_corrected,
     fit_mle,
 )
 from netpeer.graph import degrees, from_edges, generate_connected_er, generate_er
 from netpeer.model import ModelParams, conditional_means, gen_covariates, neighbor_mean_vector
-from netpeer.sampling import RecruitmentSample, rns_sample, scaling_factor
+from netpeer.sampling import (
+    RecruitmentSample,
+    rns_sample,
+    scaling_factor,
+    scaling_factor_variance,
+)
 
 PARAMS = ModelParams(0.0, 1.0, 1.5, 1.0)
 
@@ -239,23 +244,43 @@ class TestApplyCorrection:
         assert (lo + hi) / 2 == pytest.approx(fit.beta2_corrected, rel=1e-12)
 
 
+class TestFitCorrected:
+    def test_is_the_correction_chain(self):
+        g = generate_connected_er(200, 0.05, np.random.default_rng(21))
+        x = gen_covariates(200, 3.0, 1.5, np.random.default_rng(22))
+        y = conditional_means(g, x, PARAMS) + np.random.default_rng(23).normal(size=200)
+        s = rns_sample(g, 80, np.random.default_rng(24), x, y)
+        fit = fit_mle(build_observed_design(s), level=0.9, use_t=True)
+        w = scaling_factor(s)
+        want = apply_correction(fit, w, scaling_factor_variance(s, w))
+        got = fit_corrected(s, level=0.9, use_t=True)
+        assert got.to_json() == want.to_json()
+        assert got.var_corrected == want.var_corrected
+        assert 0.0 < got.w_hat < 1.0
+
+
 class TestAsymptoticVariance:
-    def _design(self):
+    """`FitResult.var_corrected`, the plug-in variance set by apply_correction."""
+
+    def _fit(self):
         rng = np.random.default_rng(5)
         X = np.column_stack([np.ones(30), rng.normal(size=30), rng.normal(size=30)])
-        return ObservedDesign(X=X, y=rng.normal(size=30), dropped_count=0,
-                              retained_ids=np.arange(30))
+        d = ObservedDesign(X=X, y=rng.normal(size=30), dropped_count=0,
+                           retained_ids=np.arange(30))
+        return d, fit_mle(d)
 
     def test_w_one_is_classical_slope_variance(self):
-        d = self._design()
+        d, fit = self._fit()
         x_star = d.x_star
         sxx = np.sum((x_star - x_star.mean()) ** 2)
-        assert asymptotic_variance(d, 2.0, 1.0) == pytest.approx(2.0 / sxx)
+        assert apply_correction(fit, 1.0).var_corrected == pytest.approx(
+            fit.sigma2_hat / sxx, rel=1e-12
+        )
 
     def test_doubling_w_quarters_variance(self):
-        d = self._design()
-        assert asymptotic_variance(d, 1.0, 0.4) == pytest.approx(
-            asymptotic_variance(d, 1.0, 0.2) / 4.0
+        _, fit = self._fit()
+        assert apply_correction(fit, 0.4).var_corrected == pytest.approx(
+            apply_correction(fit, 0.2).var_corrected / 4.0, rel=1e-12
         )
 
     def test_zero_regressor_variance_rejected(self):
@@ -263,7 +288,7 @@ class TestAsymptoticVariance:
         d = ObservedDesign(X=X, y=np.arange(5.0), dropped_count=0,
                            retained_ids=np.arange(5))
         with pytest.raises(RankDeficiencyError):
-            asymptotic_variance(d, 1.0, 0.5)
+            fit_mle(d)
 
     def test_matches_monte_carlo_variance(self, cell_large_f20):
         _, _, records = cell_large_f20

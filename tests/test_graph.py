@@ -15,6 +15,7 @@ from netpeer.graph import (
     generate_er,
     induced_subgraph,
     is_connected,
+    neighbor_sums,
     read_edge_list,
     write_edge_list,
 )
@@ -157,6 +158,17 @@ class TestDegrees:
 
     def test_star_five(self):
         assert list(degrees(star(5))) == [4, 1, 1, 1, 1]
+
+
+class TestNeighborSums:
+    def test_star_five(self):
+        vals = np.array([10.0, 1.0, 2.0, 3.0, 4.0])
+        assert neighbor_sums(star(5), vals).tolist() == [10.0] * 5
+
+    def test_isolated_vertices_sum_to_zero(self):
+        g = from_edges(5, [(1, 3)])
+        assert neighbor_sums(g, np.arange(5.0)).tolist() == [0.0, 3.0, 0.0, 1.0, 0.0]
+        assert neighbor_sums(from_edges(0, []), np.empty(0)).size == 0
 
 
 class TestInducedSubgraph:
@@ -331,6 +343,8 @@ class TestAgainstSetAdjacency:
         assert [set(g.neighbors(j).tolist()) for j in range(n)] == [adj[j] for j in range(n)]
         assert g.edge_array().tolist() == sorted(sorted(e) for e in edges)
         assert is_connected(g) == set_connected(n, adj)
+        vals = np.arange(n) + 0.5  # sums of these are exact
+        assert neighbor_sums(g, vals).tolist() == [sum(vals[k] for k in adj[j]) for j in range(n)]
 
         members = sorted(data.draw(st.sets(st.integers(0, max(n - 1, 0))))) if n else []
         sub, mapping = induced_subgraph(g, members)

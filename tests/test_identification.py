@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from netpeer.errors import NoSlackError, ValidationError
+from oracles import candidate_means_loop
+from netpeer.errors import IsolatedVertexError, NoSlackError, ValidationError
 from netpeer.graph import degrees, from_edges, generate_connected_er, induced_subgraph
 from netpeer.identification import (
     build_swap_pair,
@@ -108,6 +109,45 @@ class TestBuildSwapPair:
             build_swap_pair(s, 0, 1, 2.0, 2.0)
         with pytest.raises(ValidationError):
             build_swap_pair(s, 0, 0, 1.0, 2.0)
+
+
+class TestCandidateMeans:
+    def test_matches_loop_oracle(self):
+        cases = [make_sample(seed=seed) for seed in range(10)]
+        cases.append(make_sample(seed=5001, n_pop=1000, p=0.01, n=800))
+        checked = 0
+        for _, s in cases:
+            pair = find_witness(s)
+            if pair is None:
+                continue
+            for cand in (pair.a, pair.b):
+                got = candidate_means(cand, s, PARAMS)
+                assert got.shape == (s.n,)
+                np.testing.assert_allclose(
+                    got, candidate_means_loop(cand, s, PARAMS), rtol=1e-12, atol=0
+                )
+            checked += 1
+        assert checked >= 5
+
+    def test_isolated_unit_rejected(self):
+        # hand_sample's graph plus vertex 6, isolated in the population and sampled
+        g = from_edges(
+            7, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 5), (1, 4), (2, 4)]
+        )
+        ids = np.array([0, 1, 2, 3, 6])
+        sub, _ = induced_subgraph(g, ids)
+        s = RecruitmentSample(
+            sampled_ids=ids,
+            g_r=sub,
+            observed_degrees=degrees(sub),
+            reported_degrees=degrees(g)[ids],
+            x_obs=np.array([1.0, -0.5, 2.0, 0.25, 3.0]),
+            y_obs=np.zeros(5),
+        )
+        pair = build_swap_pair(s, 0, 1, 5.0, 4.0)
+        with pytest.raises(IsolatedVertexError) as info:
+            candidate_means(pair.a, s, PARAMS)
+        assert info.value.vertex == 4
 
 
 class TestMeanSumGap:

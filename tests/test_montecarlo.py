@@ -3,14 +3,15 @@ import csv
 import numpy as np
 import pytest
 
+from netpeer import estimation
 from netpeer.errors import AllRepsFailedError, ValidationError
 from netpeer.model import ModelParams
 from netpeer.montecarlo import (
     CellReport,
     ExperimentCell,
     RepRecord,
+    build_instance,
     run_cell,
-    run_grid,
     run_replication,
     summarize,
     write_grid_csv,
@@ -112,6 +113,29 @@ class TestRunReplication:
         lo, hi = rec.ci_corrected_wald
         assert lo < rec.beta2_corrected < hi
 
+    def test_is_shared_builder_then_shared_fit(self):
+        # run_replication adds nothing to the pipeline the CLI runs: the
+        # builder under prefix (master_seed, i), then the corrected fit
+        for kw in ({}, {"fraction": 0.8, "master_seed": 7}):
+            cell = small_cell(**kw)
+            for i in (0, 5):
+                *_, s = build_instance(
+                    (cell.master_seed, i), cell.n_pop, cell.density, cell.fraction,
+                    cell.params, cell.x_mean, cell.x_sd,
+                )
+                fit = estimation.fit_corrected(s, level=cell.level)
+                assert run_replication(cell, i) == RepRecord(
+                    rep_index=i,
+                    ok=True,
+                    beta2_naive=float(fit.beta_hat[2]),
+                    beta2_corrected=float(fit.beta2_corrected),
+                    ci_naive=tuple(map(float, fit.ci_naive)),
+                    ci_corrected=tuple(map(float, fit.ci_corrected)),
+                    ci_corrected_wald=tuple(map(float, fit.ci_corrected_wald)),
+                    w_hat=float(fit.w_hat),
+                    var_corrected=float(fit.var_corrected),
+                )
+
     def test_corrected_is_naive_over_w(self):
         rec = run_replication(small_cell(), 3)
         assert rec.ok
@@ -174,7 +198,7 @@ class TestCellValidation:
 class TestGridCsv:
     def test_layout(self, tmp_path):
         cells = [small_cell(reps=5), small_cell(fraction=0.6, reps=5)]
-        results = run_grid(cells, workers=1)
+        results = [(cell, run_cell(cell)[0]) for cell in cells]
         out = tmp_path / "grid.csv"
         write_grid_csv(results, out)
         with open(out, newline="") as fh:
