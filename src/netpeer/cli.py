@@ -124,6 +124,8 @@ def _resolve(command: str, config_path: str, overrides: dict) -> dict:
     missing = [k for k, v in values.items() if v is None]
     if missing:
         raise ValidationError(f"missing required setting(s): {', '.join(missing)}")
+    if values.get("seed", 0) < 0:
+        raise ValidationError("seed must be nonnegative")
     return values
 
 

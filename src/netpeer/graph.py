@@ -9,11 +9,16 @@ after construction and are safe to share across worker processes.
 
 from __future__ import annotations
 
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConnectivityError, ValidationError
+
+# bound on an edge list's vertex count: its CSR offsets take 8 bytes per vertex
+MAX_VERTICES = 10**7
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,30 +231,41 @@ def write_edge_list(g: Graph, path, tags=()) -> None:
         fh.write("".join(head + body))
 
 
+def read_table(path, dtypes, converters=None) -> tuple:
+    """One np.loadtxt call: (first line, one array per dtype for the rows after it).
+
+    Blank lines and `#` comments are skipped. An unreadable file, a malformed
+    field, a wrong column count or a non-finite float in a column without a
+    converter raises ValidationError naming the path.
+    """
+    dtype = [(f"c{i}", t) for i, t in enumerate(dtypes)]
+    try:
+        with open(path) as fh, warnings.catch_warnings():
+            first = fh.readline().strip()
+            # a header with no rows (an edge list without edges) is valid
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            # older numpy parses "0.5" in an integer column as a float and truncates
+            # it with only a DeprecationWarning; as an error it is loadtxt's ValueError
+            warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+            table = np.loadtxt(fh, dtype=dtype, delimiter=",",
+                               converters=converters, ndmin=1)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    columns = [np.ascontiguousarray(table[name]) for name, _ in dtype]
+    for i, col in enumerate(columns):
+        if col.dtype.kind == "f" and i not in (converters or ()):
+            if not np.isfinite(col).all():
+                raise ValidationError(f"{path}: non-finite value in column {i + 1}")
+    return first, columns
+
+
 def read_edge_list(path) -> Graph:
     """Read the edge-list format; rejects self-loops, duplicates and j>=k lines."""
-    n = None
-    edges = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("vertices="):
-                    n = int(body.split("=", 1)[1])
-                continue
-            try:
-                j_s, k_s = line.split(",")
-                j, k = int(j_s), int(k_s)
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: malformed edge line {line!r}")
-            if j >= k:
-                raise ValidationError(
-                    f"{path}:{lineno}: edge must satisfy j<k (got {j},{k})"
-                )
-            edges.append((j, k))
-    if n is None:
-        raise ValidationError(f"{path}: missing '# vertices=<n>' header")
-    return from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    first, (j, k) = read_table(path, (np.int64, np.int64))
+    header = re.fullmatch(r"#\s*vertices=0*(\d{1,8})", first)
+    if header is None or int(header[1]) > MAX_VERTICES:
+        raise ValidationError(
+            f"{path}: first line must be '# vertices=<n>' with n <= {MAX_VERTICES}")
+    if np.any(j >= k):
+        raise ValidationError(f"{path}: edge {j[j >= k][0]},{k[j >= k][0]} is not j<k")
+    return from_edges(int(header[1]), np.column_stack([j, k]))

@@ -52,14 +52,6 @@ def neighbor_mean_vector(g: Graph, x: np.ndarray) -> np.ndarray:
     return graphmod.neighbor_sums(g, np.asarray(x, dtype=float)) / degs
 
 
-def neighborhood_mean(g: Graph, x, j: int) -> float:
-    """(1/d_j) * sum of x over the neighbors of j; undefined for isolated j."""
-    nbrs = g.neighbors(j)
-    if nbrs.size == 0:
-        raise IsolatedVertexError(j)
-    return float(np.asarray(x, dtype=float)[nbrs].mean())
-
-
 def conditional_means(g: Graph, x, params: ModelParams) -> np.ndarray:
     """Noiseless outcome means for every vertex (the sigma2 -> 0 limit)."""
     return (
@@ -87,22 +79,17 @@ def write_unit_csv(x, y, path) -> None:
 
 
 def read_unit_csv(path):
-    """Read the unit-data CSV; returns (x, y) arrays indexed by unit_id."""
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "unit_id,x,y":
-            raise ValidationError(f"{path}: unexpected unit CSV header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            i, xv, yv = line.split(",")
-            rows.append((int(i), float(xv), float(yv)))
-    rows.sort()
-    x = np.array([r[1] for r in rows])
-    y = np.array([r[2] for r in rows])
-    return x, y
+    """Read the unit-data CSV; returns (x, y) arrays indexed by unit_id.
+
+    Rows may come in any order; the ids must be 0..N-1, each once.
+    """
+    header, (ids, x, y) = graphmod.read_table(path, (np.int64, float, float))
+    if header != "unit_id,x,y":
+        raise ValidationError(f"{path}: unexpected unit CSV header {header!r}")
+    order = np.argsort(ids)
+    if not np.array_equal(ids[order], np.arange(ids.size)):
+        raise ValidationError(f"{path}: unit ids must be 0..{ids.size - 1}, each once")
+    return x[order], y[order]
 
 
 def log_likelihood(means, y, sigma2_eps: float) -> float:

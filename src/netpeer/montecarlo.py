@@ -11,6 +11,7 @@ results are bit-identical across runs and across worker counts.
 
 from __future__ import annotations
 
+import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -79,10 +80,13 @@ class ExperimentCell:
             raise ValidationError("population size must be >= 2")
         if not 0.0 < self.density < 1.0:
             raise ValidationError("edge density must be in (0, 1)")
-        if not 0.0 < self.fraction <= 1.0:
-            raise ValidationError("sample fraction must be in (0, 1]")
+        # sample_size also rejects a fraction outside (0, 1]
+        if sampling.sample_size(self.n_pop, self.fraction) < 4:
+            raise ValidationError("sample size below 4: the fit needs 4 units")
         if not 0.0 < self.level < 1.0:
             raise ValidationError("CI level must be in (0, 1)")
+        if self.master_seed < 0:
+            raise ValidationError("seed must be nonnegative")
 
 
 @dataclass
@@ -225,18 +229,17 @@ def write_grid_csv(results, path) -> None:
 
 def write_records_csv(cell: ExperimentCell, records, path) -> None:
     """Optional per-replication dump so metrics can be recomputed offline."""
-    with open(path, "w") as fh:
-        fh.write(
-            "rep,ok,beta2_naive,beta2_corrected,ci_naive_lo,ci_naive_hi,"
-            "ci_corrected_lo,ci_corrected_hi,w_hat,error\n"
-        )
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([
+            "rep", "ok", "beta2_naive", "beta2_corrected", "ci_naive_lo", "ci_naive_hi",
+            "ci_corrected_lo", "ci_corrected_hi", "w_hat",
+            "ci_corrected_wald_lo", "ci_corrected_wald_hi", "error",
+        ])
         for r in records:
             if r.ok:
-                fh.write(
-                    f"{r.rep_index},1,{r.beta2_naive:.10g},{r.beta2_corrected:.10g},"
-                    f"{r.ci_naive[0]:.10g},{r.ci_naive[1]:.10g},"
-                    f"{r.ci_corrected[0]:.10g},{r.ci_corrected[1]:.10g},"
-                    f"{r.w_hat:.10g},\n"
-                )
+                values = (r.beta2_naive, r.beta2_corrected, *r.ci_naive,
+                          *r.ci_corrected, r.w_hat, *r.ci_corrected_wald)
+                writer.writerow([r.rep_index, 1, *(f"{v:.10g}" for v in values), ""])
             else:
-                fh.write(f"{r.rep_index},0,,,,,,,,{r.error}\n")
+                writer.writerow([r.rep_index, 0, *[""] * 9, r.error])

@@ -24,7 +24,9 @@ class RecruitmentSample:
 
     observed_degrees are degrees within g_r; reported_degrees are the
     true population degrees of the sampled units. Per-unit vectors are
-    aligned with sampled_ids (ascending population index).
+    aligned with sampled_ids (ascending population index). Construction
+    checks nothing: rns_sample builds consistent samples and
+    read_sample_csv checks a file against its edge list.
     """
 
     sampled_ids: np.ndarray
@@ -33,18 +35,6 @@ class RecruitmentSample:
     reported_degrees: np.ndarray
     x_obs: np.ndarray = None
     y_obs: np.ndarray = None
-
-    def __post_init__(self):
-        n = self.sampled_ids.size
-        if self.g_r.n_vertices != n:
-            raise ValidationError("recruitment subgraph size mismatch")
-        if np.any(self.observed_degrees > self.reported_degrees):
-            raise ValidationError("observed degree exceeds reported degree")
-        if not np.array_equal(self.observed_degrees, graphmod.degrees(self.g_r)):
-            raise ValidationError("observed degrees disagree with recruitment subgraph")
-        for vec in (self.x_obs, self.y_obs):
-            if vec is not None and len(vec) != n:
-                raise ValidationError("unit-data vector length mismatch")
 
     @property
     def n(self) -> int:
@@ -174,31 +164,28 @@ def write_sample_csv(s: RecruitmentSample, path) -> None:
 
 
 def read_sample_csv(path, g_r: Graph) -> RecruitmentSample:
-    """Rebuild a RecruitmentSample from the CSV export plus its edge list."""
-    ids, d_true, d_obs, xs, ys = [], [], [], [], []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "unit_id,d_true,d_obs,x,y":
-            raise ValidationError(f"{path}: unexpected sample CSV header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise ValidationError(f"{path}: malformed sample row {line!r}")
-            ids.append(int(parts[0]))
-            d_true.append(int(parts[1]))
-            d_obs.append(int(parts[2]))
-            xs.append(float(parts[3]) if parts[3] else np.nan)
-            ys.append(float(parts[4]) if parts[4] else np.nan)
-    x = np.array(xs)
-    y = np.array(ys)
-    return RecruitmentSample(
-        sampled_ids=np.array(ids, dtype=np.int64),
-        g_r=g_r,
-        observed_degrees=np.array(d_obs, dtype=np.int64),
-        reported_degrees=np.array(d_true, dtype=np.int64),
-        x_obs=None if np.isnan(x).all() else x,
-        y_obs=None if np.isnan(y).all() else y,
+    """Rebuild a RecruitmentSample from the CSV export plus its edge list.
+
+    The rows must match g_r: one per vertex, unit ids nonnegative and
+    strictly ascending, d_obs equal to the degrees in g_r and at most
+    d_true. The x and y columns are each entirely blank or NaN (a sample
+    without unit data) or entirely finite.
+    """
+    header, (ids, d_true, d_obs, x, y) = graphmod.read_table(
+        path, (np.int64, np.int64, np.int64, float, float),
+        converters={i: lambda field: float(field.strip() or "nan") for i in (3, 4)},
     )
+    if header != "unit_id,d_true,d_obs,x,y":
+        raise ValidationError(f"{path}: unexpected sample CSV header {header!r}")
+    if ids.size != g_r.n_vertices:
+        raise ValidationError(f"{path}: {ids.size} rows for {g_r.n_vertices} vertices")
+    if ids.size and (ids[0] < 0 or np.any(np.diff(ids) <= 0)):
+        raise ValidationError(f"{path}: unit ids must be nonnegative and ascending")
+    if not np.array_equal(d_obs, graphmod.degrees(g_r)):
+        raise ValidationError(f"{path}: d_obs disagrees with the recruitment subgraph")
+    if np.any(d_obs > d_true):
+        raise ValidationError(f"{path}: d_obs exceeds d_true")
+    if not all(np.isnan(col).all() or np.isfinite(col).all() for col in (x, y)):
+        raise ValidationError(f"{path}: x and y must each be blank in every row or finite")
+    x, y = (None if np.isnan(col).all() else col for col in (x, y))
+    return RecruitmentSample(ids, g_r, d_obs, d_true, x, y)

@@ -15,14 +15,18 @@ the unit's d neighbors are among the N - 1 other units, n - 1 of which
 are sampled with it. As N grows at fixed f, w tends to f from below.
 
 candidate_means_loop(candidate, observed, params) is the per-unit loop
-that `identification.candidate_means` replaced by a segmented sum: it
-reads only the arrays of the netpeer objects it is given.
+that `identification.candidate_means` replaced by a segmented sum, and
+neighborhood_mean(g, x, j) the one-vertex mean that
+`model.neighbor_mean_vector` computes for all vertices at once: they read
+only the arrays of the netpeer objects they are given.
 """
 
 import math
 
 import numpy as np
 from scipy import stats
+
+from netpeer.errors import IsolatedVertexError
 
 # binomial tail mass left out of the degree range
 _TAIL = 1e-16
@@ -55,3 +59,11 @@ def candidate_means_loop(candidate, observed, params) -> np.ndarray:
         peer = float(candidate.x_tilde[nbrs].sum()) / observed.reported_degrees[r]
         means[r] = params.beta0 + params.beta1 * observed.x_obs[r] + params.beta2 * peer
     return means
+
+
+def neighborhood_mean(g, x, j: int) -> float:
+    """(1/d_j) * sum of x over the neighbors of j; undefined for isolated j."""
+    nbrs = g.indices[g.offsets[j]:g.offsets[j + 1]]
+    if nbrs.size == 0:
+        raise IsolatedVertexError(j)
+    return float(np.asarray(x, dtype=float)[nbrs].mean())

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netpeer import estimation, graph as graphmod, model, sampling
 from netpeer.cli import main
@@ -246,3 +250,139 @@ class TestDiagnostics:
         assert rep["n_sampled"] == 80
         assert not rep["degenerate_covariate"]
         assert rep["degree_ratio_min"] <= rep["degree_ratio_mean"] <= rep["degree_ratio_max"]
+
+
+INPUTS = ("graph.edges", "population.csv", "sample.csv", "sample.edges")
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """The text of simulate's four output files for a small instance."""
+    out = tmp_path_factory.mktemp("valid")
+    assert run(["simulate", "--n", 40, "--p", 0.15, "--f", 0.5,
+                "--seed", 3, "--out", out]) == 0
+    return {name: (out / name).read_text() for name in INPUTS}
+
+
+def run_on_inputs(files, out):
+    """sample on graph.edges + population.csv; fit and diagnostics on the sample."""
+    for name, text in files.items():
+        (out / name).write_text(text)
+    return [
+        run(["sample", "--graph", out / "graph.edges", "--data", out / "population.csv",
+             "--f", 0.5, "--out", out / "resampled"]),
+        run(["fit", "--sample", out / "sample.csv", "--edges", out / "sample.edges",
+             "--out", out / "fit"]),
+        run(["diagnostics", "--sample", out / "sample.csv",
+             "--edges", out / "sample.edges", "--out", out / "diag"]),
+    ]
+
+
+def replace_line(text, index, edit):
+    lines = text.splitlines()
+    lines[index] = edit(lines[index])
+    return "\n".join(lines) + "\n"
+
+
+def set_field(col, value):
+    def edit(line):
+        fields = line.split(",")
+        fields[col] = value
+        return ",".join(fields)
+    return edit
+
+
+class TestInputBoundary:
+    """Each malformed input exits 2 with one `error:` line, never a traceback."""
+
+    CASES = {
+        "short population row": ("population.csv", 3, lambda line: line.rsplit(",", 1)[0]),
+        "duplicated unit_id": ("population.csv", 2, set_field(0, "0")),
+        "non-integer sample id": ("sample.csv", 1, set_field(0, "0.5")),
+        "non-integer d_true": ("sample.csv", 1, set_field(1, "7.9")),
+        "non-integer edge endpoint": ("graph.edges", 1, lambda line: line + ".0"),
+        "vertex count not an integer": ("graph.edges", 0, lambda line: "# vertices=abc"),
+        "vertex count too large": ("graph.edges", 0, lambda line: "# vertices=10000000000"),
+        "blank x": ("sample.csv", 2, set_field(3, "")),
+        "nan x": ("sample.csv", 2, set_field(3, "nan")),
+    }
+
+    # "ignore" stands for the command line, where Python hides DeprecationWarning
+    @pytest.mark.parametrize("filters", ["error", "ignore"])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_malformed_file_exits_2(self, tmp_path, capsys, valid_inputs, name, filters):
+        target, index, edit = self.CASES[name]
+        files = dict(valid_inputs)
+        files[target] = replace_line(files[target], index, edit)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter(filters)
+            codes = run_on_inputs(files, tmp_path)
+        # the sample command reads the population files, fit and diagnostics the sample
+        expected = [2, 0, 0] if target in ("graph.edges", "population.csv") else [0, 2, 2]
+        assert codes == expected
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == expected.count(2)
+        assert all(line.startswith("error: ") for line in err)
+        assert all(target in line for line in err)
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--n", 10, "--p", 0.5, "--seed", -1],
+        ["mc", "--n-pop", 100, "--density", 0.1, "--fraction", 0.5,
+         "--reps", 2, "--seed", -3],
+        # round(0.2 * 10) = 2 sampled units, fewer than the fit's 4
+        ["mc", "--n-pop", 10, "--density", 0.5, "--fraction", 0.2],
+    ])
+    def test_bad_setting_exits_2(self, tmp_path, capsys, argv):
+        assert run([*argv, "--out", tmp_path]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        # rejected before any graph draw or replication
+        assert not (tmp_path / "graph.edges").exists()
+        assert not (tmp_path / "results.csv").exists()
+
+
+TOKENS = ("", "nan", "inf", "-1", "0", "1", "2.5", "abc", "1e3", "99999999999999999999",
+          "#", "0,1")
+
+mutations = st.lists(
+    st.tuples(
+        st.sampled_from(("drop", "duplicate", "swap", "field", "extra", "truncate")),
+        st.integers(0, 10**6), st.integers(0, 10**6), st.sampled_from(TOKENS),
+    ),
+    min_size=1, max_size=3,
+)
+
+
+def mutate(text, ops):
+    lines = text.splitlines()
+    for op, a, b, token in ops:
+        if not lines:
+            break
+        i, j = a % len(lines), b % len(lines)
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(j, lines[i])
+        elif op == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "field":
+            fields = lines[i].split(",")
+            fields[b % len(fields)] = token
+            lines[i] = ",".join(fields)
+        elif op == "extra":
+            lines[i] += "," + token
+        else:
+            lines[i] = lines[i].rsplit(",", 1)[0]
+    return "\n".join(lines) + "\n"
+
+
+class TestExitCodeContract:
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(target=st.sampled_from(INPUTS), ops=mutations)
+    def test_mutated_inputs_exit_0_2_or_3(self, valid_inputs, target, ops):
+        files = dict(valid_inputs)
+        files[target] = mutate(files[target], ops)
+        with tempfile.TemporaryDirectory() as out:
+            codes = run_on_inputs(files, Path(out))
+        assert set(codes) <= {0, 2, 3}

@@ -239,6 +239,35 @@ class TestEdgeListIO:
         with pytest.raises(ValidationError):
             read_edge_list(p)
 
+    def test_round_trip_without_edges(self, tmp_path):
+        # loadtxt warns on a table with no rows; tier-1 turns warnings into errors
+        p = tmp_path / "g.edges"
+        write_edge_list(from_edges(4, []), p, tags=("sample",))
+        h = read_edge_list(p)
+        assert h.n_vertices == 4 and h.n_edges() == 0
+        assert same_csr(h, from_edges(4, []))
+
+    @pytest.mark.parametrize("text, match", [
+        ("# vertices=abc\n0,1\n", "vertices"),
+        ("# vertices=10000001\n", "vertices"),
+        ("# vertices=99999999999999999999\n0,1\n", "vertices"),
+        ("# vertices=3\n0,x\n", "could not convert"),
+        ("# vertices=3\n0,1.0\n", "could not convert"),
+        ("# vertices=3\n0,1,2\n", "columns"),
+        ("# vertices=3\n0\n", "columns"),
+        ("", "vertices"),
+    ])
+    def test_rejects_malformed(self, tmp_path, text, match):
+        p = tmp_path / "bad.edges"
+        p.write_text(text)
+        with pytest.raises(ValidationError, match=match) as info:
+            read_edge_list(p)
+        assert str(p) in str(info.value)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ValidationError):
+            read_edge_list(tmp_path / "absent.edges")
+
 
 class TestFromEdges:
     def test_rejects_duplicates_and_loops(self):

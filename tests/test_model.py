@@ -11,12 +11,12 @@ from netpeer.model import (
     gen_covariates,
     log_likelihood,
     neighbor_mean_vector,
-    neighborhood_mean,
     read_unit_csv,
     simulate_outcomes,
     write_unit_csv,
 )
 from netpeer.sampling import population_induced, rns_sample
+from oracles import neighborhood_mean
 
 PARAMS = ModelParams(0.0, 1.0, 1.5, 1.0)
 
@@ -168,3 +168,36 @@ class TestUnitCsv:
         xb, yb = read_unit_csv(p)
         assert np.array_equal(x, xb)
         assert np.array_equal(y, yb)
+
+    def test_rows_in_any_order(self, tmp_path):
+        x = np.random.default_rng(0).normal(size=6)
+        y = np.random.default_rng(1).normal(size=6)
+        p = tmp_path / "units.csv"
+        write_unit_csv(x, y, p)
+        header, *rows = p.read_text().splitlines()
+        p.write_text("\n".join([header, *rows[::-1]]) + "\n")
+        xb, yb = read_unit_csv(p)
+        assert np.array_equal(x, xb)
+        assert np.array_equal(y, yb)
+
+    @pytest.mark.parametrize("rows, match", [
+        (["0,1.0,2.0", "0,1.5,2.5"], "unit ids"),  # duplicate id, 1 missing
+        (["0,1.0,2.0", "2,1.5,2.5"], "unit ids"),  # gap
+        (["-1,1.0,2.0", "0,1.5,2.5"], "unit ids"),
+        (["0,1.0,2.0", "1,1.5"], "columns"),  # short row
+        (["0,1.0,2.0", "1,nan,2.5"], "non-finite"),
+        (["0,1.0,2.0", "1,1.5,inf"], "non-finite"),
+        (["0,1.0,2.0", "1,,2.5"], "could not convert"),
+        (["0,1.0,2.0", "a,1.5,2.5"], "could not convert"),
+    ])
+    def test_rejects_malformed(self, tmp_path, rows, match):
+        p = tmp_path / "units.csv"
+        p.write_text("\n".join(["unit_id,x,y", *rows]) + "\n")
+        with pytest.raises(ValidationError, match=match):
+            read_unit_csv(p)
+
+    def test_rejects_wrong_header(self, tmp_path):
+        p = tmp_path / "units.csv"
+        p.write_text("id,x,y\n0,1.0,2.0\n")
+        with pytest.raises(ValidationError, match="header"):
+            read_unit_csv(p)

@@ -194,6 +194,16 @@ class TestCellValidation:
         with pytest.raises(ValidationError):
             small_cell(reps=0)
 
+    def test_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed"):
+            small_cell(master_seed=-1)
+
+    def test_sample_below_four(self):
+        # round(0.2 * 10) = 2 units: no replication could fit three coefficients
+        with pytest.raises(ValidationError, match="sample size"):
+            small_cell(n_pop=10, density=0.5, fraction=0.2)
+        assert small_cell(n_pop=20, density=0.5, fraction=0.2).reps == 12
+
 
 class TestGridCsv:
     def test_layout(self, tmp_path):
@@ -243,3 +253,17 @@ class TestGridCsv:
         rb = (np.mean(naive) - 1.5) / 1.5
         rep = summarize(cell, recs)
         assert rb == pytest.approx(rep.rb_naive, rel=1e-9)
+
+    def test_records_csv_wald_and_quoted_error(self, tmp_path):
+        recs = [
+            fake_record(0, 1.0, 0.5, 1.5, wald=(1.25, 2.75)),
+            RepRecord(rep_index=1, ok=False, error="no graph (n=3, p=0.1); retry"),
+        ]
+        out = tmp_path / "records.csv"
+        write_records_csv(small_cell(), recs, out)
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(r) for r in rows] == [12, 12, 12]
+        assert rows[0][9:] == ["ci_corrected_wald_lo", "ci_corrected_wald_hi", "error"]
+        assert rows[1][9:] == ["1.25", "2.75", ""]
+        assert rows[2] == ["1", "0"] + [""] * 9 + ["no graph (n=3, p=0.1); retry"]

@@ -241,3 +241,78 @@ class TestSampleCsv:
         p = tmp_path / "sample.csv"
         write_sample_csv(s, p)
         assert p.read_text().splitlines()[0] == "unit_id,d_true,d_obs,x,y"
+
+    def test_round_trip_without_unit_data(self, tmp_path):
+        g = generate_er(30, 0.15, np.random.default_rng(0))
+        s = rns_sample(g, 10, np.random.default_rng(3))
+        p = tmp_path / "sample.csv"
+        write_sample_csv(s, p)
+        back = read_sample_csv(p, s.g_r)
+        assert back.x_obs is None and back.y_obs is None
+        assert np.array_equal(back.sampled_ids, s.sampled_ids)
+        assert np.array_equal(back.reported_degrees, s.reported_degrees)
+        assert np.array_equal(back.observed_degrees, s.observed_degrees)
+
+    def test_nan_in_every_row_is_no_unit_data(self, tmp_path):
+        g = generate_er(30, 0.15, np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(3, 1.5, 30)
+        s = rns_sample(g, 10, np.random.default_rng(3), x, x + 1.0)
+        p = tmp_path / "sample.csv"
+        write_sample_csv(s, p)
+        header, *rows = p.read_text().splitlines()
+        p.write_text("\n".join([header, *(_set(r, 3, "nan") for r in rows)]) + "\n")
+        back = read_sample_csv(p, s.g_r)
+        assert back.x_obs is None and np.array_equal(back.y_obs, s.y_obs)
+
+
+def _set(row, col, value):
+    fields = row.split(",")
+    fields[col] = value
+    return ",".join(fields)
+
+
+def _first_tied(rows):
+    # index of the first row with d_obs > 0
+    return next(i for i, r in enumerate(rows) if int(r.split(",")[2]) > 0)
+
+
+class TestSampleCsvRejects:
+    """Every check of read_sample_csv, one malformed file each."""
+
+    MUTATIONS = {
+        "missing row": (lambda rows: rows[:-1], "rows for"),
+        "extra row": (lambda rows: rows + ["999,1,0,1.0,1.0"], "rows for"),
+        "rows swapped": (lambda rows: [rows[1], rows[0], *rows[2:]], "ascending"),
+        "duplicate id": (lambda rows: [rows[0], *rows[:-1]], "ascending"),
+        "negative id": (lambda rows: [_set(rows[0], 0, "-1"), *rows[1:]], "nonnegative"),
+        "d_obs off": (
+            lambda rows: [_set(rows[0], 2, str(int(rows[0].split(",")[2]) + 1)),
+                          *rows[1:]],
+            "d_obs disagrees",
+        ),
+        "d_true below d_obs": (
+            lambda rows: [_set(r, 1, "0") if i == _first_tied(rows) else r
+                          for i, r in enumerate(rows)],
+            "exceeds",
+        ),
+        "one blank x": (lambda rows: [_set(rows[0], 3, ""), *rows[1:]], "every row"),
+        "one blank y": (lambda rows: [*rows[:-1], _set(rows[-1], 4, "")], "every row"),
+        "nan x": (lambda rows: [_set(rows[0], 3, "nan"), *rows[1:]], "every row"),
+        "inf y": (lambda rows: [_set(rows[0], 4, "-inf"), *rows[1:]], "every row"),
+        "non-integer id": (lambda rows: [_set(rows[0], 0, "0.5"), *rows[1:]],
+                           "could not convert"),
+        "short row": (lambda rows: [rows[0].rsplit(",", 1)[0], *rows[1:]], "columns"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    def test_rejects(self, tmp_path, name):
+        g = generate_er(30, 0.15, np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(3, 1.5, 30)
+        s = rns_sample(g, 10, np.random.default_rng(3), x, x + 1.0)
+        p = tmp_path / "sample.csv"
+        write_sample_csv(s, p)
+        header, *rows = p.read_text().splitlines()
+        mutate, match = self.MUTATIONS[name]
+        p.write_text("\n".join([header, *mutate(rows)]) + "\n")
+        with pytest.raises(ValidationError, match=match):
+            read_sample_csv(p, s.g_r)
