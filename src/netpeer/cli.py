@@ -156,6 +156,16 @@ def _instance(v: dict):
     )
 
 
+def _write_json(out: str, name: str, report: dict) -> None:
+    """Write `report` to out/name as strict JSON; NaN or Infinity exits 3, writing nothing."""
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ComputationError(f"{name}: non-finite result ({exc})") from None
+    with open(os.path.join(out, name), "w") as fh:
+        fh.write(text + "\n")
+
+
 def _cmd_generate(v: dict, out: str) -> None:
     g = montecarlo.draw_graph(
         (v["seed"],), v["n"], v["p"], v["allow_disconnected"], v["max_attempts"]
@@ -189,8 +199,7 @@ def _cmd_fit(v: dict, out: str) -> None:
     g_r = graphmod.read_edge_list(v["edges"])
     s = sampling.read_sample_csv(v["sample"], g_r)
     fit = estimation.fit_corrected(s, level=v["level"], use_t=v["use_t"])
-    with open(os.path.join(out, "fit.json"), "w") as fh:
-        fh.write(fit.to_json() + "\n")
+    _write_json(out, "fit.json", fit.to_dict())
 
 
 def _cmd_mc(v: dict, out: str) -> None:
@@ -236,19 +245,13 @@ def _cmd_identify_demo(v: dict, out: str) -> None:
     x_u1 = float(v["x_u1"]) if v["x_u1"] != "" else None
     x_u2 = float(v["x_u2"]) if v["x_u2"] != "" else None
     if v["j"] >= 0 and v["l"] >= 0:
-        if x_u1 is None or x_u2 is None:
-            xm, xs = float(s.x_obs.mean()), float(s.x_obs.std()) or 1.0
-            x_u1, x_u2 = xm + xs, xm - xs
         pair = identification.build_swap_pair(s, v["j"], v["l"], x_u1, x_u2)
     else:
         pair = identification.find_witness(s, x_u1, x_u2)
     if pair is None:
         report = {"verdict": "NO_WITNESS_AVAILABLE"}
     else:
-        mu_a = identification.candidate_means(pair.a, s, params)
-        mu_b = identification.candidate_means(pair.b, s, params)
-        ll_a = model.log_likelihood(mu_a, s.y_obs, params.sigma2_eps)
-        ll_b = model.log_likelihood(mu_b, s.y_obs, params.sigma2_eps)
+        ll_a, ll_b = identification.log_likelihoods(pair, s.y_obs, params)
         report = {
             "verdict": "NOT_IDENTIFIED_WITNESS_FOUND",
             "j": pair.j, "l": pair.l,
@@ -256,24 +259,19 @@ def _cmd_identify_demo(v: dict, out: str) -> None:
             "x_u1": pair.x_u1, "x_u2": pair.x_u2,
             "log_likelihood_a": ll_a,
             "log_likelihood_b": ll_b,
-            "likelihood_gap": identification.likelihood_gap(pair, s.y_obs, params),
+            "likelihood_gap": abs(ll_a - ll_b),
             "mean_sum_gap": identification.mean_sum_gap(pair, params),
             "compatible_a": identification.is_compatible(pair.a, s),
             "compatible_b": identification.is_compatible(pair.b, s),
         }
-    with open(os.path.join(out, "witness.json"), "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _write_json(out, "witness.json", report)
 
 
 def _cmd_diagnostics(v: dict, out: str) -> None:
     g_r = graphmod.read_edge_list(v["edges"])
     s = sampling.read_sample_csv(v["sample"], g_r)
-    design = estimation.build_observed_design(s)
-    report = estimation.diagnostics(design, s)
-    with open(os.path.join(out, "diagnostics.json"), "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _write_json(out, "diagnostics.json",
+                estimation.diagnostics(estimation.build_observed_design(s), s))
 
 
 _HANDLERS = {

@@ -17,7 +17,6 @@ delta-method term for the estimated scaling factor.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
@@ -25,7 +24,7 @@ import numpy as np
 from scipy import stats
 
 from . import graph as graphmod, sampling as samplingmod
-from .errors import AllIsolatedSampleError, RankDeficiencyError, ValidationError
+from .errors import RankDeficiencyError, ValidationError
 from .sampling import RecruitmentSample
 
 _COLUMNS = ("intercept", "own_x", "peer_mean")
@@ -60,12 +59,10 @@ class FitResult:
 
     beta_hat: np.ndarray  # (beta0, beta1, beta2_naive)
     se: np.ndarray
-    cov: np.ndarray
     sigma2_hat: float
     n_used: int
     dropped: int
-    level: float
-    crit: float  # CI critical value at `level`
+    crit: float  # CI critical value at the fit's confidence level
     var_beta2_hc1: float  # HC1 sandwich variance of beta2_naive
     sxx_star: float  # centered sum of squares of the peer regressor x*
     ci_naive: tuple
@@ -76,30 +73,19 @@ class FitResult:
     var_corrected: float = None  # sigma2 / (w_hat^2 * sxx_star)
 
     def to_dict(self) -> dict:
+        """The fields of fit.json; only defined after `apply_correction`."""
         return {
             "beta_hat": [float(b) for b in self.beta_hat],
             "se": [float(v) for v in self.se],
             "sigma2_hat": float(self.sigma2_hat),
-            "w_hat": None if self.w_hat is None else float(self.w_hat),
-            "beta2_corrected": (
-                None if self.beta2_corrected is None else float(self.beta2_corrected)
-            ),
+            "w_hat": float(self.w_hat),
+            "beta2_corrected": float(self.beta2_corrected),
             "ci_naive": [float(v) for v in self.ci_naive],
-            "ci_corrected": (
-                None if self.ci_corrected is None
-                else [float(v) for v in self.ci_corrected]
-            ),
-            "ci_corrected_wald": (
-                None if self.ci_corrected_wald is None
-                else [float(v) for v in self.ci_corrected_wald]
-            ),
+            "ci_corrected": [float(v) for v in self.ci_corrected],
+            "ci_corrected_wald": [float(v) for v in self.ci_corrected_wald],
             "n_used": self.n_used,
             "dropped": self.dropped,
         }
-
-    def to_json(self) -> str:
-        # float repr carries 17 significant digits
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def build_observed_design(s: RecruitmentSample) -> ObservedDesign:
@@ -121,7 +107,8 @@ def build_observed_design(s: RecruitmentSample) -> ObservedDesign:
 
 
 def _collinear_detail(X: np.ndarray) -> str:
-    flat_cols = [name for name, col in zip(_COLUMNS, X.T) if np.ptp(col) == 0]
+    # the intercept column is constant by design
+    flat_cols = [name for name, col in zip(_COLUMNS[1:], X.T[1:]) if np.ptp(col) == 0]
     if flat_cols:
         return "constant column(s): " + ", ".join(flat_cols)
     return "collinear columns among (" + ", ".join(_COLUMNS) + ")"
@@ -150,8 +137,7 @@ def fit_mle(d: ObservedDesign, level: float = 0.95, use_t: bool = False) -> FitR
     resid = y - X @ beta
     sigma2 = float(resid @ resid) / (n - 3)
     xtx_inv = np.linalg.inv(X.T @ X)
-    cov = sigma2 * xtx_inv
-    se = np.sqrt(np.diag(cov))
+    se = np.sqrt(sigma2 * np.diag(xtx_inv))
     # beta2_hat = sum_i h_i y_i, so var = sum_i h_i^2 e_i^2 with the n/(n-3) factor
     h_resid = (X @ xtx_inv[2]) * resid
     var_hc1 = float(h_resid @ h_resid) * n / (n - 3)
@@ -164,11 +150,9 @@ def fit_mle(d: ObservedDesign, level: float = 0.95, use_t: bool = False) -> FitR
     return FitResult(
         beta_hat=beta,
         se=se,
-        cov=cov,
         sigma2_hat=sigma2,
         n_used=n,
         dropped=d.dropped_count,
-        level=level,
         crit=crit,
         var_beta2_hc1=var_hc1,
         sxx_star=sxx,
@@ -221,37 +205,33 @@ def diagnostics(d: ObservedDesign, s: RecruitmentSample) -> dict:
     Reports the covariate variance statistic, the cross-product
     statistic, the observed/true degree-ratio summary with the scaling
     factor, the covariate-residual correlation from the fitted model,
-    and the dropped-unit count.
+    and the dropped-unit count. `d` is the design built from `s`, so at
+    least four sampled units have a positive observed degree. A statistic
+    too large for float64 comes out as inf or nan, without a warning.
     """
-    x = np.asarray(s.x_obs, dtype=float)
-    n = x.size
-    centered = x - x.mean()
-    var_stat = float(np.sum(centered**2)) / n
-    cross_stat = float(np.sum(centered) ** 2 - np.sum(centered**2)) / n
     pos = s.reported_degrees > 0
     ratios = s.observed_degrees[pos] / s.reported_degrees[pos]
-    try:
-        w_hat = samplingmod.scaling_factor(s)
-    except AllIsolatedSampleError:
-        w_hat = None
     resid_corr = None
-    try:
-        fit = fit_mle(d)
-        resid = d.y - d.X @ fit.beta_hat
-        x_ret = d.X[:, 1]
-        if np.ptp(x_ret) > 0 and np.ptp(resid) > 0:
-            resid_corr = float(np.corrcoef(x_ret, resid)[0, 1])
-    except RankDeficiencyError:
-        pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = s.x_obs - s.x_obs.mean()
+        var_stat = float(np.sum(centered**2)) / s.n
+        cross_stat = float(np.sum(centered) ** 2 - np.sum(centered**2)) / s.n
+        try:
+            fit = fit_mle(d)
+            resid = d.y - d.X @ fit.beta_hat
+            if np.ptp(resid) > 0:
+                resid_corr = float(np.corrcoef(d.X[:, 1], resid)[0, 1])
+        except RankDeficiencyError:
+            pass
     return {
         "covariate_variance_stat": var_stat,
         "covariate_cross_stat": cross_stat,
         "degenerate_covariate": var_stat == 0.0,
-        "degree_ratio_min": float(ratios.min()) if ratios.size else None,
-        "degree_ratio_mean": float(ratios.mean()) if ratios.size else None,
-        "degree_ratio_max": float(ratios.max()) if ratios.size else None,
-        "w_hat": w_hat,
+        "degree_ratio_min": float(ratios.min()),
+        "degree_ratio_mean": float(ratios.mean()),
+        "degree_ratio_max": float(ratios.max()),
+        "w_hat": samplingmod.scaling_factor(s),
         "covariate_residual_corr": resid_corr,
         "dropped_count": d.dropped_count,
-        "n_sampled": int(n),
+        "n_sampled": s.n,
     }

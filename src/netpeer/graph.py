@@ -33,9 +33,6 @@ class Graph:
         """Sorted neighbors of vertex j (a view into `indices`)."""
         return self.indices[self.offsets[j]:self.offsets[j + 1]]
 
-    def degree(self, j: int) -> int:
-        return int(self.offsets[j + 1] - self.offsets[j])
-
     def n_edges(self) -> int:
         return self.indices.size // 2
 
@@ -44,32 +41,6 @@ class Graph:
         src = _row_ids(self.offsets)
         upper = self.indices > src
         return np.column_stack([src[upper], self.indices[upper]])
-
-    def validate(self) -> None:
-        """Check the structural invariants; raises ValidationError on violation."""
-        n = self.n_vertices
-        if n < 0:
-            raise ValidationError("negative vertex count")
-        offsets, indices = np.asarray(self.offsets), np.asarray(self.indices)
-        if offsets.shape != (n + 1,):
-            raise ValidationError("offsets length does not match vertex count")
-        if offsets[0] != 0 or offsets[-1] != indices.size or np.any(np.diff(offsets) < 0):
-            raise ValidationError("offsets are not a nondecreasing cover of indices")
-        if indices.size and (indices.min() < 0 or indices.max() >= n):
-            raise ValidationError("neighbor index out of range")
-        src = _row_ids(offsets)
-        if np.any(indices == src):
-            raise ValidationError(f"vertex {src[np.argmax(indices == src)]}: self-loop")
-        same_row = src[1:] == src[:-1]
-        step = np.diff(indices)
-        for bad, what in ((step == 0, "duplicate neighbor"), (step < 0, "row not sorted")):
-            bad &= same_row
-            if bad.any():
-                raise ValidationError(f"vertex {src[np.argmax(bad)]}: {what}")
-        # rows are sorted, so src*n + indices is ascending; symmetry means the
-        # reversed pairs give the same key set
-        if not np.array_equal(src * n + indices, np.sort(indices * n + src)):
-            raise ValidationError("asymmetric edge")
 
 
 def _row_ids(offsets: np.ndarray) -> np.ndarray:
@@ -268,4 +239,7 @@ def read_edge_list(path) -> Graph:
             f"{path}: first line must be '# vertices=<n>' with n <= {MAX_VERTICES}")
     if np.any(j >= k):
         raise ValidationError(f"{path}: edge {j[j >= k][0]},{k[j >= k][0]} is not j<k")
-    return from_edges(int(header[1]), np.column_stack([j, k]))
+    try:
+        return from_edges(int(header[1]), np.column_stack([j, k]))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

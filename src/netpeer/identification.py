@@ -71,20 +71,27 @@ def is_compatible(candidate: CompletionCandidate, observed: RecruitmentSample) -
 
 
 def build_swap_pair(
-    observed: RecruitmentSample, j: int, l: int, x_u1: float, x_u2: float
+    observed: RecruitmentSample, j: int, l: int, x_u1=None, x_u2=None
 ) -> WitnessPair:
     """Attach two synthetic unsampled units to recruited units j and l, both ways.
 
     Candidate a carries edges (j, u1) and (l, u2); candidate b swaps
     them. Both are compatible with the observed data by construction.
     j and l are local (within-sample) indices and must have reported
-    degree strictly above their observed degree.
+    degree strictly above their observed degree. Unless both attached
+    covariate values are given, they are the observed mean plus/minus one
+    observed standard deviation (or 1.0 when degenerate).
     """
     n = observed.n
+    if observed.x_obs is None:
+        raise ValidationError("sample carries no covariates to attach a witness to")
     if j == l:
         raise ValidationError("witness units must be distinct")
     if not (0 <= j < n and 0 <= l < n):
         raise ValidationError("witness unit index out of range")
+    if x_u1 is None or x_u2 is None:
+        center, spread = float(observed.x_obs.mean()), float(observed.x_obs.std()) or 1.0
+        x_u1, x_u2 = center + spread, center - spread
     if x_u1 == x_u2:
         raise ValidationError("attached covariate values must differ")
     for v in (j, l):
@@ -143,30 +150,27 @@ def mean_sum_gap(pair: WitnessPair, params: ModelParams) -> float:
     return params.beta2 * (1.0 / pair.d_j - 1.0 / pair.d_l) * (pair.x_u1 - pair.x_u2)
 
 
+def log_likelihoods(pair: WitnessPair, y_obs, params: ModelParams) -> tuple:
+    """Log-likelihoods of y under candidate a and under candidate b."""
+    return tuple(
+        log_likelihood(candidate_means(c, pair.observed, params), y_obs, params.sigma2_eps)
+        for c in (pair.a, pair.b)
+    )
+
+
 def likelihood_gap(pair: WitnessPair, y_obs, params: ModelParams) -> float:
     """Absolute log-likelihood difference of y under the two candidates."""
-    mu_a = candidate_means(pair.a, pair.observed, params)
-    mu_b = candidate_means(pair.b, pair.observed, params)
-    return abs(
-        log_likelihood(mu_a, y_obs, params.sigma2_eps)
-        - log_likelihood(mu_b, y_obs, params.sigma2_eps)
-    )
+    ll_a, ll_b = log_likelihoods(pair, y_obs, params)
+    return abs(ll_a - ll_b)
 
 
 def find_witness(observed: RecruitmentSample, x_u1=None, x_u2=None):
     """First recruited pair (by index) with attachment slack and distinct degrees.
 
-    Returns a WitnessPair, or None when no such pair exists. Attached
-    covariate values default to the observed mean plus/minus one
-    observed standard deviation (or 1.0 when degenerate).
+    Returns a WitnessPair, or None when no such pair exists. The attached
+    covariate values default as in `build_swap_pair`.
     """
     slack = np.flatnonzero(observed.reported_degrees > observed.observed_degrees)
-    if x_u1 is None or x_u2 is None:
-        center = float(observed.x_obs.mean()) if observed.x_obs is not None else 0.0
-        spread = float(observed.x_obs.std()) if observed.x_obs is not None else 1.0
-        if spread == 0.0:
-            spread = 1.0
-        x_u1, x_u2 = center + spread, center - spread
     for a_pos in range(slack.size):
         for b_pos in range(a_pos + 1, slack.size):
             j, l = int(slack[a_pos]), int(slack[b_pos])

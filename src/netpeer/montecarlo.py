@@ -71,7 +71,6 @@ class ExperimentCell:
     master_seed: int = 0
     fixed_graph: bool = False
     allow_disconnected: bool = False
-    max_attempts: int = 1000
 
     def __post_init__(self):
         if self.reps < 1:
@@ -127,8 +126,7 @@ def run_replication(cell: ExperimentCell, rep_index: int, graph=None) -> RepReco
         *_, s = build_instance(
             (cell.master_seed, rep_index), cell.n_pop, cell.density, cell.fraction,
             cell.params, cell.x_mean, cell.x_sd,
-            allow_disconnected=cell.allow_disconnected,
-            max_attempts=cell.max_attempts, graph=graph,
+            allow_disconnected=cell.allow_disconnected, graph=graph,
         )
         fit = estimation.fit_corrected(s, level=cell.level)
     except ComputationError as exc:
@@ -156,8 +154,7 @@ def run_reps(cell: ExperimentCell, workers: int = 1) -> list:
     A fixed-graph cell shares rep 0's graph draw.
     """
     shared = draw_graph(
-        (cell.master_seed, 0), cell.n_pop, cell.density,
-        cell.allow_disconnected, cell.max_attempts,
+        (cell.master_seed, 0), cell.n_pop, cell.density, cell.allow_disconnected
     ) if cell.fixed_graph else None
     indices = list(range(cell.reps))
     if workers <= 1:

@@ -41,25 +41,6 @@ class RecruitmentSample:
         return self.sampled_ids.size
 
 
-@dataclass
-class PopulationInducedSubgraph:
-    """Recruitment subgraph plus unsampled neighbors and the connecting edges.
-
-    Local indices 0..n-1 are the sampled units (same order as the
-    sample); n..n+u-1 are the unsampled boundary units. origin maps
-    local indices back to population indices.
-    """
-
-    g_p: Graph
-    boundary_ids: np.ndarray
-    origin: np.ndarray
-    n_recruited: int
-
-    @property
-    def u(self) -> int:
-        return self.boundary_ids.size
-
-
 def sample_size(n_pop: int, fraction: float) -> int:
     """Sample size from a fraction, rounded half-up."""
     if not 0.0 < fraction <= 1.0:
@@ -87,32 +68,6 @@ def rns_sample(
         reported_degrees=graphmod.degrees(g)[ids],
         x_obs=None if x is None else np.asarray(x, dtype=float)[ids],
         y_obs=None if y is None else np.asarray(y, dtype=float)[ids],
-    )
-
-
-def population_induced(g: Graph, s: RecruitmentSample) -> PopulationInducedSubgraph:
-    """Extend G_R with the unsampled neighbors of sampled units.
-
-    V_U collects every unsampled unit adjacent to the sample. g_p keeps
-    every edge of g with at least one sampled end: the G_R edges plus the
-    sample-to-boundary edges (no boundary-boundary edges by construction).
-    """
-    ids = s.sampled_ids
-    in_sample = np.zeros(g.n_vertices, dtype=bool)
-    in_sample[ids] = True
-    edges = g.edge_array()
-    edges = edges[in_sample[edges].any(axis=1)]
-    boundary = np.unique(edges[~in_sample[edges]])
-    n, u = ids.size, boundary.size
-    local = np.full(g.n_vertices, -1, dtype=np.int64)
-    local[ids] = np.arange(n)
-    local[boundary] = n + np.arange(u)
-    g_p = graphmod.from_edges(n + u, local[edges])
-    return PopulationInducedSubgraph(
-        g_p=g_p,
-        boundary_ids=boundary,
-        origin=np.concatenate([ids, boundary]),
-        n_recruited=n,
     )
 
 

@@ -15,18 +15,27 @@ the unit's d neighbors are among the N - 1 other units, n - 1 of which
 are sampled with it. As N grows at fixed f, w tends to f from below.
 
 candidate_means_loop(candidate, observed, params) is the per-unit loop
-that `identification.candidate_means` replaced by a segmented sum, and
+that `identification.candidate_means` replaced by a segmented sum,
 neighborhood_mean(g, x, j) the one-vertex mean that
-`model.neighbor_mean_vector` computes for all vertices at once: they read
-only the arrays of the netpeer objects they are given.
+`model.neighbor_mean_vector` computes for all vertices at once, degree(g, j)
+one vertex's degree and validate_graph(g) the CSR invariants that every
+netpeer graph keeps: they read only the arrays of the netpeer objects they
+are given.
+
+population_induced(g, s) extends a sample's recruitment subgraph with the
+unsampled neighbors of the sampled units, the completion whose likelihood
+equals the full graph's: it finds the edges with array code and builds the
+graph with `graph.from_edges`.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
-from netpeer.errors import IsolatedVertexError
+from netpeer.errors import IsolatedVertexError, ValidationError
+from netpeer.graph import Graph, from_edges
 
 # binomial tail mass left out of the degree range
 _TAIL = 1e-16
@@ -67,3 +76,79 @@ def neighborhood_mean(g, x, j: int) -> float:
     if nbrs.size == 0:
         raise IsolatedVertexError(j)
     return float(np.asarray(x, dtype=float)[nbrs].mean())
+
+
+def degree(g, j: int) -> int:
+    """Number of neighbors of vertex j: the length of row j of the CSR arrays."""
+    return int(g.offsets[j + 1] - g.offsets[j])
+
+
+def validate_graph(g) -> None:
+    """Check the CSR invariants; raises ValidationError on a violation."""
+    n = g.n_vertices
+    if n < 0:
+        raise ValidationError("negative vertex count")
+    offsets, indices = np.asarray(g.offsets), np.asarray(g.indices)
+    if offsets.shape != (n + 1,):
+        raise ValidationError("offsets length does not match vertex count")
+    if offsets[0] != 0 or offsets[-1] != indices.size or np.any(np.diff(offsets) < 0):
+        raise ValidationError("offsets are not a nondecreasing cover of indices")
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        raise ValidationError("neighbor index out of range")
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+    if np.any(indices == src):
+        raise ValidationError(f"vertex {src[np.argmax(indices == src)]}: self-loop")
+    same_row = src[1:] == src[:-1]
+    step = np.diff(indices)
+    for bad, what in ((step == 0, "duplicate neighbor"), (step < 0, "row not sorted")):
+        bad &= same_row
+        if bad.any():
+            raise ValidationError(f"vertex {src[np.argmax(bad)]}: {what}")
+    # rows are sorted, so src*n + indices is ascending; symmetry means the
+    # reversed pairs give the same key set
+    if not np.array_equal(src * n + indices, np.sort(indices * n + src)):
+        raise ValidationError("asymmetric edge")
+
+
+@dataclass
+class PopulationInducedSubgraph:
+    """Recruitment subgraph plus unsampled neighbors and the connecting edges.
+
+    Local indices 0..n-1 are the sampled units (same order as the
+    sample); n..n+u-1 are the unsampled boundary units. origin maps
+    local indices back to population indices.
+    """
+
+    g_p: Graph
+    boundary_ids: np.ndarray
+    origin: np.ndarray
+    n_recruited: int
+
+    @property
+    def u(self) -> int:
+        return self.boundary_ids.size
+
+
+def population_induced(g, s) -> PopulationInducedSubgraph:
+    """Extend G_R with the unsampled neighbors of sampled units.
+
+    V_U collects every unsampled unit adjacent to the sample. g_p keeps
+    every edge of g with at least one sampled end: the G_R edges plus the
+    sample-to-boundary edges (no boundary-boundary edges by construction).
+    """
+    ids = s.sampled_ids
+    in_sample = np.zeros(g.n_vertices, dtype=bool)
+    in_sample[ids] = True
+    edges = g.edge_array()
+    edges = edges[in_sample[edges].any(axis=1)]
+    boundary = np.unique(edges[~in_sample[edges]])
+    n, u = ids.size, boundary.size
+    local = np.full(g.n_vertices, -1, dtype=np.int64)
+    local[ids] = np.arange(n)
+    local[boundary] = n + np.arange(u)
+    return PopulationInducedSubgraph(
+        g_p=from_edges(n + u, local[edges]),
+        boundary_ids=boundary,
+        origin=np.concatenate([ids, boundary]),
+        n_recruited=n,
+    )

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import conftest
-from oracles import expected_scaling_factor
+from oracles import expected_scaling_factor, population_induced
 from netpeer import estimation, graph as graphmod, model, sampling
 from netpeer.cli import main as cli_main
 from netpeer.errors import ComputationError
@@ -127,7 +127,7 @@ def test_criterion_6_induced_subgraph_likelihood_exact(capsys):
         y = simulate_outcomes(g, x, PARAMS, rng)
         n = sampling.sample_size(n_pop, 0.4)
         s = rns_sample(g, n, rng, x, y)
-        p = sampling.population_induced(g, s)
+        p = population_induced(g, s)
         mu_full = conditional_means(g, x, PARAMS)[s.sampled_ids]
         mu_ind = conditional_means(p.g_p, x[p.origin], PARAMS)[: s.n]
         ll_full = log_likelihood(mu_full, s.y_obs, PARAMS.sigma2_eps)

@@ -18,6 +18,17 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def strict_json(path):
+    """Parse a JSON file, refusing the NaN and Infinity extensions."""
+    def refuse(token):
+        raise ValueError(f"{path}: non-finite number {token}")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+def digests(root, names):
+    return {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in names}
+
+
 class TestGenerate:
     def test_deterministic_output(self, tmp_path):
         a = tmp_path / "a"
@@ -115,11 +126,26 @@ class TestPinnedOutputs:
                     "--f", 0.4, "--seed", 11, "--out", rs]) == 0
         assert run(["fit", "--sample", rs / "sample.csv", "--edges", rs / "sample.edges",
                     "--out", tmp_path / "fit"]) == 0
-        got = {
-            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in self.DIGESTS
-        }
-        assert got == self.DIGESTS
+        assert digests(tmp_path, self.DIGESTS) == self.DIGESTS
+
+    REPORT_DIGESTS = {
+        "diag/diagnostics.json":
+            "2c20eee7c9ca9d319caec7becd3ebdef95cd4096d6bd4543fd31cd91db279317",
+        "id/witness.json": "0a5634a4812be0dfe927d480c2c6020acf2712a9c3eaaf57552eaf81ef41f886",
+        "idjl/witness.json":
+            "dd5a2fcffaa290d7cb953df6dee41db76c3f462685f6d9ad1876da4bd8fa125c",
+    }
+
+    def test_diagnostics_and_witness_digests(self, tmp_path):
+        instance = ["--n", 300, "--p", 0.04, "--f", 0.4, "--seed", 11]
+        sim = tmp_path / "sim"
+        assert run(["simulate", *instance, "--out", sim]) == 0
+        assert run(["diagnostics", "--sample", sim / "sample.csv",
+                    "--edges", sim / "sample.edges", "--out", tmp_path / "diag"]) == 0
+        assert run(["identify-demo", *instance, "--out", tmp_path / "id"]) == 0
+        assert run(["identify-demo", *instance, "--j", 2, "--l", 5,
+                    "--out", tmp_path / "idjl"]) == 0
+        assert digests(tmp_path, self.REPORT_DIGESTS) == self.REPORT_DIGESTS
 
 
 class TestSampleCommand:
@@ -385,4 +411,25 @@ class TestExitCodeContract:
         files[target] = mutate(files[target], ops)
         with tempfile.TemporaryDirectory() as out:
             codes = run_on_inputs(files, Path(out))
+            # every JSON report a successful run leaves is strict
+            for code, report in zip(codes[1:], ("fit/fit.json", "diag/diagnostics.json")):
+                if code == 0:
+                    strict_json(Path(out) / report)
         assert set(codes) <= {0, 2, 3}
+
+    # the suite turns numpy's overflow warnings into errors; "ignore" lets them pass
+    @pytest.mark.parametrize("filters", ["error", "ignore"])
+    def test_non_finite_diagnostics_exit_3(self, tmp_path, capsys, valid_inputs, filters):
+        # the variance of x is not representable in float64
+        text = replace_line(valid_inputs["sample.csv"], 1, set_field(3, "1e308"))
+        (tmp_path / "sample.csv").write_text(text)
+        (tmp_path / "sample.edges").write_text(valid_inputs["sample.edges"])
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter(filters)
+            code = run(["diagnostics", "--sample", tmp_path / "sample.csv",
+                        "--edges", tmp_path / "sample.edges", "--out", tmp_path / "diag"])
+        assert code == 3
+        assert not (tmp_path / "diag" / "diagnostics.json").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: diagnostics.json: non-finite")

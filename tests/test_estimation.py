@@ -149,6 +149,18 @@ class TestFitMle:
             fit_mle(d)
         assert "peer_mean" in str(err.value)
 
+    @pytest.mark.parametrize("own_x, peer, message", [
+        # the constant intercept column is never blamed
+        (np.arange(6.0), 2 * np.arange(6.0), r"collinear columns among \(intercept, own_x"),
+        (np.full(6, 3.0), np.arange(6.0) ** 2, r"constant column\(s\): own_x$"),
+    ], ids=["collinear", "constant own_x"])
+    def test_rank_deficiency_names_the_cause(self, own_x, peer, message):
+        X = np.column_stack([np.ones(6), own_x, peer])
+        d = ObservedDesign(X=X, y=np.arange(6.0), dropped_count=0,
+                           retained_ids=np.arange(6))
+        with pytest.raises(RankDeficiencyError, match=message):
+            fit_mle(d)
+
     def test_level_validation(self):
         X = np.column_stack([np.ones(5), np.arange(5.0), np.arange(5.0) ** 2])
         d = ObservedDesign(X=X, y=np.arange(5.0), dropped_count=0,
@@ -254,7 +266,7 @@ class TestFitCorrected:
         w = scaling_factor(s)
         want = apply_correction(fit, w, scaling_factor_variance(s, w))
         got = fit_corrected(s, level=0.9, use_t=True)
-        assert got.to_json() == want.to_json()
+        assert got.to_dict() == want.to_dict()
         assert got.var_corrected == want.var_corrected
         assert 0.0 < got.w_hat < 1.0
 
@@ -350,7 +362,7 @@ class TestSerialization:
         fit = apply_correction(fit_mle(d), 0.5)
         import json
 
-        blob = json.loads(fit.to_json())
+        blob = json.loads(json.dumps(fit.to_dict()))
         for key in ("beta_hat", "se", "sigma2_hat", "w_hat", "beta2_corrected",
                     "ci_naive", "ci_corrected", "n_used", "dropped"):
             assert key in blob

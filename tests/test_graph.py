@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netpeer import graph as graphmod
+from oracles import degree, validate_graph
 from netpeer.errors import ConnectivityError, ValidationError
 from netpeer.graph import (
     Graph,
@@ -89,7 +90,7 @@ class TestGenerateEr:
     @pytest.mark.parametrize("n,p", [(0, 0.5), (1, 0.5), (10, 0.3), (50, 0.05), (200, 0.9)])
     def test_invariants_hold(self, n, p):
         for seed in range(5):
-            generate_er(n, p, np.random.default_rng(seed)).validate()
+            validate_graph(generate_er(n, p, np.random.default_rng(seed)))
 
     def test_deterministic_given_seed(self):
         a = generate_er(100, 0.05, np.random.default_rng(7))
@@ -184,14 +185,14 @@ class TestInducedSubgraph:
         sub, mapping = induced_subgraph(g, members)
         full = degrees(g)
         for old in members:
-            assert sub.degree(int(mapping[old])) <= full[old]
+            assert degree(sub, int(mapping[old])) <= full[old]
 
     def test_edges_require_both_endpoints(self):
         g = path(4)
         sub, mapping = induced_subgraph(g, [0, 2, 3])
         # only the 2-3 edge survives
         assert sub.n_edges() == 1
-        assert sub.degree(int(mapping[0])) == 0
+        assert degree(sub, int(mapping[0])) == 0
 
     def test_out_of_range_member(self):
         with pytest.raises(ValidationError):
@@ -256,6 +257,8 @@ class TestEdgeListIO:
         ("# vertices=3\n0,1,2\n", "columns"),
         ("# vertices=3\n0\n", "columns"),
         ("", "vertices"),
+        ("# vertices=3\n0,1\n0,1\n", "duplicate edge"),
+        ("# vertices=3\n0,5\n", "endpoint out of range"),
     ])
     def test_rejects_malformed(self, tmp_path, text, match):
         p = tmp_path / "bad.edges"
@@ -312,7 +315,7 @@ def csr(n, rows):
 
 class TestValidate:
     def test_valid_graph_passes(self):
-        csr(3, [[1, 2], [0], [0]]).validate()
+        validate_graph(csr(3, [[1, 2], [0], [0]]))
 
     @pytest.mark.parametrize("rows,message", [
         ([[1, 3], [0], []], "out of range"),
@@ -323,12 +326,12 @@ class TestValidate:
     ])
     def test_rejects_broken_rows(self, rows, message):
         with pytest.raises(ValidationError, match=message):
-            csr(3, rows).validate()
+            validate_graph(csr(3, rows))
 
     def test_rejects_wrong_offsets_length(self):
         g = csr(3, [[1], [0], []])
         with pytest.raises(ValidationError, match="offsets length"):
-            Graph(4, g.indices, g.offsets).validate()
+            validate_graph(Graph(4, g.indices, g.offsets))
 
 
 def set_adjacency(n, edges):
@@ -367,7 +370,7 @@ class TestAgainstSetAdjacency:
     def test_csr_matches_sets(self, tmp_path_factory, case, data):
         n, edges = case
         g = from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
-        g.validate()
+        validate_graph(g)
         adj = set_adjacency(n, edges)
         assert [set(g.neighbors(j).tolist()) for j in range(n)] == [adj[j] for j in range(n)]
         assert g.edge_array().tolist() == sorted(sorted(e) for e in edges)
@@ -377,7 +380,7 @@ class TestAgainstSetAdjacency:
 
         members = sorted(data.draw(st.sets(st.integers(0, max(n - 1, 0))))) if n else []
         sub, mapping = induced_subgraph(g, members)
-        sub.validate()
+        validate_graph(sub)
         new = {old: i for i, old in enumerate(members)}
         assert [set(sub.neighbors(new[j]).tolist()) for j in members] == [
             {new[k] for k in adj[j] if k in new} for j in members

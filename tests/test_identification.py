@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from oracles import candidate_means_loop
+from oracles import candidate_means_loop, population_induced
 from netpeer.errors import IsolatedVertexError, NoSlackError, ValidationError
 from netpeer.graph import degrees, from_edges, generate_connected_er, induced_subgraph
 from netpeer.identification import (
@@ -109,6 +111,21 @@ class TestBuildSwapPair:
             build_swap_pair(s, 0, 1, 2.0, 2.0)
         with pytest.raises(ValidationError):
             build_swap_pair(s, 0, 0, 1.0, 2.0)
+
+    def test_default_attached_values(self):
+        s = hand_sample()
+        center, spread = s.x_obs.mean(), s.x_obs.std()
+        pair = build_swap_pair(s, 0, 1)
+        assert (pair.x_u1, pair.x_u2) == (center + spread, center - spread)
+        found = find_witness(s)
+        assert (found.x_u1, found.x_u2) == (pair.x_u1, pair.x_u2)
+
+    def test_rejects_sample_without_covariates(self):
+        s = dataclasses.replace(hand_sample(), x_obs=None)
+        with pytest.raises(ValidationError, match="no covariates"):
+            build_swap_pair(s, 0, 1, 5.0, -5.0)
+        with pytest.raises(ValidationError, match="no covariates"):
+            find_witness(s)
 
 
 class TestCandidateMeans:
@@ -230,7 +247,6 @@ class TestTrueCompletionLikelihood:
         # neighborhood, so conditional means (and hence the likelihood)
         # computed on it agree with the full graph
         from netpeer.model import conditional_means
-        from netpeer.sampling import population_induced
 
         for seed in range(20):
             g, x, s = make_instance(seed=seed, n_pop=100, p=0.08, n=30)

@@ -15,8 +15,8 @@ from netpeer.model import (
     simulate_outcomes,
     write_unit_csv,
 )
-from netpeer.sampling import population_induced, rns_sample
-from oracles import neighborhood_mean
+from netpeer.sampling import rns_sample
+from oracles import neighborhood_mean, population_induced
 
 PARAMS = ModelParams(0.0, 1.0, 1.5, 1.0)
 
