@@ -2,8 +2,9 @@
 
 Subcommands: generate, sample, simulate, fit, mc, identify-demo,
 diagnostics. Settings come from an INI-style config file (one section
-per subcommand) with command-line flags taking precedence; every run
-writes the fully resolved settings next to its outputs.
+per subcommand) with command-line flags taking precedence; one parser per
+setting reads the text from either. Every run writes the resolved text
+next to its outputs as run_config.txt, a config file for the same run.
 
 Exit codes: 0 success, 2 validation error, 3 computational error.
 """
@@ -23,56 +24,65 @@ from .model import ModelParams
 from .montecarlo import ExperimentCell
 
 _MODEL_DEFAULTS = {
-    "beta0": 0.0,
-    "beta1": 1.0,
-    "beta2": 1.5,
-    "sigma2_eps": 1.0,
-    "x_mean": 3.0,
-    "x_sd": 1.5,
+    "beta0": 0.0, "beta1": 1.0, "beta2": 1.5, "sigma2_eps": 1.0, "x_mean": 3.0, "x_sd": 1.5,
 }
 
-# per-subcommand settings: key -> (parser, default); None default = required
+
+def _boolean(text: str) -> bool:
+    """configparser's words: 1/true/yes/on and 0/false/no/off, in any case."""
+    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+
+
+def _comma_list(item):
+    """Parser of a comma-separated list; every item must parse, so none is empty."""
+    return lambda text: [item(tok) for tok in text.split(",")]
+
+
+_REQUIRED = object()  # the default of a setting that has none
+
+# per-subcommand settings: key -> (parser, default); an optional setting's
+# default is None (unset)
 _SCHEMAS = {
     "generate": {
-        "n": (int, None),
-        "p": (float, None),
+        "n": (int, _REQUIRED),
+        "p": (float, _REQUIRED),
         "seed": (int, 0),
-        "allow_disconnected": (bool, False),
+        "allow_disconnected": (_boolean, False),
         "max_attempts": (int, 1000),
     },
     "sample": {
-        "graph": (str, None),
-        "data": (str, ""),
-        "n_sample": (int, 0),
-        "f": (float, 0.0),
+        "graph": (str, _REQUIRED),
+        "data": (str, None),
+        "n_sample": (int, None),
+        "f": (float, None),
         "seed": (int, 0),
     },
     "simulate": {
-        "n": (int, None),
-        "p": (float, None),
-        "f": (float, None),
+        "n": (int, _REQUIRED),
+        "p": (float, _REQUIRED),
+        "f": (float, _REQUIRED),
         "seed": (int, 0),
-        "allow_disconnected": (bool, False),
+        "allow_disconnected": (_boolean, False),
         "max_attempts": (int, 1000),
         **{k: (float, v) for k, v in _MODEL_DEFAULTS.items()},
     },
     "fit": {
-        "sample": (str, None),
-        "edges": (str, None),
+        "sample": (str, _REQUIRED),
+        "edges": (str, _REQUIRED),
         "level": (float, 0.95),
-        "use_t": (bool, False),
+        "use_t": (_boolean, False),
     },
     "mc": {
-        "n_pop": (str, None),  # comma-separated lists define the grid
-        "density": (str, None),
-        "fraction": (str, None),
+        "n_pop": (_comma_list(int), _REQUIRED),  # the grid is their product
+        "density": (_comma_list(float), _REQUIRED),
+        "fraction": (_comma_list(float), _REQUIRED),
         "reps": (int, 1000),
         "level": (float, 0.95),
         "seed": (int, 0),
         "workers": (int, 1),
-        "fixed_graph": (bool, False),
-        "allow_disconnected": (bool, False),
-        "save_records": (bool, False),
+        "fixed_graph": (_boolean, False),
+        "allow_disconnected": (_boolean, False),
+        "save_records": (_boolean, False),
         **{k: (float, v) for k, v in _MODEL_DEFAULTS.items()},
     },
     "identify-demo": {
@@ -80,79 +90,85 @@ _SCHEMAS = {
         "p": (float, 0.1),
         "f": (float, 0.4),
         "seed": (int, 0),
-        "j": (int, -1),
-        "l": (int, -1),
-        "x_u1": (str, ""),
-        "x_u2": (str, ""),
+        "j": (int, None),
+        "l": (int, None),
+        "x_u1": (float, None),
+        "x_u2": (float, None),
         **{k: (float, v) for k, v in _MODEL_DEFAULTS.items()},
     },
     "diagnostics": {
-        "sample": (str, None),
-        "edges": (str, None),
+        "sample": (str, _REQUIRED),
+        "edges": (str, _REQUIRED),
     },
 }
 
 
-def _parse_bool(raw: str) -> bool:
-    low = str(raw).strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValidationError(f"not a boolean: {raw!r}")
+def _read_config(command: str, path: str) -> dict:
+    """The [command] section of an INI file as text; a file that is not one exits 2."""
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cp.read_file(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read config file {path}: {exc.strerror}") from None
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # configparser messages span lines; the error is one line
+        raise ValidationError(f"config file {path}: {' '.join(str(exc).split())}") from None
+    section = dict(cp.items(command)) if cp.has_section(command) else {}
+    unknown = sorted(section.keys() - _SCHEMAS[command].keys())
+    if unknown:
+        raise ValidationError(f"unknown key {unknown[0]!r} in config section [{command}]")
+    return section
 
 
-def _resolve(command: str, config_path: str, overrides: dict) -> dict:
-    """Merge defaults, config-file section and CLI overrides, validating keys."""
-    schema = _SCHEMAS[command]
-    values = {k: d for k, (_, d) in schema.items()}
-    if config_path:
-        cp = configparser.ConfigParser()
-        if not cp.read(config_path):
-            raise ValidationError(f"cannot read config file {config_path}")
-        if cp.has_section(command):
-            for key, raw in cp.items(command):
-                if key not in schema:
-                    raise ValidationError(
-                        f"unknown key {key!r} in config section [{command}]"
-                    )
-                typ = schema[key][0]
-                values[key] = _parse_bool(raw) if typ is bool else typ(raw)
-    for key, val in overrides.items():
-        if val is not None:
-            values[key] = val
-    missing = [k for k, v in values.items() if v is None]
+def _resolve(command: str, config_path: str | None, flags: dict) -> tuple:
+    """(text, values) of every setting, flags over the config file.
+
+    Each given text is parsed once. An empty or absent text means the
+    default, whose text is empty for an unset optional setting (None).
+    """
+    given = _read_config(command, config_path) if config_path else {}
+    given.update((k, t) for k, t in flags.items() if t is not None)
+    text, values = {}, {}
+    for key, (parse, default) in _SCHEMAS[command].items():
+        raw = given.get(key, "").strip()
+        try:
+            values[key] = parse(raw) if raw else default
+        except (KeyError, ValueError):  # how a parser rejects its text
+            raise ValidationError(f"{key}: invalid value {raw!r}") from None
+        text[key] = raw or ("" if default is None else str(default))
+    missing = [k for k, v in values.items() if v is _REQUIRED]
     if missing:
         raise ValidationError(f"missing required setting(s): {', '.join(missing)}")
-    if values.get("seed", 0) < 0:
-        raise ValidationError("seed must be nonnegative")
-    return values
+    for key, low in (("seed", 0), ("workers", 1)):
+        if values.get(key, low) < low:
+            raise ValidationError(f"{key} must be >= {low}")
+    return text, values
 
 
-def _echo_config(command: str, values: dict, out_dir: str) -> None:
+def _echo_config(command: str, text: dict, out_dir: str) -> None:
+    """Make out_dir and write run_config.txt, the resolved text: a --config for the run."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot create output directory {out_dir}: {exc.strerror}") from None
     with open(os.path.join(out_dir, "run_config.txt"), "w") as fh:
         fh.write(f"[{command}]\n")
-        for key in sorted(values):
-            fh.write(f"{key} = {values[key]}\n")
+        for key in sorted(text):
+            fh.write(f"{key} = {text[key]}\n")
 
 
 def _model_params(v: dict) -> ModelParams:
     return ModelParams(v["beta0"], v["beta1"], v["beta2"], v["sigma2_eps"])
 
 
-def _parse_list(raw: str, typ):
-    try:
-        return [typ(tok) for tok in str(raw).split(",") if tok.strip()]
-    except ValueError:
-        raise ValidationError(f"malformed list value {raw!r}")
-
-
 def _instance(v: dict):
     """`simulate` and `identify-demo`: the shared builder under seed prefix (seed,)."""
+    graph_opts = {k: v[k] for k in ("allow_disconnected", "max_attempts") if k in v}
     return montecarlo.build_instance(
         (v["seed"],), v["n"], v["p"], v["f"], _model_params(v), v["x_mean"], v["x_sd"],
-        allow_disconnected=v.get("allow_disconnected", False),
-        max_attempts=v.get("max_attempts", 1000),
+        **graph_opts,
     )
 
 
@@ -174,13 +190,11 @@ def _cmd_generate(v: dict, out: str) -> None:
 
 
 def _cmd_sample(v: dict, out: str) -> None:
-    g = graphmod.read_edge_list(v["graph"])
-    x = y = None
-    if v["data"]:
-        x, y = model.read_unit_csv(v["data"])
-    if bool(v["n_sample"]) == bool(v["f"]):
+    if (v["n_sample"] is None) == (v["f"] is None):
         raise ValidationError("specify exactly one of n_sample or f")
-    n = v["n_sample"] or sampling.sample_size(g.n_vertices, v["f"])
+    g = graphmod.read_edge_list(v["graph"])
+    x, y = (None, None) if v["data"] is None else model.read_unit_csv(v["data"])
+    n = v["n_sample"] if v["f"] is None else sampling.sample_size(g.n_vertices, v["f"])
     rng = montecarlo.stream((v["seed"],), montecarlo.STREAM_SAMPLING)
     s = sampling.rns_sample(g, n, rng, x, y)
     sampling.write_sample_csv(s, os.path.join(out, "sample.csv"))
@@ -211,11 +225,7 @@ def _cmd_mc(v: dict, out: str) -> None:
             master_seed=v["seed"], fixed_graph=v["fixed_graph"],
             allow_disconnected=v["allow_disconnected"],
         )
-        for n, p, f in itertools.product(
-            _parse_list(v["n_pop"], int),
-            _parse_list(v["density"], float),
-            _parse_list(v["fraction"], float),
-        )
+        for n, p, f in itertools.product(v["n_pop"], v["density"], v["fraction"])
     ]
     # a cell that cannot be computed (every replication failed, or no
     # connected fixed graph) does not stop the grid: the completed cells are
@@ -240,14 +250,14 @@ def _cmd_mc(v: dict, out: str) -> None:
 
 
 def _cmd_identify_demo(v: dict, out: str) -> None:
+    if (v["j"] is None) != (v["l"] is None):
+        raise ValidationError("give both j and l, or neither")
     *_, s = _instance(v)
     params = _model_params(v)
-    x_u1 = float(v["x_u1"]) if v["x_u1"] != "" else None
-    x_u2 = float(v["x_u2"]) if v["x_u2"] != "" else None
-    if v["j"] >= 0 and v["l"] >= 0:
-        pair = identification.build_swap_pair(s, v["j"], v["l"], x_u1, x_u2)
+    if v["j"] is None:
+        pair = identification.find_witness(s, v["x_u1"], v["x_u2"])
     else:
-        pair = identification.find_witness(s, x_u1, x_u2)
+        pair = identification.build_swap_pair(s, v["j"], v["l"], v["x_u1"], v["x_u2"])
     if pair is None:
         report = {"verdict": "NO_WITNESS_AVAILABLE"}
     else:
@@ -275,12 +285,8 @@ def _cmd_diagnostics(v: dict, out: str) -> None:
 
 
 _HANDLERS = {
-    "generate": _cmd_generate,
-    "sample": _cmd_sample,
-    "simulate": _cmd_simulate,
-    "fit": _cmd_fit,
-    "mc": _cmd_mc,
-    "identify-demo": _cmd_identify_demo,
+    "generate": _cmd_generate, "sample": _cmd_sample, "simulate": _cmd_simulate,
+    "fit": _cmd_fit, "mc": _cmd_mc, "identify-demo": _cmd_identify_demo,
     "diagnostics": _cmd_diagnostics,
 }
 
@@ -293,15 +299,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, schema in _SCHEMAS.items():
         sp = sub.add_parser(command)
-        sp.add_argument("--config", default="", help="INI config file")
+        sp.add_argument("--config", help="INI config file")
         sp.add_argument("--out", default=".", help="output directory")
-        for key, (typ, _) in schema.items():
-            flag = "--" + key.replace("_", "-")
-            if typ is bool:
-                sp.add_argument(flag, dest=key, action="store_const", const=True,
-                                default=None)
-            else:
-                sp.add_argument(flag, dest=key, type=typ, default=None)
+        # every flag is text for the setting's parser; a boolean flag reads "True"
+        for key, (parse, _) in schema.items():
+            kind = {"action": "store_const", "const": "True"} if parse is _boolean else {}
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, **kind)
     return parser
 
 
@@ -309,17 +312,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     command = args.command
     try:
-        overrides = {k: getattr(args, k) for k in _SCHEMAS[command]}
-        values = _resolve(command, args.config, overrides)
-        os.makedirs(args.out, exist_ok=True)
-        _echo_config(command, values, args.out)
+        flags = {k: getattr(args, k) for k in _SCHEMAS[command]}
+        text, values = _resolve(command, args.config, flags)
+        _echo_config(command, text, args.out)
         _HANDLERS[command](values, args.out)
-    except ValidationError as exc:
+    except (ValidationError, ComputationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ComputationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ValidationError) else 3
     return 0
 
 

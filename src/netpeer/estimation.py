@@ -111,6 +111,12 @@ def _collinear_detail(X: np.ndarray) -> str:
     flat_cols = [name for name, col in zip(_COLUMNS[1:], X.T[1:]) if np.ptp(col) == 0]
     if flat_cols:
         return "constant column(s): " + ", ".join(flat_cols)
+    # lstsq's rank cut-off is relative to the largest singular value, so one
+    # huge column can drop the rank of columns that are not collinear
+    scale = np.abs(X).max(axis=0)
+    if np.linalg.matrix_rank(X / scale) == X.shape[1]:
+        return ("columns differ in scale beyond float64 precision (largest |value|: "
+                + ", ".join(f"{c} {m:.3g}" for c, m in zip(_COLUMNS, scale)) + ")")
     return "collinear columns among (" + ", ".join(_COLUMNS) + ")"
 
 
@@ -204,25 +210,17 @@ def diagnostics(d: ObservedDesign, s: RecruitmentSample) -> dict:
 
     Reports the covariate variance statistic, the cross-product
     statistic, the observed/true degree-ratio summary with the scaling
-    factor, the covariate-residual correlation from the fitted model,
-    and the dropped-unit count. `d` is the design built from `s`, so at
-    least four sampled units have a positive observed degree. A statistic
-    too large for float64 comes out as inf or nan, without a warning.
+    factor, and the dropped-unit count. `d` is the design built from
+    `s`, so at least four sampled units have a positive observed degree.
+    A statistic too large for float64 comes out as inf or nan, without a
+    warning.
     """
     pos = s.reported_degrees > 0
     ratios = s.observed_degrees[pos] / s.reported_degrees[pos]
-    resid_corr = None
     with np.errstate(over="ignore", invalid="ignore"):
         centered = s.x_obs - s.x_obs.mean()
         var_stat = float(np.sum(centered**2)) / s.n
         cross_stat = float(np.sum(centered) ** 2 - np.sum(centered**2)) / s.n
-        try:
-            fit = fit_mle(d)
-            resid = d.y - d.X @ fit.beta_hat
-            if np.ptp(resid) > 0:
-                resid_corr = float(np.corrcoef(d.X[:, 1], resid)[0, 1])
-        except RankDeficiencyError:
-            pass
     return {
         "covariate_variance_stat": var_stat,
         "covariate_cross_stat": cross_stat,
@@ -231,7 +229,6 @@ def diagnostics(d: ObservedDesign, s: RecruitmentSample) -> dict:
         "degree_ratio_mean": float(ratios.mean()),
         "degree_ratio_max": float(ratios.max()),
         "w_hat": samplingmod.scaling_factor(s),
-        "covariate_residual_corr": resid_corr,
         "dropped_count": d.dropped_count,
         "n_sampled": s.n,
     }

@@ -106,8 +106,8 @@ def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
     draws the exact G(n, p) distribution in O(edges) work. Deterministic
     per seed (algorithm version: geometric-skip v1).
     """
-    if n < 0:
-        raise ValidationError("n must be nonnegative")
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValidationError(f"n must be in [0, {MAX_VERTICES}]")
     if not 0.0 <= p <= 1.0:
         raise ValidationError("p must be in [0, 1]")
     m_total = n * (n - 1) // 2

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netpeer import estimation, graph as graphmod, model, sampling
-from netpeer.cli import main
+from netpeer.cli import _SCHEMAS, _resolve, main
+from netpeer.errors import ValidationError
 from netpeer.model import ModelParams
 from netpeer.montecarlo import build_instance
 
@@ -45,6 +46,11 @@ class TestGenerate:
 
     def test_bad_p_exits_2(self, tmp_path):
         assert run(["generate", "--n", 60, "--p", 1.5, "--out", tmp_path]) == 2
+
+    def test_allow_disconnected_keeps_the_first_draw(self, tmp_path):
+        assert run(["generate", "--n", 100, "--p", 0.01, "--allow-disconnected",
+                    "--out", tmp_path]) == 0
+        assert not graphmod.is_connected(graphmod.read_edge_list(tmp_path / "graph.edges"))
 
     def test_connectivity_exhaustion_exits_3(self, tmp_path):
         # p so small a connected graph on 100 vertices is hopeless
@@ -130,7 +136,7 @@ class TestPinnedOutputs:
 
     REPORT_DIGESTS = {
         "diag/diagnostics.json":
-            "2c20eee7c9ca9d319caec7becd3ebdef95cd4096d6bd4543fd31cd91db279317",
+            "6cc9e77c5031c78cc3cc617bd3673c27d3c60c433b2e0cab0a823ee8f9e100da",
         "id/witness.json": "0a5634a4812be0dfe927d480c2c6020acf2712a9c3eaaf57552eaf81ef41f886",
         "idjl/witness.json":
             "dd5a2fcffaa290d7cb953df6dee41db76c3f462685f6d9ad1876da4bd8fa125c",
@@ -201,6 +207,166 @@ class TestConfigFile:
     def test_missing_config_file_rejected(self, tmp_path):
         assert run(["generate", "--config", tmp_path / "nope.ini",
                     "--n", 50, "--p", 0.1, "--out", tmp_path]) == 2
+
+    def test_text_rules(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[sample]\ngraph = run%1.edges\ndata =\nf = 0.5\n\n"
+                       "[mc]\nn_pop = 100, 200\ndensity = 0.1\nfraction = 0.5\n"
+                       "fixed_graph = On\nsave_records = no\n", encoding="utf-8")
+        text, values = _resolve("sample", cfg, {"seed": "4", "f": ""})
+        # % is literal, an empty value leaves an optional setting unset
+        assert values == {"graph": "run%1.edges", "data": None, "n_sample": None,
+                          "f": None, "seed": 4}
+        assert text == {"graph": "run%1.edges", "data": "", "n_sample": "", "f": "",
+                        "seed": "4"}
+        _, values = _resolve("mc", cfg, {k: None for k in _SCHEMAS["mc"]})
+        assert values["n_pop"] == [100, 200] and values["density"] == [0.1]
+        assert values["fixed_graph"] is True and values["save_records"] is False
+
+    def test_unset_settings_echo_empty(self, tmp_path):
+        assert run(["identify-demo", "--n", 40, "--p", 0.15, "--out", tmp_path]) == 0
+        lines = (tmp_path / "run_config.txt").read_text().splitlines()
+        assert {"j = ", "l = ", "x_u1 = ", "x_u2 = ", "n = 40"} <= set(lines)
+
+
+class TestSettingsBoundary:
+    """A bad setting, from a flag or a config file, exits 2 with one `error:` line."""
+
+    MC = ["--n-pop", 100, "--density", 0.1, "--fraction", 0.5]
+    CASES = {
+        "x_u1 not a number": (["identify-demo", "--x-u1", "abc"], None),
+        "j without l": (["identify-demo", "--j", 3], None),
+        "l without j": (["identify-demo", "--l", 3], None),
+        "reps not an integer": (["mc", *MC], b"[mc]\nreps = abc\n"),
+        "n in float notation": (["generate", "--p", 0.5], b"[generate]\nn = 1e3\n"),
+        "percent sign": (["identify-demo"], b"[identify-demo]\nx_u1 = 5%\n"),
+        "repeated section": (["mc", *MC], b"[mc]\nreps = 2\n[mc]\nseed = 3\n"),
+        "not UTF-8": (["mc", *MC], b"\xff\xfe[mc]\nreps = 2\n"),
+        "no section header": (["mc", *MC], b"reps = 2\n"),
+        "empty n_pop": (["mc", *MC, "--n-pop", ""], None),
+        "empty list item": (["mc", *MC, "--n-pop", "100,"], None),
+        "bad boolean": (["mc", *MC], b"[mc]\nfixed_graph = maybe\n"),
+        "n above MAX_VERTICES": (["generate", "--n", 10**12, "--p", 0.5], None),
+        "workers 0": (["mc", *MC, "--workers", 0], None),
+        "workers -3": (["mc", *MC, "--workers", -3], None),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bad_setting_exits_2(self, tmp_path, capsys, name):
+        argv, config = self.CASES[name]
+        if config is not None:
+            (tmp_path / "run.ini").write_bytes(config)
+            argv = [*argv, "--config", tmp_path / "run.ini"]
+        out = tmp_path / "out"
+        assert run([*argv, "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        # nothing is drawn or written but the settings
+        assert not out.exists() or [p.name for p in out.iterdir()] == ["run_config.txt"]
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("")
+        assert run(["generate", "--n", 10, "--p", 0.5, "--out", tmp_path / "taken"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot create output directory")
+
+
+# one valid config per subcommand; the mutations below break it line by line
+CONFIGS = {
+    "generate": "[generate]\nn = 60\np = 0.1\nseed = 1\nallow_disconnected = no\n",
+    "sample": "[sample]\ngraph = g.edges\ndata =\nf = 0.5\nseed = 2\n",
+    "simulate": "[simulate]\nn = 60\np = 0.1\nf = 0.5\nbeta2 = 1.5\nmax_attempts = 9\n",
+    "fit": "[fit]\nsample = s.csv\nedges = s.edges\nlevel = 0.9\nuse_t = true\n",
+    "mc": "[mc]\nn_pop = 100,200\ndensity = 0.1\nfraction = 0.2, 0.5\nreps = 4\n"
+          "workers = 2\nsave_records = yes\n",
+    "identify-demo": "[identify-demo]\nj = 2\nl = 5\nx_u1 = 4\nx_u2 = 1\nseed = 0\n",
+    "diagnostics": "[diagnostics]\nsample = s.csv\nedges = s.edges\n",
+}
+CONFIG_TOKENS = (b"", b"abc", b"1e3", b"-1", b"0", b"nan", b"5%", b"%(n)s", b"[mc]",
+                 b"[DEFAULT]", b"99999999999999999999", b",", b"0,1", b"\xff\xfe", b"=",
+                 b"  indented", b"bogus = 1")
+
+config_mutations = st.lists(
+    st.tuples(
+        st.sampled_from(("drop", "duplicate", "swap", "value", "insert", "truncate")),
+        st.integers(0, 10**6), st.integers(0, 10**6), st.sampled_from(CONFIG_TOKENS),
+    ),
+    min_size=1, max_size=3,
+)
+
+
+def mutate_config(text: str, ops) -> bytes:
+    lines = text.encode().splitlines()
+    for op, a, b, token in ops:
+        i, j = a % len(lines), b % len(lines)
+        if op == "drop" and len(lines) > 1:
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(j, lines[i])
+        elif op == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "value":
+            lines[i] = lines[i].split(b"=")[0] + b"= " + token
+        elif op == "insert":
+            lines.insert(j, token)
+        else:
+            lines[i] = lines[i][: b % (len(lines[i]) + 1)]
+    return b"\n".join(lines) + b"\n"
+
+
+class TestConfigContract:
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(command=st.sampled_from(sorted(CONFIGS)), ops=config_mutations,
+           flag=st.tuples(st.integers(0, 10**6),
+                          st.sampled_from((None, "", "abc", "-1", "2", "0.5"))))
+    def test_mutated_config_resolves_or_is_invalid(self, command, ops, flag):
+        # only the settings boundary runs: no handler, so no graph is drawn
+        keys = sorted(_SCHEMAS[command])
+        flags = dict.fromkeys(keys)
+        flags[keys[flag[0] % len(keys)]] = flag[1]
+        with tempfile.TemporaryDirectory() as out:
+            path = Path(out) / "run.ini"
+            path.write_bytes(mutate_config(CONFIGS[command], ops))
+            try:
+                text, values = _resolve(command, path, flags)
+            except ValidationError:
+                return
+        assert text.keys() == values.keys() == _SCHEMAS[command].keys()
+
+
+@pytest.fixture(scope="module")
+def simulated(tmp_path_factory):
+    """simulate's output directory for a small instance."""
+    out = tmp_path_factory.mktemp("valid")
+    assert run(["simulate", "--n", 40, "--p", 0.15, "--f", 0.5,
+                "--seed", 3, "--out", out]) == 0
+    return out
+
+
+def round_trip_argv(command, sim):
+    instance = ["--n", 40, "--p", 0.15, "--seed", 3]
+    return {
+        "generate": [*instance, "--allow-disconnected"],
+        "simulate": [*instance, "--f", 0.5, "--beta2", 2],
+        "sample": ["--graph", sim / "graph.edges", "--n-sample", 12, "--seed", 2],
+        "fit": ["--sample", sim / "sample.csv", "--edges", sim / "sample.edges",
+                "--use-t", "--level", 0.9],
+        "mc": ["--n-pop", "100,120", "--density", 0.1, "--fraction", 0.5, "--reps", 3,
+               "--save-records"],
+        "identify-demo": [*instance, "--f", 0.5, "--x-u1", 4, "--x-u2", 1],
+        "diagnostics": ["--sample", sim / "sample.csv", "--edges", sim / "sample.edges"],
+    }[command]
+
+
+class TestRunConfigRoundTrip:
+    @pytest.mark.parametrize("command", sorted(_SCHEMAS))
+    def test_run_config_reproduces_the_run(self, tmp_path, simulated, command):
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run([command, *round_trip_argv(command, simulated), "--out", first]) == 0
+        assert run([command, "--config", first / "run_config.txt", "--out", again]) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert sorted(p.name for p in again.iterdir()) == names
+        assert digests(again, names) == digests(first, names)
 
 
 class TestMcCommand:
@@ -282,12 +448,9 @@ INPUTS = ("graph.edges", "population.csv", "sample.csv", "sample.edges")
 
 
 @pytest.fixture(scope="module")
-def valid_inputs(tmp_path_factory):
+def valid_inputs(simulated):
     """The text of simulate's four output files for a small instance."""
-    out = tmp_path_factory.mktemp("valid")
-    assert run(["simulate", "--n", 40, "--p", 0.15, "--f", 0.5,
-                "--seed", 3, "--out", out]) == 0
-    return {name: (out / name).read_text() for name in INPUTS}
+    return {name: (simulated / name).read_text() for name in INPUTS}
 
 
 def run_on_inputs(files, out):

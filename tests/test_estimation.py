@@ -153,7 +153,11 @@ class TestFitMle:
         # the constant intercept column is never blamed
         (np.arange(6.0), 2 * np.arange(6.0), r"collinear columns among \(intercept, own_x"),
         (np.full(6, 3.0), np.arange(6.0) ** 2, r"constant column\(s\): own_x$"),
-    ], ids=["collinear", "constant own_x"])
+        # full rank once each column is divided by its largest |value|
+        (np.array([0.0, 1, 2, 3, 4, 1e308]), np.arange(6.0) ** 2,
+         r"columns differ in scale beyond float64 precision \(largest \|value\|: "
+         r"intercept 1, own_x 1e\+308, peer_mean 25\)$"),
+    ], ids=["collinear", "constant own_x", "huge own_x"])
     def test_rank_deficiency_names_the_cause(self, own_x, peer, message):
         X = np.column_stack([np.ones(6), own_x, peer])
         d = ObservedDesign(X=X, y=np.arange(6.0), dropped_count=0,

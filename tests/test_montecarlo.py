@@ -1,18 +1,21 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
-from netpeer import estimation
+from netpeer import estimation, graph as graphmod
 from netpeer.errors import AllRepsFailedError, ValidationError
 from netpeer.model import ModelParams
 from netpeer.montecarlo import (
+    STREAM_GRAPH,
     CellReport,
     ExperimentCell,
     RepRecord,
     build_instance,
     run_cell,
     run_replication,
+    stream,
     summarize,
     write_grid_csv,
     write_records_csv,
@@ -175,6 +178,35 @@ class TestRunCell:
         assert all(r.ok for r in recs)
         # same graph, different samples: estimates still vary
         assert len({r.beta2_naive for r in recs}) == 4
+
+
+class TestAllowDisconnected:
+    """A replication keeps its first graph draw, connected or not."""
+
+    # at N=200, p=3% and seed 42, 5 of the 12 first draws have an isolated vertex
+    CELL = small_cell(density=0.03, allow_disconnected=True)
+
+    def first_draw(self, rep):
+        rng = stream((self.CELL.master_seed, rep), STREAM_GRAPH)
+        return graphmod.generate_er(self.CELL.n_pop, self.CELL.density, rng)
+
+    def test_connected_first_draw_gives_the_same_record(self):
+        strict = dataclasses.replace(self.CELL, allow_disconnected=False)
+        connected = [i for i in range(self.CELL.reps)
+                     if graphmod.is_connected(self.first_draw(i))]
+        assert len(connected) == 7
+        for i in connected:
+            assert run_replication(self.CELL, i) == run_replication(strict, i)
+
+    def test_isolated_vertex_fails_the_replication(self):
+        isolated = [i for i in range(self.CELL.reps)
+                    if graphmod.degrees(self.first_draw(i)).min() == 0]
+        assert isolated == [1, 3, 4, 8, 10]
+        report, records = run_cell(self.CELL)
+        assert [r.rep_index for r in records if not r.ok] == isolated
+        assert all("is isolated" in r.error for r in records if not r.ok)
+        assert report.reps_failed == len(isolated)
+        assert report.reps_completed == self.CELL.reps - len(isolated)
 
 
 class TestCellValidation:
