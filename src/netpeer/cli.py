@@ -140,9 +140,8 @@ def _resolve(command: str, config_path: str | None, flags: dict) -> tuple:
     missing = [k for k, v in values.items() if v is _REQUIRED]
     if missing:
         raise ValidationError(f"missing required setting(s): {', '.join(missing)}")
-    for key, low in (("seed", 0), ("workers", 1)):
-        if values.get(key, low) < low:
-            raise ValidationError(f"{key} must be >= {low}")
+    if values.get("seed", 0) < 0:
+        raise ValidationError("seed must be >= 0")
     return text, values
 
 

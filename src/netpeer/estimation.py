@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import graph as graphmod, sampling as samplingmod
 from .errors import RankDeficiencyError, ValidationError
@@ -147,11 +147,10 @@ def fit_mle(d: ObservedDesign, level: float = 0.95, use_t: bool = False) -> FitR
     # beta2_hat = sum_i h_i y_i, so var = sum_i h_i^2 e_i^2 with the n/(n-3) factor
     h_resid = (X @ xtx_inv[2]) * resid
     var_hc1 = float(h_resid @ h_resid) * n / (n - 3)
-    crit = (
-        float(stats.t.ppf(0.5 + level / 2.0, df=n - 3))
-        if use_t
-        else float(stats.norm.ppf(0.5 + level / 2.0))
-    )
+    # the quantile functions behind scipy.stats' t.ppf and norm.ppf: importing
+    # scipy.stats would take more than half of every process's start-up
+    q = 0.5 + level / 2.0
+    crit = float(special.stdtrit(n - 3, q) if use_t else special.ndtri(q))
     ci = (beta[2] - crit * se[2], beta[2] + crit * se[2])
     return FitResult(
         beta_hat=beta,

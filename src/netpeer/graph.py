@@ -19,6 +19,9 @@ from .errors import ConnectivityError, ValidationError
 
 # bound on an edge list's vertex count: its CSR offsets take 8 bytes per vertex
 MAX_VERTICES = 10**7
+# bound on a G(n, p) draw's expected edge count n(n-1)/2 * p: its CSR indices
+# take 16 bytes per edge, 1.6 GB at the bound
+MAX_EDGES = 10**8
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,12 +66,20 @@ def _csr(n: int, a: np.ndarray, b: np.ndarray) -> Graph:
     """CSR graph of the edges (a[e], b[e]), each edge listed once.
 
     Both orientations are keyed as src * n + dst; sorting the keys groups
-    them by source with every row's neighbors ascending.
+    them by source with every row's neighbors ascending. The keys sort as
+    uint32, which is faster than int64, when n < 2**16: the largest value
+    computed is the last row bound n * n, which fits 32 bits only below
+    2**16 (at n = 2**16 it wraps to 0), so the bound is strict.
     """
+    key_type = np.uint32 if n < 2**16 else np.int64
+    a, b = a.astype(key_type, copy=False), b.astype(key_type, copy=False)
     keys = np.concatenate([a * n + b, b * n + a])
     keys.sort()
-    offsets = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-    return Graph(n, keys % n, offsets)
+    row_starts = np.arange(n + 1, dtype=key_type) * n
+    offsets = np.searchsorted(keys, row_starts)
+    # a key less its row's start is the neighbor (subtracting is cheaper than % n)
+    keys -= np.repeat(row_starts[:-1], np.diff(offsets))
+    return Graph(n, keys.astype(np.int64, copy=False), offsets)
 
 
 def from_edges(n: int, edges: np.ndarray) -> Graph:
@@ -99,6 +110,21 @@ def _pair_index_to_edges(idx: np.ndarray, n: int) -> tuple:
     return i, idx - starts[i] + i + 1
 
 
+def check_er_size(n: int, p: float) -> None:
+    """Reject a G(n, p) request out of range or above MAX_VERTICES or MAX_EDGES.
+
+    Raises ValidationError before anything is allocated.
+    """
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValidationError(f"n must be in [0, {MAX_VERTICES}]")
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError("p must be in [0, 1]")
+    expected = n * (n - 1) // 2 * p
+    if expected > MAX_EDGES:
+        raise ValidationError(
+            f"expected edge count n(n-1)/2 * p = {expected:.3g} exceeds {MAX_EDGES:.0e}")
+
+
 def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
     """Draw G(n, p): each unordered pair carries an edge independently with prob p.
 
@@ -106,10 +132,7 @@ def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
     draws the exact G(n, p) distribution in O(edges) work. Deterministic
     per seed (algorithm version: geometric-skip v1).
     """
-    if not 0 <= n <= MAX_VERTICES:
-        raise ValidationError(f"n must be in [0, {MAX_VERTICES}]")
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError("p must be in [0, 1]")
+    check_er_size(n, p)
     m_total = n * (n - 1) // 2
     if m_total == 0 or p == 0.0:
         return Graph(n, np.empty(0, dtype=np.int64), np.zeros(n + 1, dtype=np.int64))
@@ -120,7 +143,7 @@ def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
     while True:
         remaining = m_total - current - 1
         batch = max(256, int(remaining * p * 1.2) + 16)
-        skips = rng.geometric(p, size=batch).astype(np.int64)
+        skips = rng.geometric(p, size=batch)  # int64
         cand = current + np.cumsum(skips)
         hits = cand[cand < m_total]
         indices.append(hits)
@@ -152,7 +175,8 @@ def is_connected(g: Graph) -> bool:
     visited = np.zeros(n, dtype=bool)
     visited[0] = True
     frontier = np.zeros(1, dtype=np.int64)
-    while frontier.size:
+    # stop once all are visited: the last level would re-expand rows and find nothing
+    while frontier.size and not visited.all():
         reached = np.zeros(n, dtype=bool)
         reached[g.indices[_row_positions(g.offsets, frontier)[0]]] = True
         reached &= ~visited
@@ -182,9 +206,13 @@ def induced_subgraph(g: Graph, members) -> tuple:
     g.n_vertices with new indices for members and -1 elsewhere. Member
     order (sorted ascending) defines the new indexing.
     """
-    members = np.unique(np.asarray(members, dtype=np.int64))
+    members = np.asarray(members, dtype=np.int64)
     if members.size and (members.min() < 0 or members.max() >= g.n_vertices):
         raise ValidationError("vertex set member out of range")
+    # dedupe and sort through a mask: cheaper than np.unique's hash and sort
+    member_mask = np.zeros(g.n_vertices, dtype=bool)
+    member_mask[members] = True
+    members = np.flatnonzero(member_mask)
     mapping = np.full(g.n_vertices, -1, dtype=np.int64)
     mapping[members] = np.arange(members.size, dtype=np.int64)
     pos, bounds = _row_positions(g.offsets, members)

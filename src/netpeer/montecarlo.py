@@ -24,6 +24,11 @@ from .model import ModelParams
 # stream purposes, fixed forever for reproducibility
 STREAM_GRAPH, STREAM_COVARIATES, STREAM_NOISE, STREAM_SAMPLING = range(4)
 
+# every record of a cell stays in memory until it is summarized
+MAX_REPS = 10**6
+# a fixed bound, not the host's CPU count, so a run's settings stay valid elsewhere
+MAX_WORKERS = 256
+
 
 def stream(prefix, purpose: int) -> np.random.Generator:
     """The random stream of one purpose: SeedSequence([*prefix, purpose])."""
@@ -73,12 +78,13 @@ class ExperimentCell:
     allow_disconnected: bool = False
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise ValidationError("reps must be >= 1")
+        if not 1 <= self.reps <= MAX_REPS:
+            raise ValidationError(f"reps must be in [1, {MAX_REPS}]")
         if self.n_pop < 2:
             raise ValidationError("population size must be >= 2")
         if not 0.0 < self.density < 1.0:
             raise ValidationError("edge density must be in (0, 1)")
+        graphmod.check_er_size(self.n_pop, self.density)
         # sample_size also rejects a fraction outside (0, 1]
         if sampling.sample_size(self.n_pop, self.fraction) < 4:
             raise ValidationError("sample size below 4: the fit needs 4 units")
@@ -151,13 +157,16 @@ def _run_chunk(cell: ExperimentCell, indices, pickled_graph=None):
 def run_reps(cell: ExperimentCell, workers: int = 1) -> list:
     """All replications of a cell, as records in rep order.
 
-    A fixed-graph cell shares rep 0's graph draw.
+    A fixed-graph cell shares rep 0's graph draw. `workers` must be in
+    [1, MAX_WORKERS]; 1 runs the replications in this process.
     """
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValidationError(f"workers must be in [1, {MAX_WORKERS}]")
     shared = draw_graph(
         (cell.master_seed, 0), cell.n_pop, cell.density, cell.allow_disconnected
     ) if cell.fixed_graph else None
     indices = list(range(cell.reps))
-    if workers <= 1:
+    if workers == 1:
         records = _run_chunk(cell, indices, shared)
     else:
         chunk = max(1, (cell.reps + workers * 4 - 1) // (workers * 4))

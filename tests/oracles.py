@@ -22,6 +22,11 @@ one vertex's degree and validate_graph(g) the CSR invariants that every
 netpeer graph keeps: they read only the arrays of the netpeer objects they
 are given.
 
+critical_value(level, df) is the two-sided CI critical value from
+scipy.stats: the normal quantile, or the t quantile with df degrees of
+freedom. csr_int64(n, edges) builds the CSR arrays of an edge list with
+int64 keys and `% n` at every n.
+
 population_induced(g, s) extends a sample's recruitment subgraph with the
 unsampled neighbors of the sampled units, the completion whose likelihood
 equals the full graph's: it finds the edges with array code and builds the
@@ -53,6 +58,21 @@ def expected_scaling_factor(n_pop: int, p: float, f: float) -> float:
     num = float(np.sum(weight * pmf.sum(axis=1) / d))
     den = float(np.sum(weight * (pmf / k[None, :]).sum(axis=1)))
     return num / den
+
+
+def critical_value(level: float, df=None) -> float:
+    """Two-sided critical value at `level`: normal, or t with df degrees of freedom."""
+    q = 0.5 + level / 2.0
+    return float(stats.norm.ppf(q) if df is None else stats.t.ppf(q, df=df))
+
+
+def csr_int64(n: int, edges) -> tuple:
+    """(indices, offsets) of an undirected edge list, keyed src * n + dst as int64."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    keys = np.sort(np.concatenate([edges[:, 0] * n + edges[:, 1],
+                                   edges[:, 1] * n + edges[:, 0]]))
+    offsets = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    return keys % n, offsets
 
 
 def candidate_means_loop(candidate, observed, params) -> np.ndarray:

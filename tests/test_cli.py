@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -8,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netpeer import estimation, graph as graphmod, model, sampling
+import netpeer
+from netpeer import estimation, graph as graphmod, model, montecarlo, sampling
 from netpeer.cli import _SCHEMAS, _resolve, main
 from netpeer.errors import ValidationError
 from netpeer.model import ModelParams
@@ -249,10 +253,16 @@ class TestSettingsBoundary:
         "n above MAX_VERTICES": (["generate", "--n", 10**12, "--p", 0.5], None),
         "workers 0": (["mc", *MC, "--workers", 0], None),
         "workers -3": (["mc", *MC, "--workers", -3], None),
+        "expected edges above MAX_EDGES": (["generate", "--n", 10**7, "--p", 0.5], None),
+        "reps above MAX_REPS": (["mc", *MC, "--reps", 10**20], None),
+        "workers above MAX_WORKERS": (["mc", *MC, "--workers", 100_000], None),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_bad_setting_exits_2(self, tmp_path, capsys, name):
+    def test_bad_setting_exits_2(self, tmp_path, capsys, monkeypatch, name):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
         argv, config = self.CASES[name]
         if config is not None:
             (tmp_path / "run.ini").write_bytes(config)
@@ -312,6 +322,17 @@ def mutate_config(text: str, ops) -> bytes:
         else:
             lines[i] = lines[i][: b % (len(lines[i]) + 1)]
     return b"\n".join(lines) + b"\n"
+
+
+def test_no_module_imports_scipy_stats():
+    # in a fresh interpreter: this one has scipy.stats from tests/oracles.py
+    code = ("import sys, netpeer.cli, netpeer.montecarlo, netpeer.identification; "
+            "print('scipy.stats' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(netpeer.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "False"
 
 
 class TestConfigContract:

@@ -20,6 +20,8 @@ from netpeer.sampling import (
     scaling_factor_variance,
 )
 
+from oracles import critical_value
+
 PARAMS = ModelParams(0.0, 1.0, 1.5, 1.0)
 
 
@@ -182,6 +184,16 @@ class TestFitMle:
         assert (t_fit.ci_naive[1] - t_fit.ci_naive[0]) > (
             z_fit.ci_naive[1] - z_fit.ci_naive[0]
         )
+
+    @pytest.mark.parametrize("n", [4, 5, 8, 33, 300, 1003])
+    def test_critical_value_equals_scipy_stats(self, n):
+        rng = np.random.default_rng(n)
+        X = np.column_stack([np.ones(n), rng.normal(size=n), rng.normal(size=n)])
+        d = ObservedDesign(X=X, y=rng.normal(size=n), dropped_count=0,
+                           retained_ids=np.arange(n))
+        for level in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
+            assert fit_mle(d, level=level).crit == critical_value(level)
+            assert fit_mle(d, level=level, use_t=True).crit == critical_value(level, n - 3)
 
 
 class TestApplyCorrection:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netpeer import graph as graphmod
-from oracles import degree, validate_graph
+from oracles import csr_int64, degree, validate_graph
 from netpeer.errors import ConnectivityError, ValidationError
 from netpeer.graph import (
     Graph,
@@ -103,6 +103,30 @@ class TestGenerateEr:
         with pytest.raises(ValidationError):
             generate_er(-1, 0.5, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n,p", [(10**7, 0.5), (20_000, 1.0)])
+    def test_rejects_expected_edges_above_max_edges(self, n, p):
+        # refused before any allocation; p = 1 takes the complete-graph path
+        assert n * (n - 1) // 2 * p > graphmod.MAX_EDGES
+        with pytest.raises(ValidationError, match="expected edge count"):
+            generate_er(n, p, np.random.default_rng(0))
+
+
+class TestCsrKeyWidth:
+    """Keys sort as uint32 below n = 2**16 and as int64 from there on."""
+
+    @pytest.mark.parametrize("n", [2**16 - 1, 2**16])
+    def test_matches_int64_oracle(self, n):
+        g = generate_er(n, 2e-6, np.random.default_rng(n))
+        validate_graph(g)
+        # the corner pairs give the largest keys and the last row's neighbors
+        edges = np.unique(np.vstack([g.edge_array(), [[0, n - 1], [n - 2, n - 1]]]), axis=0)
+        want_indices, want_offsets = csr_int64(n, edges)
+        # _csr takes either orientation of an edge
+        for got in (graphmod._csr(n, edges[:, 1], edges[:, 0]), from_edges(n, edges)):
+            for array, want in ((got.indices, want_indices), (got.offsets, want_offsets)):
+                assert array.dtype == want.dtype == np.int64
+                assert array.tobytes() == want.tobytes()
+
 
 class TestConnectedEr:
     def test_returns_connected(self):
@@ -140,6 +164,17 @@ class TestIsConnected:
                 edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
                 g = from_edges(n, np.array(edges).reshape(-1, 2))
                 assert is_connected(g) == reachable_oracle(g)
+
+    @pytest.mark.parametrize("shape", ["isolated last vertex", "two components"])
+    def test_matches_oracle_when_disconnected(self, shape):
+        g = generate_connected_er(60, 0.15, np.random.default_rng(4))
+        edges = g.edge_array()
+        if shape == "isolated last vertex":
+            h = from_edges(61, edges)
+        else:
+            h = from_edges(120, np.vstack([edges, edges + 60]))
+        assert is_connected(g) and reachable_oracle(g)
+        assert not is_connected(h) and not reachable_oracle(h)
 
     def test_matches_oracle_random_larger(self):
         # random sample at 7 and 8 vertices (exhaustive is out of reach)

@@ -8,6 +8,8 @@ from netpeer import estimation, graph as graphmod
 from netpeer.errors import AllRepsFailedError, ValidationError
 from netpeer.model import ModelParams
 from netpeer.montecarlo import (
+    MAX_REPS,
+    MAX_WORKERS,
     STREAM_GRAPH,
     CellReport,
     ExperimentCell,
@@ -15,6 +17,7 @@ from netpeer.montecarlo import (
     build_instance,
     run_cell,
     run_replication,
+    run_reps,
     stream,
     summarize,
     write_grid_csv,
@@ -225,6 +228,20 @@ class TestCellValidation:
     def test_bad_reps(self):
         with pytest.raises(ValidationError):
             small_cell(reps=0)
+        with pytest.raises(ValidationError, match="reps"):
+            small_cell(reps=MAX_REPS + 1)
+
+    @pytest.mark.parametrize("workers", [0, MAX_WORKERS + 1])
+    def test_bad_workers_before_any_draw(self, monkeypatch, workers):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a graph was drawn")
+        monkeypatch.setattr(graphmod, "generate_er", no_draw)
+        with pytest.raises(ValidationError, match="workers"):
+            run_reps(small_cell(fixed_graph=True), workers=workers)
+
+    def test_expected_edges_above_max_edges(self):
+        with pytest.raises(ValidationError, match="expected edge count"):
+            small_cell(n_pop=10**7, density=0.5)
 
     def test_negative_seed(self):
         with pytest.raises(ValidationError, match="seed"):
