@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import itertools
 import json
 import os
@@ -290,6 +291,7 @@ _HANDLERS = {
 }
 
 
+@functools.cache  # parse_args keeps no state, so one parser serves every main() call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netpeer",

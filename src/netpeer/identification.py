@@ -171,9 +171,10 @@ def find_witness(observed: RecruitmentSample, x_u1=None, x_u2=None):
     covariate values default as in `build_swap_pair`.
     """
     slack = np.flatnonzero(observed.reported_degrees > observed.observed_degrees)
-    for a_pos in range(slack.size):
-        for b_pos in range(a_pos + 1, slack.size):
-            j, l = int(slack[a_pos]), int(slack[b_pos])
-            if observed.reported_degrees[j] != observed.reported_degrees[l]:
-                return build_swap_pair(observed, j, l, x_u1, x_u2)
-    return None
+    # the first such pair in index order is slack[0] and the first slack unit
+    # whose degree differs from its; if none differs, no pair qualifies
+    d = observed.reported_degrees[slack]
+    differ = np.flatnonzero(d != d[:1])
+    if differ.size == 0:
+        return None
+    return build_swap_pair(observed, int(slack[0]), int(slack[differ[0]]), x_u1, x_u2)

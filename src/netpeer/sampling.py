@@ -107,13 +107,11 @@ def scaling_factor_variance(s: RecruitmentSample, w_hat: float) -> float:
 
 def write_sample_csv(s: RecruitmentSample, path) -> None:
     """Sample export: `unit_id,d_true,d_obs,x,y` rows, one per sampled unit."""
-    cols = [s.sampled_ids.tolist(), s.reported_degrees.tolist(), s.observed_degrees.tolist()]
-    for vec in (s.x_obs, s.y_obs):
-        cols.append(
-            [""] * s.n if vec is None
-            else [repr(v) for v in np.asarray(vec, dtype=float).tolist()]
-        )
-    lines = "".join(",".join(map(str, row)) + "\n" for row in zip(*cols))
+    x, y = ([""] * s.n if vec is None else map(repr, np.asarray(vec, dtype=float).tolist())
+            for vec in (s.x_obs, s.y_obs))
+    rows = zip(s.sampled_ids.tolist(), s.reported_degrees.tolist(),
+               s.observed_degrees.tolist(), x, y)
+    lines = "".join(f"{j},{d_true},{d_obs},{xj},{yj}\n" for j, d_true, d_obs, xj, yj in rows)
     with open(path, "w") as fh:
         fh.write("unit_id,d_true,d_obs,x,y\n" + lines)
 

@@ -27,6 +27,15 @@ scipy.stats: the normal quantile, or the t quantile with df degrees of
 freedom. csr_int64(n, edges) builds the CSR arrays of an edge list with
 int64 keys and `% n` at every n.
 
+edge_list_error(n, edges) is the message `graph.from_edges` raises for an
+edge list, or None when it accepts it: the range and self-loop checks, then
+duplicates found by sorting each row and counting `np.unique` keys.
+edge_list_text(g, tags) and sample_csv_text(s) are the bytes of the
+edge-list and sample CSV files, one formatted string per line.
+find_witness_loop(s) is the pair loop that `identification.find_witness`
+replaced by one scan: (j, l) of the first slack pair by index with distinct
+reported degrees, or None.
+
 population_induced(g, s) extends a sample's recruitment subgraph with the
 unsampled neighbors of the sampled units, the completion whose likelihood
 equals the full graph's: it finds the edges with array code and builds the
@@ -73,6 +82,50 @@ def csr_int64(n: int, edges) -> tuple:
                                    edges[:, 1] * n + edges[:, 0]]))
     offsets = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
     return keys % n, offsets
+
+
+def edge_list_error(n: int, edges):
+    """Why `from_edges(n, edges)` must reject the list, or None if it must accept it."""
+    if n < 0:
+        return "vertex count must be nonnegative"
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if edges.size and (edges.min() < 0 or edges.max() >= n):
+        return "edge endpoint out of range"
+    if np.any(edges[:, 0] == edges[:, 1]):
+        return "self-loop in edge list"
+    canon = np.sort(edges, axis=1)
+    if np.unique(canon[:, 0] * n + canon[:, 1]).size != len(edges):
+        return "duplicate edge in edge list"
+    return None
+
+
+def edge_list_text(g, tags=()) -> str:
+    """The edge-list file: the header, one `# tag` line per tag, then `j,k` per edge."""
+    lines = [f"# vertices={g.n_vertices}\n"] + [f"# {tag}\n" for tag in tags]
+    for j in range(g.n_vertices):
+        lines += [f"{j},{k}\n" for k in g.neighbors(j).tolist() if k > j]
+    return "".join(lines)
+
+
+def sample_csv_text(s) -> str:
+    """The sample CSV: its header, then one row per unit; x and y as float reprs or blank."""
+    lines = ["unit_id,d_true,d_obs,x,y\n"]
+    for r in range(s.n):
+        x, y = ("" if v is None else repr(float(v[r])) for v in (s.x_obs, s.y_obs))
+        lines.append(f"{int(s.sampled_ids[r])},{int(s.reported_degrees[r])},"
+                     f"{int(s.observed_degrees[r])},{x},{y}\n")
+    return "".join(lines)
+
+
+def find_witness_loop(s):
+    """(j, l) of the first pair of slack units, by index, with distinct reported degrees."""
+    slack = np.flatnonzero(s.reported_degrees > s.observed_degrees)
+    for a_pos in range(slack.size):
+        for b_pos in range(a_pos + 1, slack.size):
+            j, l = int(slack[a_pos]), int(slack[b_pos])
+            if s.reported_degrees[j] != s.reported_degrees[l]:
+                return j, l
+    return None
 
 
 def candidate_means_loop(candidate, observed, params) -> np.ndarray:

@@ -274,6 +274,21 @@ class TestSettingsBoundary:
         # nothing is drawn or written but the settings
         assert not out.exists() or [p.name for p in out.iterdir()] == ["run_config.txt"]
 
+    def test_parser_keeps_no_state_between_calls(self, tmp_path, simulated, capsys):
+        # main() reuses one parser per process: a flag of one call is not the next's
+        files = ["--sample", simulated / "sample.csv", "--edges", simulated / "sample.edges"]
+        assert run(["fit", *files, "--level", 0.9, "--out", tmp_path / "a"]) == 0
+        assert run(["fit", *files, "--out", tmp_path / "b"]) == 0
+        assert "level = 0.9\n" in (tmp_path / "a" / "run_config.txt").read_text()
+        assert "level = 0.95\n" in (tmp_path / "b" / "run_config.txt").read_text()
+        with pytest.raises(SystemExit) as info:
+            run(["fit", *files, "--no-such-flag", "--out", tmp_path / "c"])
+        assert info.value.code == 2
+        capsys.readouterr()
+        assert run(["fit", *files, "--out", tmp_path / "d"]) == 0
+        assert (tmp_path / "d" / "run_config.txt").read_bytes() == \
+            (tmp_path / "b" / "run_config.txt").read_bytes()
+
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
         (tmp_path / "taken").write_text("")
         assert run(["generate", "--n", 10, "--p", 0.5, "--out", tmp_path / "taken"]) == 2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netpeer import graph as graphmod
-from oracles import csr_int64, degree, validate_graph
+from oracles import csr_int64, degree, edge_list_error, edge_list_text, validate_graph
 from netpeer.errors import ConnectivityError, ValidationError
 from netpeer.graph import (
     Graph,
@@ -275,6 +275,17 @@ class TestEdgeListIO:
         with pytest.raises(ValidationError):
             read_edge_list(p)
 
+    @pytest.mark.parametrize("graph, tags", [
+        (from_edges(0, []), ()),
+        (from_edges(4, []), ("sample",)),
+        (path(3), ("sample", "second tag")),
+        (generate_er(300, 0.05, np.random.default_rng(8)), ()),
+    ])
+    def test_bytes_equal_oracle(self, tmp_path, graph, tags):
+        p = tmp_path / "g.edges"
+        write_edge_list(graph, p, tags=tags)
+        assert p.read_bytes() == edge_list_text(graph, tags).encode()
+
     def test_round_trip_without_edges(self, tmp_path):
         # loadtxt warns on a table with no rows; tier-1 turns warnings into errors
         p = tmp_path / "g.edges"
@@ -321,6 +332,56 @@ class TestFromEdges:
         p.write_text("# vertices=-1\n")
         with pytest.raises(ValidationError):
             read_edge_list(p)
+
+    @staticmethod
+    def assert_matches_oracle(n, edges):
+        """from_edges rejects with the oracle's message, or builds the oracle's CSR."""
+        expected = edge_list_error(n, edges)
+        if expected is not None:
+            with pytest.raises(ValidationError, match=f"^{expected}$"):
+                from_edges(n, edges)
+            return
+        g = from_edges(n, edges)
+        validate_graph(g)
+        indices, offsets = csr_int64(n, edges)
+        assert np.array_equal(g.indices, indices) and np.array_equal(g.offsets, offsets)
+
+    @pytest.mark.parametrize("n, edges, verdict", [
+        (3, [(0, 1), (1, 0)], "duplicate"),  # reversed duplicate
+        (4, [(2, 3), (0, 1), (3, 2)], "duplicate"),
+        (3, [(0, 1), (0, 1)], "duplicate"),
+        (0, [], None),
+        (1, [], None),
+        (5, [], None),
+        (0, [(0, 0)], "endpoint"),
+        (1, [(0, 0)], "self-loop"),
+        (1, [(0, 1)], "endpoint"),
+        (3, [(1, 0), (2, 1), (0, 2)], None),
+        # the checks run in order: range, then self-loop, then duplicate
+        (3, [(2, 2), (0, 1), (0, 1)], "self-loop"),
+        (3, [(0, 1), (0, 1), (1, 1), (0, 5)], "endpoint"),
+    ])
+    def test_matches_unique_oracle(self, n, edges, verdict):
+        message = edge_list_error(n, edges)
+        assert (message is None) if verdict is None else (verdict in message)
+        self.assert_matches_oracle(n, edges)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 6), st.lists(st.tuples(st.integers(-1, 7), st.integers(-1, 7)),
+                                       max_size=12))
+    def test_matches_unique_oracle_random(self, n, edges):
+        self.assert_matches_oracle(n, edges)
+
+    def test_shuffled_er_list(self):
+        rng = np.random.default_rng(3)
+        g = generate_er(400, 0.03, rng)
+        edges = rng.permutation(g.edge_array())
+        flip = rng.random(len(edges)) < 0.5
+        edges[flip] = edges[flip, ::-1]
+        self.assert_matches_oracle(400, edges)
+        assert same_csr(from_edges(400, edges), g)
+        # the same list with one edge repeated in the other orientation
+        self.assert_matches_oracle(400, np.vstack([edges, edges[7, ::-1]]))
 
 
 class TestSamplerPinned:

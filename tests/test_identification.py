@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import candidate_means_loop, population_induced
+from oracles import candidate_means_loop, find_witness_loop, population_induced
 from netpeer.errors import IsolatedVertexError, NoSlackError, ValidationError
 from netpeer.graph import degrees, from_edges, generate_connected_er, induced_subgraph
 from netpeer.identification import (
@@ -238,6 +238,37 @@ class TestFindWitness:
         x = gen_covariates(20, 3.0, 1.5, np.random.default_rng(1))
         y = simulate_outcomes(g, x, PARAMS, np.random.default_rng(2))
         s = rns_sample(g, 20, np.random.default_rng(3), x, y)
+        assert find_witness(s) is None
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_pair_as_loop_oracle(self, seed):
+        # a 60-cycle plus up to three chords: most degrees tie at 2, so the
+        # first slack unit of another degree lies anywhere in the sample, or nowhere
+        rng = np.random.default_rng(seed)
+        ends = rng.choice(30, size=seed % 4, replace=False)
+        g = from_edges(60, [(j, (j + 1) % 60) for j in range(60)] + [(j, j + 30) for j in ends])
+        x = gen_covariates(60, 3.0, 1.5, rng)
+        y = simulate_outcomes(g, x, PARAMS, rng)
+        s = rns_sample(g, int(rng.integers(2, 50)), rng, x, y)
+        pair = find_witness(s)
+        expected = find_witness_loop(s)
+        assert (None if pair is None else (pair.j, pair.l)) == expected
+
+    def test_same_pair_when_degrees_tie_first(self):
+        # slack units 0 and 1 share a degree: the pair is (0, first differing unit)
+        s = hand_sample()
+        s.reported_degrees = np.array([4, 4, 3, 2])
+        assert find_witness_loop(s) == (0, 2)
+        pair = find_witness(s)
+        assert (pair.j, pair.l) == (0, 2)
+
+    def test_none_on_complete_graph_sample(self):
+        # every slack unit has degree n_pop - 1: no pair has distinct degrees
+        g = from_edges(40, [(j, k) for j in range(40) for k in range(j + 1, 40)])
+        x = gen_covariates(40, 3.0, 1.5, np.random.default_rng(1))
+        y = simulate_outcomes(g, x, PARAMS, np.random.default_rng(2))
+        s = rns_sample(g, 20, np.random.default_rng(3), x, y)
+        assert find_witness_loop(s) is None
         assert find_witness(s) is None
 
 

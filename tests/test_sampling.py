@@ -6,7 +6,7 @@ import pytest
 from netpeer import graph as graphmod
 from netpeer.errors import AllIsolatedSampleError, ValidationError
 from netpeer.graph import degrees, from_edges, generate_er
-from oracles import degree, population_induced
+from oracles import degree, population_induced, sample_csv_text
 from netpeer.sampling import (
     read_sample_csv,
     rns_sample,
@@ -252,6 +252,20 @@ class TestSampleCsv:
         assert np.array_equal(back.sampled_ids, s.sampled_ids)
         assert np.array_equal(back.reported_degrees, s.reported_degrees)
         assert np.array_equal(back.observed_degrees, s.observed_degrees)
+
+    @pytest.mark.parametrize("unit_data", [True, False])
+    def test_bytes_equal_oracle(self, tmp_path, unit_data):
+        g = generate_er(200, 0.04, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        x = rng.normal(3, 1.5, 200) * 10.0 ** rng.integers(-20, 20, 200)
+        xy = (x, rng.normal(0, 1, 200)) if unit_data else ()
+        s = rns_sample(g, 120, np.random.default_rng(3), *xy)
+        if unit_data:
+            # a negative zero and the extremes exercise the float formatting
+            s.x_obs[:3] = [-0.0, 1e300, 5e-324]
+        p = tmp_path / "sample.csv"
+        write_sample_csv(s, p)
+        assert p.read_bytes() == sample_csv_text(s).encode()
 
     def test_nan_in_every_row_is_no_unit_data(self, tmp_path):
         g = generate_er(30, 0.15, np.random.default_rng(0))
