@@ -166,6 +166,7 @@ def _model_params(v: dict) -> ModelParams:
 def _instance(v: dict):
     """`simulate` and `identify-demo`: the shared builder under seed prefix (seed,)."""
     graph_opts = {k: v[k] for k in ("allow_disconnected", "max_attempts") if k in v}
+    model.check_covariates(v["x_mean"], v["x_sd"])  # before the graph draw
     return montecarlo.build_instance(
         (v["seed"],), v["n"], v["p"], v["f"], _model_params(v), v["x_mean"], v["x_sd"],
         **graph_opts,

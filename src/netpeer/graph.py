@@ -22,6 +22,8 @@ MAX_VERTICES = 10**7
 # bound on a G(n, p) draw's expected edge count n(n-1)/2 * p: its CSR indices
 # take 16 bytes per edge, 1.6 GB at the bound
 MAX_EDGES = 10**8
+# edges formatted per write in write_edge_list: about 58 bytes each while formatted
+WRITE_CHUNK_EDGES = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,11 +229,14 @@ def induced_subgraph(g: Graph, members) -> tuple:
 
 def write_edge_list(g: Graph, path, tags=()) -> None:
     """Write the edge-list format: `# vertices=<n>` header then `j,k` lines, j<k."""
-    head = f"# vertices={g.n_vertices}\n" + "".join(f"# {tag}\n" for tag in tags)
-    # one %-format over all endpoints is cheaper than a string per edge
-    body = ("%d,%d\n" * g.n_edges()) % tuple(g.edge_array().ravel().tolist())
+    edges = g.edge_array()
     with open(path, "w") as fh:
-        fh.write(head + body)
+        fh.write(f"# vertices={g.n_vertices}\n" + "".join(f"# {tag}\n" for tag in tags))
+        # one %-format per chunk of rows is cheaper than a string per edge, and
+        # the chunk bounds the Python ints held at once
+        for start in range(0, len(edges), WRITE_CHUNK_EDGES):
+            rows = edges[start:start + WRITE_CHUNK_EDGES]
+            fh.write(("%d,%d\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def read_table(path, dtypes, converters=None) -> tuple:

@@ -20,7 +20,7 @@ from .graph import Graph
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Parameter vector (beta0, beta1, beta2, sigma2_eps); noise variance > 0."""
+    """Parameter vector (beta0, beta1, beta2, sigma2_eps): finite, noise variance > 0."""
 
     beta0: float
     beta1: float
@@ -28,16 +28,26 @@ class ModelParams:
     sigma2_eps: float
 
     def __post_init__(self):
-        if not self.sigma2_eps > 0:
-            raise ValidationError("sigma2_eps must be positive")
+        for name in ("beta0", "beta1", "beta2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
+        if not 0 < self.sigma2_eps < math.inf:
+            raise ValidationError("sigma2_eps must be finite and positive")
+
+
+def check_covariates(mean: float, sd: float) -> None:
+    """The covariate law N(mean, sd^2) needs a finite mean and a finite sd > 0."""
+    if not math.isfinite(mean):
+        raise ValidationError("x_mean must be finite")
+    if not 0 < sd < math.inf:
+        raise ValidationError("x_sd must be finite and positive")
 
 
 def gen_covariates(
     n: int, mean: float, sd: float, rng: np.random.Generator
 ) -> np.ndarray:
     """i.i.d. Gaussian covariates; deterministic given the generator state."""
-    if not sd > 0:
-        raise ValidationError("covariate sd must be positive")
+    check_covariates(mean, sd)
     return rng.normal(mean, sd, size=n)
 
 

@@ -12,7 +12,10 @@ results are bit-identical across runs and across worker counts.
 from __future__ import annotations
 
 import csv
+import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +93,7 @@ class ExperimentCell:
             raise ValidationError("sample size below 4: the fit needs 4 units")
         if not 0.0 < self.level < 1.0:
             raise ValidationError("CI level must be in (0, 1)")
+        model.check_covariates(self.x_mean, self.x_sd)
         if self.master_seed < 0:
             raise ValidationError("seed must be nonnegative")
 
@@ -154,11 +158,45 @@ def _run_chunk(cell: ExperimentCell, indices, pickled_graph=None):
     return [run_replication(cell, i, graph=pickled_graph) for i in indices]
 
 
+# The process's worker pool, ((pid, workers), executor) or None, reused by
+# every run_reps call so that a grid forks once. Its workers end with the
+# interpreter, through concurrent.futures' exit hook.
+_pool = None
+_pool_lock = threading.RLock()
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """The cached pool of `workers` processes, made on first use.
+
+    A pool of another size is shut down, and waited for, before the new
+    one forks, so no fork happens while an old pool's threads run. A
+    forked child that inherits the cache does not use its parent's pool.
+    """
+    global _pool
+    key = (os.getpid(), workers)
+    with _pool_lock:
+        if _pool is None or _pool[0] != key:
+            _drop_pool()
+            _pool = (key, ProcessPoolExecutor(max_workers=workers))
+        return _pool[1]
+
+
+def _drop_pool() -> None:
+    """Empty the cache, shutting the pool down if this process made it."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None and _pool[0][0] == os.getpid():
+            _pool[1].shutdown(wait=True)
+        _pool = None
+
+
 def run_reps(cell: ExperimentCell, workers: int = 1) -> list:
     """All replications of a cell, as records in rep order.
 
     A fixed-graph cell shares rep 0's graph draw. `workers` must be in
-    [1, MAX_WORKERS]; 1 runs the replications in this process.
+    [1, MAX_WORKERS]; 1 runs the replications in this process, more run
+    them in the process's worker pool. A worker that dies raises
+    ComputationError and the next call forks a fresh pool.
     """
     if not 1 <= workers <= MAX_WORKERS:
         raise ValidationError(f"workers must be in [1, {MAX_WORKERS}]")
@@ -171,9 +209,19 @@ def run_reps(cell: ExperimentCell, workers: int = 1) -> list:
     else:
         chunk = max(1, (cell.reps + workers * 4 - 1) // (workers * 4))
         chunks = [indices[i:i + chunk] for i in range(0, cell.reps, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool, futures = _worker_pool(workers), []
+        try:
             futures = [pool.submit(_run_chunk, cell, c, shared) for c in chunks]
             parts = [f.result() for f in futures]
+        except BrokenProcessPool:
+            _drop_pool()
+            raise ComputationError(
+                "a worker process ended abruptly; its replications are lost"
+            ) from None
+        except BaseException:
+            for f in futures:
+                f.cancel()
+            raise
         records = [rec for part in parts for rec in part]
     records.sort(key=lambda r: r.rep_index)
     return records

@@ -256,13 +256,28 @@ class TestSettingsBoundary:
         "expected edges above MAX_EDGES": (["generate", "--n", 10**7, "--p", 0.5], None),
         "reps above MAX_REPS": (["mc", *MC, "--reps", 10**20], None),
         "workers above MAX_WORKERS": (["mc", *MC, "--workers", 100_000], None),
+        "mc x_mean nan": (["mc", *MC, "--workers", 2, "--x-mean", "nan"], None),
+        "mc x_mean inf": (["mc", *MC, "--workers", 2, "--x-mean", "inf"], None),
+        "mc x_sd inf": (["mc", *MC, "--workers", 2], b"[mc]\nx_sd = inf\n"),
+        "mc beta2 nan": (["mc", *MC, "--workers", 2, "--beta2", "nan"], None),
+        "mc sigma2_eps inf": (["mc", *MC, "--workers", 2, "--sigma2-eps", "inf"], None),
+        "simulate x_mean nan": (["simulate", "--n", 300, "--p", 0.03, "--f", 0.4,
+                                 "--x-mean", "nan"], None),
+        "simulate beta0 -inf": (["simulate", "--n", 300, "--p", 0.03, "--f", 0.4,
+                                 "--beta0=-inf"], None),
+        "identify-demo x_sd 0": (["identify-demo", "--x-sd", 0], None),
+        "identify-demo sigma2_eps nan": (["identify-demo"], b"[identify-demo]\nsigma2_eps = nan\n"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_bad_setting_exits_2(self, tmp_path, capsys, monkeypatch, name):
         def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started")
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+            raise AssertionError("a process pool was used")
+
+        def no_instance(*args, **kwargs):
+            raise AssertionError("an instance was drawn")
+        monkeypatch.setattr(montecarlo, "_worker_pool", no_pool)
+        monkeypatch.setattr(montecarlo, "build_instance", no_instance)
         argv, config = self.CASES[name]
         if config is not None:
             (tmp_path / "run.ini").write_bytes(config)

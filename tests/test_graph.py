@@ -286,6 +286,23 @@ class TestEdgeListIO:
         write_edge_list(graph, p, tags=tags)
         assert p.read_bytes() == edge_list_text(graph, tags).encode()
 
+    @pytest.mark.parametrize("chunk", [1, 7, 2221, 2222, 2223])
+    def test_bytes_equal_oracle_in_chunks(self, tmp_path, monkeypatch, chunk):
+        # 2222 edges: chunks that divide them, leave one over, or hold all of them
+        g = generate_er(300, 0.05, np.random.default_rng(8))
+        assert g.n_edges() == 2222
+        monkeypatch.setattr(graphmod, "WRITE_CHUNK_EDGES", chunk)
+        p = tmp_path / "g.edges"
+        write_edge_list(g, p, tags=("sample",))
+        assert p.read_bytes() == edge_list_text(g, ("sample",)).encode()
+
+    def test_bytes_equal_oracle_past_one_chunk(self, tmp_path):
+        g = generate_er(1200, 0.1, np.random.default_rng(3))
+        assert g.n_edges() > graphmod.WRITE_CHUNK_EDGES
+        p = tmp_path / "g.edges"
+        write_edge_list(g, p)
+        assert p.read_bytes() == edge_list_text(g).encode()
+
     def test_round_trip_without_edges(self, tmp_path):
         # loadtxt warns on a table with no rows; tier-1 turns warnings into errors
         p = tmp_path / "g.edges"

@@ -7,6 +7,7 @@ from netpeer.errors import IsolatedVertexError, ValidationError
 from netpeer.graph import from_edges, generate_connected_er, generate_er
 from netpeer.model import (
     ModelParams,
+    check_covariates,
     conditional_means,
     gen_covariates,
     log_likelihood,
@@ -32,6 +33,13 @@ class TestModelParams:
         with pytest.raises(ValidationError):
             ModelParams(0, 1, 1.5, -1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["beta0", "beta1", "beta2", "sigma2_eps"])
+    def test_rejects_non_finite(self, field, value):
+        values = {"beta0": 0.0, "beta1": 1.0, "beta2": 1.5, "sigma2_eps": 1.0, field: value}
+        with pytest.raises(ValidationError, match=field):
+            ModelParams(**values)
+
 
 class TestGenCovariates:
     def test_mean_at_grid_values(self):
@@ -50,6 +58,14 @@ class TestGenCovariates:
     def test_rejects_bad_sd(self):
         with pytest.raises(ValidationError):
             gen_covariates(5, 0.0, 0.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("mean, sd, match", [
+        (math.nan, 1.0, "x_mean"), (math.inf, 1.0, "x_mean"), (-math.inf, 1.0, "x_mean"),
+        (0.0, -1.0, "x_sd"), (0.0, math.nan, "x_sd"), (0.0, math.inf, "x_sd"),
+    ])
+    def test_rejects_non_finite_law(self, mean, sd, match):
+        with pytest.raises(ValidationError, match=match):
+            check_covariates(mean, sd)
 
 
 class TestNeighborhoodMean:

@@ -1,11 +1,17 @@
 import csv
 import dataclasses
+import os
+import subprocess
+import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from netpeer import estimation, graph as graphmod
-from netpeer.errors import AllRepsFailedError, ValidationError
+import netpeer
+from netpeer import cli, estimation, graph as graphmod, montecarlo
+from netpeer.errors import AllRepsFailedError, ComputationError, ValidationError
 from netpeer.model import ModelParams
 from netpeer.montecarlo import (
     MAX_REPS,
@@ -183,6 +189,127 @@ class TestRunCell:
         assert len({r.beta2_naive for r in recs}) == 4
 
 
+class _ExitOnUnpickle:
+    """Sent to a worker, this ends the worker as it unpickles its task: a killed worker."""
+
+    def __reduce__(self):
+        return os._exit, (1,)
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestWorkerPool:
+    """run_reps keeps one worker pool per process and worker count across calls."""
+
+    def cached(self):
+        return montecarlo._pool[1]
+
+    def test_consecutive_calls_equal_serial(self):
+        cells = [small_cell(), small_cell(fraction=0.6, master_seed=7, reps=9),
+                 small_cell(fixed_graph=True, reps=5)]
+        serial = [run_reps(cell, workers=1) for cell in cells]
+        previous = []
+        for workers in (2, 3, 2):
+            pools = set()
+            for cell, want in zip(cells, serial):
+                assert run_reps(cell, workers=workers) == want
+                pools.add(id(self.cached()))
+            assert len(pools) == 1
+            # the pool of the previous count was shut down and its workers joined
+            assert not any(map(_alive, previous))
+            previous = list(self.cached()._processes)
+            assert len(previous) == workers
+
+    def test_new_count_joins_the_old_pool_before_forking(self, monkeypatch):
+        events = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                events.append(("new", max_workers))
+                super().__init__(max_workers=max_workers)
+
+            def shutdown(self, *args, **kwargs):
+                manager = self._executor_manager_thread
+                super().shutdown(*args, **kwargs)
+                events.append(("joined", manager is None or not manager.is_alive()))
+
+        montecarlo._drop_pool()
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        cell = small_cell(reps=4)
+        run_reps(cell, workers=2)
+        run_reps(cell, workers=3)
+        assert events == [("new", 2), ("joined", True), ("new", 3)]
+
+    def test_raising_chunk_leaves_pool_usable(self):
+        cell = small_cell()
+        run_reps(cell, workers=2)
+        pool = self.cached()
+        # a chunk that raises outside the ComputationError a replication records
+        with pytest.raises(AttributeError, match="beta0"):
+            run_reps(dataclasses.replace(cell, params=None), workers=2)
+        assert self.cached() is pool
+        assert run_reps(cell, workers=2) == run_reps(cell, workers=1)
+
+    def test_killed_worker_raises_and_next_call_forks_anew(self):
+        cell = small_cell()
+        run_reps(cell, workers=2)
+        with pytest.raises(ComputationError, match="worker process ended abruptly"):
+            run_reps(dataclasses.replace(cell, params=_ExitOnUnpickle()), workers=2)
+        assert montecarlo._pool is None
+        assert run_reps(cell, workers=2) == run_reps(cell, workers=1)
+
+    def test_inherited_pool_is_not_used(self):
+        class ParentPool:
+            """What a forked child finds in the cache: its parent's pool."""
+
+            def __getattr__(self, name):
+                raise AssertionError(f"the parent's pool was used ({name})")
+
+        montecarlo._drop_pool()
+        montecarlo._pool = ((os.getpid() + 1, 2), ParentPool())
+        cell = small_cell()
+        assert run_reps(cell, workers=2) == run_reps(cell, workers=1)
+        assert montecarlo._pool[0] == (os.getpid(), 2)
+
+    def test_mc_grid_forks_one_pool(self, tmp_path, monkeypatch):
+        made = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        montecarlo._drop_pool()
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+        argv = ["mc", "--n-pop", "200", "--density", "0.05", "--fraction", "0.3,0.6",
+                "--reps", "8", "--seed", "1", "--workers", "2", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert made == [{"max_workers": 2}]
+
+    def test_workers_end_with_the_interpreter(self):
+        code = ("from netpeer import model, montecarlo\n"
+                "cell = montecarlo.ExperimentCell(200, 0.05, 0.3, model.ModelParams(0, 1, 1.5, 1),"
+                " reps=8)\n"
+                "montecarlo.run_cell(cell, workers=2)\n"
+                "print(*montecarlo._pool[1]._processes)\n")
+        src = os.path.dirname(os.path.dirname(netpeer.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True, timeout=120)
+        pids = [int(tok) for tok in done.stdout.split()]
+        assert len(pids) == 2
+        deadline = time.monotonic() + 5.0
+        while any(map(_alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, pids))
+
+
 class TestAllowDisconnected:
     """A replication keeps its first graph draw, connected or not."""
 
@@ -213,6 +340,14 @@ class TestAllowDisconnected:
 
 
 class TestCellValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("x_mean", np.nan), ("x_mean", -np.inf), ("x_sd", 0.0), ("x_sd", np.inf),
+        ("x_sd", np.nan),
+    ])
+    def test_bad_covariate_law(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            small_cell(**{field: value})
+
     def test_bad_density(self):
         with pytest.raises(ValidationError):
             small_cell(density=0.0)
