@@ -17,7 +17,7 @@ from .errors import (
     RankDeficiencyError,
     ValidationError,
 )
-from .graph import Graph, generate_connected_er, generate_er, is_connected
+from .graph import Graph, generate_er
 from .model import ModelParams
 from .montecarlo import CellReport, ExperimentCell
 from .sampling import RecruitmentSample, rns_sample, scaling_factor
@@ -36,9 +36,7 @@ __all__ = [
     "RankDeficiencyError",
     "RecruitmentSample",
     "ValidationError",
-    "generate_connected_er",
     "generate_er",
-    "is_connected",
     "rns_sample",
     "scaling_factor",
 ]

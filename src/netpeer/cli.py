@@ -228,10 +228,10 @@ def _cmd_mc(v: dict, out: str) -> None:
         )
         for n, p, f in itertools.product(v["n_pop"], v["density"], v["fraction"])
     ]
-    # a cell that cannot be computed (every replication failed, or no
-    # connected fixed graph) does not stop the grid: the completed cells are
-    # written, the records of a cell whose every replication failed too, and
-    # the failures reported together
+    # a cell that cannot be computed (every replication failed, or no fixed
+    # graph without an isolated vertex) does not stop the grid: the completed
+    # cells are written, the records of a cell whose every replication failed
+    # too, and the failures reported together
     results, failed = [], []
     for idx, cell in enumerate(cells):
         try:

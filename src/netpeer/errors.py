@@ -13,13 +13,12 @@ class ComputationError(RuntimeError):
 
 
 class ConnectivityError(ComputationError):
-    """Exhausted the retry budget while looking for a connected graph."""
+    """Every graph draw of the retry budget had an isolated vertex."""
 
     def __init__(self, attempts: int, n: int, p: float):
         self.attempts = attempts
         super().__init__(
-            f"no connected graph found in {attempts} attempts (n={n}, p={p}); "
-            "p is likely too small for connectivity at this n"
+            f"no graph without an isolated vertex in {attempts} attempts (n={n}, p={p})"
         )
 
 

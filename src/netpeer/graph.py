@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConnectivityError, ValidationError
+from .errors import ValidationError
 
 # bound on an edge list's vertex count: its CSR offsets take 8 bytes per vertex
 MAX_VERTICES = 10**7
@@ -157,37 +157,6 @@ def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
         current = int(cand[-1])
     # the skips are positive, so the pair indices come out ascending
     return _csr(n, *_pair_index_to_edges(np.concatenate(indices), n))
-
-
-def generate_connected_er(
-    n: int, p: float, rng: np.random.Generator, max_attempts: int = 1000
-) -> Graph:
-    """Return the first connected G(n, p) draw; error out after max_attempts."""
-    if max_attempts < 1:
-        raise ValidationError("max_attempts must be >= 1")
-    for _ in range(max_attempts):
-        g = generate_er(n, p, rng)
-        if is_connected(g):
-            return g
-    raise ConnectivityError(max_attempts, n, p)
-
-
-def is_connected(g: Graph) -> bool:
-    """True iff every vertex is reachable from vertex 0 (empty graph: True)."""
-    n = g.n_vertices
-    if n <= 1:
-        return True
-    visited = np.zeros(n, dtype=bool)
-    visited[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
-    # stop once all are visited: the last level would re-expand rows and find nothing
-    while frontier.size and not visited.all():
-        reached = np.zeros(n, dtype=bool)
-        reached[g.indices[_row_positions(g.offsets, frontier)[0]]] = True
-        reached &= ~visited
-        visited |= reached
-        frontier = np.flatnonzero(reached)
-    return bool(visited.all())
 
 
 def degrees(g: Graph) -> np.ndarray:

@@ -1,12 +1,13 @@
 """Seeded simulate -> sample -> fit pipeline and the replication engine.
 
-`build_instance` draws a connected random graph, simulates covariates
-and outcomes and takes an RNS sample; `estimation.fit_corrected` then
-fits the model on the incomplete data and applies the scaling-factor
-correction. The CLI and the Monte Carlo engine share both. Every random
-draw comes from its own stream SeedSequence([*prefix, purpose]): the
-engine passes the prefix (master_seed, rep_index), the CLI (seed,), so
-results are bit-identical across runs and across worker counts.
+`build_instance` draws a random graph in which every unit has a
+neighbor, simulates covariates and outcomes and takes an RNS sample;
+`estimation.fit_corrected` then fits the model on the incomplete data and
+applies the scaling-factor correction. The CLI and the Monte Carlo engine
+share both. Every random draw comes from its own stream
+SeedSequence([*prefix, purpose]): the engine passes the prefix
+(master_seed, rep_index), the CLI (seed,), so results are bit-identical
+across runs and across worker counts.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimation, graph as graphmod, model, sampling
-from .errors import AllRepsFailedError, ComputationError, ValidationError
+from .errors import AllRepsFailedError, ComputationError, ConnectivityError, ValidationError
 from .model import ModelParams
 
 # stream purposes, fixed forever for reproducibility
@@ -39,11 +40,23 @@ def stream(prefix, purpose: int) -> np.random.Generator:
 
 
 def draw_graph(prefix, n, p, allow_disconnected=False, max_attempts=1000):
-    """G(n, p) from the graph stream: the first connected draw, or any draw."""
+    """G(n, p) from the graph stream: the first draw with no isolated vertex.
+
+    The model's peer term is a neighbor mean, so every unit needs a
+    neighbor; the empty graph (n = 0) has no unit to lack one. With
+    `allow_disconnected` the first draw is kept as it is. Raises
+    ConnectivityError when each of the `max_attempts` draws has an
+    isolated vertex.
+    """
+    if max_attempts < 1:
+        raise ValidationError("max_attempts must be >= 1")
     rng = stream(prefix, STREAM_GRAPH)
-    if allow_disconnected:
-        return graphmod.generate_er(n, p, rng)
-    return graphmod.generate_connected_er(n, p, rng, max_attempts=max_attempts)
+    for _ in range(max_attempts):
+        g = graphmod.generate_er(n, p, rng)
+        # .all() is vacuously true on n = 0, where .min() would raise
+        if allow_disconnected or graphmod.degrees(g).all():
+            return g
+    raise ConnectivityError(max_attempts, n, p)
 
 
 def build_instance(

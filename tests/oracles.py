@@ -36,6 +36,12 @@ find_witness_loop(s) is the pair loop that `identification.find_witness`
 replaced by one scan: (j, l) of the first slack pair by index with distinct
 reported degrees, or None.
 
+reachable_oracle(g) tells whether every vertex is reachable from vertex 0
+by a depth-first search over Python lists. connected_er(n, p, rng) is the
+first `graph.generate_er` draw that reachable_oracle calls connected: the
+tests draw their graphs with it, and it is the full-connectivity rule that
+`montecarlo.draw_graph`'s isolated-vertex rule is checked against.
+
 population_induced(g, s) extends a sample's recruitment subgraph with the
 unsampled neighbors of the sampled units, the completion whose likelihood
 equals the full graph's: it finds the edges with array code and builds the
@@ -48,8 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from netpeer.errors import IsolatedVertexError, ValidationError
-from netpeer.graph import Graph, from_edges
+from netpeer.errors import ComputationError, IsolatedVertexError, ValidationError
+from netpeer.graph import Graph, from_edges, generate_er
 
 # binomial tail mass left out of the degree range
 _TAIL = 1e-16
@@ -181,6 +187,35 @@ def validate_graph(g) -> None:
     # reversed pairs give the same key set
     if not np.array_equal(src * n + indices, np.sort(indices * n + src)):
         raise ValidationError("asymmetric edge")
+
+
+def reachable_oracle(g) -> bool:
+    """True iff a search from vertex 0 reaches every vertex (n <= 1: True).
+
+    In an undirected graph that is connectivity: one vertex reaches all
+    exactly when every vertex does.
+    """
+    n = g.n_vertices
+    if n <= 1:
+        return True
+    indices, offsets = g.indices.tolist(), g.offsets.tolist()
+    seen, stack = {0}, [0]
+    while stack:
+        v = stack.pop()
+        for w in indices[offsets[v]:offsets[v + 1]]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == n
+
+
+def connected_er(n: int, p: float, rng, max_attempts: int = 1000) -> Graph:
+    """The first G(n, p) draw from rng that reachable_oracle calls connected."""
+    for _ in range(max_attempts):
+        g = generate_er(n, p, rng)
+        if reachable_oracle(g):
+            return g
+    raise ComputationError(f"no connected graph in {max_attempts} attempts (n={n}, p={p})")
 
 
 @dataclass

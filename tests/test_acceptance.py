@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import conftest
-from oracles import expected_scaling_factor, population_induced
+from oracles import connected_er, expected_scaling_factor, population_induced
 from netpeer import estimation, graph as graphmod, model, sampling
 from netpeer.cli import main as cli_main
 from netpeer.errors import ComputationError
@@ -122,7 +122,7 @@ def test_criterion_6_induced_subgraph_likelihood_exact(capsys):
     for seed in range(100):
         rng = np.random.default_rng((conftest.MASTER_SEED, 6, seed))
         n_pop = int(rng.integers(60, 201))
-        g = graphmod.generate_connected_er(n_pop, 0.08, rng)
+        g = connected_er(n_pop, 0.08, rng)
         x = gen_covariates(n_pop, 3.0, 1.5, rng)
         y = simulate_outcomes(g, x, PARAMS, rng)
         n = sampling.sample_size(n_pop, 0.4)
@@ -146,7 +146,7 @@ def test_criterion_7_swap_witness(capsys):
     while instances < 100:
         rng = np.random.default_rng((conftest.MASTER_SEED, 7, seed))
         seed += 1
-        g = graphmod.generate_connected_er(80, 0.08, rng)
+        g = connected_er(80, 0.08, rng)
         x = gen_covariates(80, 3.0, 1.5, rng)
         y = simulate_outcomes(g, x, PARAMS, rng)
         s = rns_sample(g, 30, rng, x, y)

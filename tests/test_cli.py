@@ -46,7 +46,7 @@ class TestGenerate:
         assert run(["generate", "--n", 60, "--p", 0.1, "--seed", 1, "--out", tmp_path]) == 0
         g = graphmod.read_edge_list(tmp_path / "graph.edges")
         assert g.n_vertices == 60
-        assert graphmod.is_connected(g)
+        assert graphmod.degrees(g).all()
 
     def test_bad_p_exits_2(self, tmp_path):
         assert run(["generate", "--n", 60, "--p", 1.5, "--out", tmp_path]) == 2
@@ -54,15 +54,31 @@ class TestGenerate:
     def test_allow_disconnected_keeps_the_first_draw(self, tmp_path):
         assert run(["generate", "--n", 100, "--p", 0.01, "--allow-disconnected",
                     "--out", tmp_path]) == 0
-        assert not graphmod.is_connected(graphmod.read_edge_list(tmp_path / "graph.edges"))
+        g = graphmod.read_edge_list(tmp_path / "graph.edges")
+        first = graphmod.generate_er(100, 0.01, montecarlo.stream((0,), montecarlo.STREAM_GRAPH))
+        assert g.edge_array().tolist() == first.edge_array().tolist()
+        assert not graphmod.degrees(g).all()
 
-    def test_connectivity_exhaustion_exits_3(self, tmp_path):
-        # p so small a connected graph on 100 vertices is hopeless
+    def test_connectivity_exhaustion_exits_3(self, tmp_path, capsys):
+        # p so small that every draw on 100 vertices has an isolated vertex
         code = run([
             "generate", "--n", 100, "--p", 0.0001,
             "--max-attempts", 3, "--out", tmp_path,
         ])
         assert code == 3
+        assert "no graph without an isolated vertex in 3 attempts" in capsys.readouterr().err
+
+    def test_empty_graph_exits_0(self, tmp_path):
+        # no vertex, so none is isolated
+        assert run(["generate", "--n", 0, "--p", 0.5, "--out", tmp_path]) == 0
+        assert (tmp_path / "graph.edges").read_text() == "# vertices=0\n"
+
+    def test_single_vertex_exits_3(self, tmp_path):
+        # its one vertex is isolated in every draw; kept only on request
+        assert run(["generate", "--n", 1, "--p", 0.5, "--out", tmp_path / "a"]) == 3
+        assert run(["generate", "--n", 1, "--p", 0.5, "--allow-disconnected",
+                    "--out", tmp_path / "b"]) == 0
+        assert (tmp_path / "b" / "graph.edges").read_text() == "# vertices=1\n"
 
 
 class TestSimulateAndFit:
@@ -438,7 +454,7 @@ class TestMcCommand:
         assert (tmp_path / "records_cell0.csv").exists()
 
     def test_failed_cell_does_not_stop_grid(self, tmp_path, capsys):
-        # at N=300, p=1% no draw is connected, so every rep of that cell fails
+        # at N=300, p=1% every draw has an isolated vertex, so every rep of that cell fails
         assert run([
             "mc", "--n-pop", "300,1000", "--density", "0.01", "--fraction", "0.2",
             "--reps", 4, "--seed", 5, "--save-records", "--out", tmp_path,
@@ -449,7 +465,7 @@ class TestMcCommand:
         # the failed cell's records still say why each replication failed
         failed = (tmp_path / "records_cell0.csv").read_text().splitlines()[1:]
         assert [r.split(",", 2)[:2] for r in failed] == [[str(i), "0"] for i in range(4)]
-        assert all("no connected graph found" in r for r in failed)
+        assert all("no graph without an isolated vertex" in r for r in failed)
         done = (tmp_path / "records_cell1.csv").read_text().splitlines()[1:]
         assert len(done) == 4 and all(r.split(",")[1] == "1" for r in done)
 
@@ -572,6 +588,10 @@ class TestInputBoundary:
          "--reps", 2, "--seed", -3],
         # round(0.2 * 10) = 2 sampled units, fewer than the fit's 4
         ["mc", "--n-pop", 10, "--density", 0.5, "--fraction", 0.2],
+        # the attempt budget is checked whether or not the first draw is kept
+        ["generate", "--n", 50, "--p", 0.2, "--max-attempts", 0, "--allow-disconnected"],
+        ["simulate", "--n", 50, "--p", 0.2, "--f", 0.5, "--max-attempts", 0,
+         "--allow-disconnected"],
     ])
     def test_bad_setting_exits_2(self, tmp_path, capsys, argv):
         assert run([*argv, "--out", tmp_path]) == 2

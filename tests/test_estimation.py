@@ -11,7 +11,7 @@ from netpeer.estimation import (
     fit_corrected,
     fit_mle,
 )
-from netpeer.graph import degrees, from_edges, generate_connected_er, generate_er
+from netpeer.graph import degrees, from_edges, generate_er
 from netpeer.model import ModelParams, conditional_means, gen_covariates, neighbor_mean_vector
 from netpeer.sampling import (
     RecruitmentSample,
@@ -20,7 +20,7 @@ from netpeer.sampling import (
     scaling_factor_variance,
 )
 
-from oracles import critical_value
+from oracles import connected_er, critical_value
 
 PARAMS = ModelParams(0.0, 1.0, 1.5, 1.0)
 
@@ -53,7 +53,7 @@ def census_sample(g, x, y):
 
 class TestBuildObservedDesign:
     def test_census_recovers_true_neighbor_means(self):
-        g = generate_connected_er(50, 0.15, np.random.default_rng(0))
+        g = connected_er(50, 0.15, np.random.default_rng(0))
         x = gen_covariates(50, 3.0, 1.5, np.random.default_rng(1))
         y = np.zeros(50)
         d = build_observed_design(census_sample(g, x, y))
@@ -115,7 +115,7 @@ class TestBuildObservedDesign:
 
 class TestFitMle:
     def test_noiseless_recovery(self):
-        g = generate_connected_er(60, 0.12, np.random.default_rng(2))
+        g = connected_er(60, 0.12, np.random.default_rng(2))
         x = gen_covariates(60, 3.0, 1.5, np.random.default_rng(3))
         y = conditional_means(g, x, PARAMS)  # sigma2 -> 0 limit
         fit = fit_mle(build_observed_design(census_sample(g, x, y)))
@@ -274,7 +274,7 @@ class TestApplyCorrection:
 
 class TestFitCorrected:
     def test_is_the_correction_chain(self):
-        g = generate_connected_er(200, 0.05, np.random.default_rng(21))
+        g = connected_er(200, 0.05, np.random.default_rng(21))
         x = gen_covariates(200, 3.0, 1.5, np.random.default_rng(22))
         y = conditional_means(g, x, PARAMS) + np.random.default_rng(23).normal(size=200)
         s = rns_sample(g, 80, np.random.default_rng(24), x, y)
@@ -348,7 +348,7 @@ class TestDiagnostics:
         assert not rep["degenerate_covariate"]
 
     def test_census_ratios_are_one(self):
-        g = generate_connected_er(50, 0.15, np.random.default_rng(11))
+        g = connected_er(50, 0.15, np.random.default_rng(11))
         x = gen_covariates(50, 3.0, 1.5, np.random.default_rng(12))
         y = conditional_means(g, x, PARAMS)
         s = census_sample(g, x, y)
@@ -360,7 +360,7 @@ class TestDiagnostics:
         assert rep["dropped_count"] == 0
 
     def test_constant_covariate_flagged(self):
-        g = generate_connected_er(30, 0.2, np.random.default_rng(13))
+        g = connected_er(30, 0.2, np.random.default_rng(13))
         x = np.full(30, 2.0)
         y = np.random.default_rng(14).normal(size=30)
         s = census_sample(g, x, y)

@@ -6,20 +6,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netpeer import graph as graphmod
-from oracles import csr_int64, degree, edge_list_error, edge_list_text, validate_graph
+from oracles import (
+    connected_er,
+    csr_int64,
+    degree,
+    edge_list_error,
+    edge_list_text,
+    reachable_oracle,
+    validate_graph,
+)
 from netpeer.errors import ConnectivityError, ValidationError
 from netpeer.graph import (
     Graph,
     degrees,
     from_edges,
-    generate_connected_er,
     generate_er,
     induced_subgraph,
-    is_connected,
     neighbor_sums,
     read_edge_list,
     write_edge_list,
 )
+from netpeer.montecarlo import STREAM_GRAPH, draw_graph, stream
 
 
 def star(n):
@@ -40,26 +47,6 @@ def same_csr(a, b):
         and np.array_equal(a.indices, b.indices)
         and np.array_equal(a.offsets, b.offsets)
     )
-
-
-def reachable_oracle(g):
-    """Brute-force reachability: DFS from every vertex over python sets."""
-    n = g.n_vertices
-    if n <= 1:
-        return True
-    adj = {j: set(g.neighbors(j).tolist()) for j in range(n)}
-    for start in range(n):
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != n:
-            return False
-    return True
 
 
 class TestGenerateEr:
@@ -129,63 +116,18 @@ class TestCsrKeyWidth:
 
 
 class TestConnectedEr:
+    """`montecarlo.draw_graph` redraws G(n, p) until no vertex is isolated."""
+
     def test_returns_connected(self):
-        g = generate_connected_er(50, 0.15, np.random.default_rng(3))
-        assert is_connected(g)
+        # the same graph as the first connected draw on the same stream
+        g = draw_graph((3,), 50, 0.15)
+        assert same_csr(g, connected_er(50, 0.15, stream((3,), STREAM_GRAPH)))
+        assert degrees(g).all() and reachable_oracle(g)
 
     def test_exhausted_attempts(self):
-        with pytest.raises(ConnectivityError) as err:
-            generate_connected_er(100, 0.001, np.random.default_rng(0), max_attempts=3)
+        with pytest.raises(ConnectivityError, match="without an isolated vertex") as err:
+            draw_graph((0,), 100, 0.001, max_attempts=3)
         assert err.value.attempts == 3
-
-
-class TestIsConnected:
-    def test_path_connected(self):
-        assert is_connected(path(3))
-
-    def test_two_disjoint_edges(self):
-        assert not is_connected(from_edges(4, [(0, 1), (2, 3)]))
-
-    def test_nine_vertex_connected(self):
-        # a 9-vertex connected graph with a few cross ties
-        g = from_edges(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
-                           (6, 7), (7, 8), (1, 5), (2, 7)])
-        assert is_connected(g)
-
-    def test_trivial_graphs(self):
-        assert is_connected(from_edges(0, []))
-        assert is_connected(from_edges(1, []))
-
-    def test_matches_oracle_exhaustively_small(self):
-        # every graph on up to 6 vertices
-        for n in range(2, 7):
-            pairs = list(itertools.combinations(range(n), 2))
-            for bits in range(2 ** len(pairs)):
-                edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-                g = from_edges(n, np.array(edges).reshape(-1, 2))
-                assert is_connected(g) == reachable_oracle(g)
-
-    @pytest.mark.parametrize("shape", ["isolated last vertex", "two components"])
-    def test_matches_oracle_when_disconnected(self, shape):
-        g = generate_connected_er(60, 0.15, np.random.default_rng(4))
-        edges = g.edge_array()
-        if shape == "isolated last vertex":
-            h = from_edges(61, edges)
-        else:
-            h = from_edges(120, np.vstack([edges, edges + 60]))
-        assert is_connected(g) and reachable_oracle(g)
-        assert not is_connected(h) and not reachable_oracle(h)
-
-    def test_matches_oracle_random_larger(self):
-        # random sample at 7 and 8 vertices (exhaustive is out of reach)
-        rng = np.random.default_rng(11)
-        for n in (7, 8):
-            pairs = list(itertools.combinations(range(n), 2))
-            for _ in range(300):
-                mask = rng.random(len(pairs)) < rng.uniform(0.05, 0.5)
-                edges = [pairs[i] for i in range(len(pairs)) if mask[i]]
-                g = from_edges(n, np.array(edges).reshape(-1, 2))
-                assert is_connected(g) == reachable_oracle(g)
 
 
 class TestDegrees:
@@ -455,17 +397,6 @@ def set_adjacency(n, edges):
     return adj
 
 
-def set_connected(n, adj):
-    if n <= 1:
-        return True
-    seen, stack = {0}, [0]
-    while stack:
-        for w in adj[stack.pop()] - seen:
-            seen.add(w)
-            stack.append(w)
-    return len(seen) == n
-
-
 @st.composite
 def edge_lists(draw):
     n = draw(st.integers(0, 12))
@@ -487,7 +418,6 @@ class TestAgainstSetAdjacency:
         adj = set_adjacency(n, edges)
         assert [set(g.neighbors(j).tolist()) for j in range(n)] == [adj[j] for j in range(n)]
         assert g.edge_array().tolist() == sorted(sorted(e) for e in edges)
-        assert is_connected(g) == set_connected(n, adj)
         vals = np.arange(n) + 0.5  # sums of these are exact
         assert neighbor_sums(g, vals).tolist() == [sum(vals[k] for k in adj[j]) for j in range(n)]
 

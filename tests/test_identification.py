@@ -3,9 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import candidate_means_loop, find_witness_loop, population_induced
+from oracles import (
+    candidate_means_loop, connected_er, find_witness_loop, population_induced,
+)
 from netpeer.errors import IsolatedVertexError, NoSlackError, ValidationError
-from netpeer.graph import degrees, from_edges, generate_connected_er, induced_subgraph
+from netpeer.graph import degrees, from_edges, induced_subgraph
 from netpeer.identification import (
     build_swap_pair,
     candidate_means,
@@ -22,7 +24,7 @@ PARAMS = ModelParams(0.0, 1.0, 1.5, 1.0)
 
 def make_instance(seed=0, n_pop=60, p=0.12, n=20):
     rng = np.random.default_rng(seed)
-    g = generate_connected_er(n_pop, p, rng)
+    g = connected_er(n_pop, p, rng)
     x = gen_covariates(n_pop, 3.0, 1.5, rng)
     y = simulate_outcomes(g, x, PARAMS, rng)
     return g, x, rns_sample(g, n, rng, x, y)
@@ -234,7 +236,7 @@ class TestFindWitness:
 
     def test_none_when_no_slack(self):
         # census sample: every unit's neighbors are all observed
-        g = generate_connected_er(20, 0.3, np.random.default_rng(0))
+        g = connected_er(20, 0.3, np.random.default_rng(0))
         x = gen_covariates(20, 3.0, 1.5, np.random.default_rng(1))
         y = simulate_outcomes(g, x, PARAMS, np.random.default_rng(2))
         s = rns_sample(g, 20, np.random.default_rng(3), x, y)

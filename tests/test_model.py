@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from netpeer.errors import IsolatedVertexError, ValidationError
-from netpeer.graph import from_edges, generate_connected_er, generate_er
+from netpeer.graph import from_edges, generate_er
 from netpeer.model import (
     ModelParams,
     check_covariates,
@@ -17,7 +17,7 @@ from netpeer.model import (
     write_unit_csv,
 )
 from netpeer.sampling import rns_sample
-from oracles import neighborhood_mean, population_induced
+from oracles import connected_er, neighborhood_mean, population_induced
 
 PARAMS = ModelParams(0.0, 1.0, 1.5, 1.0)
 
@@ -79,7 +79,7 @@ class TestNeighborhoodMean:
         assert neighborhood_mean(g, [5.0, -3.25], 0) == -3.25
 
     def test_constant_covariate(self):
-        g = generate_connected_er(30, 0.2, np.random.default_rng(0))
+        g = connected_er(30, 0.2, np.random.default_rng(0))
         x = np.full(30, 7.5)
         means = neighbor_mean_vector(g, x)
         assert np.allclose(means, 7.5)
@@ -92,14 +92,14 @@ class TestNeighborhoodMean:
             neighbor_mean_vector(g, np.ones(3))
 
     def test_vector_matches_scalar(self):
-        g = generate_connected_er(40, 0.15, np.random.default_rng(2))
+        g = connected_er(40, 0.15, np.random.default_rng(2))
         x = np.random.default_rng(3).normal(size=40)
         means = neighbor_mean_vector(g, x)
         for j in range(40):
             assert means[j] == pytest.approx(neighborhood_mean(g, x, j), abs=1e-12)
 
     def test_affine_shift(self):
-        g = generate_connected_er(25, 0.2, np.random.default_rng(4))
+        g = connected_er(25, 0.2, np.random.default_rng(4))
         x = np.random.default_rng(5).normal(size=25)
         shift = neighbor_mean_vector(g, x + 3.7) - neighbor_mean_vector(g, x)
         assert np.allclose(shift, 3.7, atol=1e-12)
@@ -107,7 +107,7 @@ class TestNeighborhoodMean:
 
 class TestOutcomes:
     def test_noiseless_constant_covariate(self):
-        g = generate_connected_er(20, 0.3, np.random.default_rng(0))
+        g = connected_er(20, 0.3, np.random.default_rng(0))
         means = conditional_means(g, np.ones(20), ModelParams(0, 1, 1.5, 1))
         assert np.allclose(means, 2.5)
 
@@ -120,7 +120,7 @@ class TestOutcomes:
         assert np.allclose(means, expected)
 
     def test_noise_has_model_variance(self):
-        g = generate_connected_er(20, 0.4, np.random.default_rng(1))
+        g = connected_er(20, 0.4, np.random.default_rng(1))
         x = np.ones(20)
         params = ModelParams(0, 1, 1.5, 4.0)
         draws = np.array([
@@ -166,7 +166,7 @@ class TestFullVsInducedLikelihood:
         # on the full graph or on the extended sampled subgraph
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            g = generate_connected_er(80, 0.08, rng)
+            g = connected_er(80, 0.08, rng)
             x = gen_covariates(80, 3.0, 1.5, rng)
             s = rns_sample(g, 25, rng, x)
             p = population_induced(g, s)

@@ -21,6 +21,7 @@ from netpeer.montecarlo import (
     ExperimentCell,
     RepRecord,
     build_instance,
+    draw_graph,
     run_cell,
     run_replication,
     run_reps,
@@ -29,6 +30,7 @@ from netpeer.montecarlo import (
     write_grid_csv,
     write_records_csv,
 )
+from oracles import connected_er, reachable_oracle
 
 PARAMS = ModelParams(0.0, 1.0, 1.5, 1.0)
 
@@ -310,6 +312,21 @@ class TestWorkerPool:
         assert not any(map(_alive, pids))
 
 
+class TestDrawGraph:
+    def test_same_graph_as_the_connected_rule_at_the_paper_density(self):
+        # at N=10^3, p=1% a draw with no isolated vertex is connected, so both
+        # rules keep the same draw of the same stream, redrawn or not
+        redrawn = 0
+        for rep in range(300):
+            g = draw_graph((0, rep), 1000, 0.01)
+            want = connected_er(1000, 0.01, stream((0, rep), STREAM_GRAPH))
+            assert g.indices.tobytes() == want.indices.tobytes()
+            assert g.offsets.tobytes() == want.offsets.tobytes()
+            first = graphmod.generate_er(1000, 0.01, stream((0, rep), STREAM_GRAPH))
+            redrawn += not graphmod.degrees(first).all()
+        assert redrawn == 18
+
+
 class TestAllowDisconnected:
     """A replication keeps its first graph draw, connected or not."""
 
@@ -322,10 +339,10 @@ class TestAllowDisconnected:
 
     def test_connected_first_draw_gives_the_same_record(self):
         strict = dataclasses.replace(self.CELL, allow_disconnected=False)
-        connected = [i for i in range(self.CELL.reps)
-                     if graphmod.is_connected(self.first_draw(i))]
-        assert len(connected) == 7
-        for i in connected:
+        kept = [i for i in range(self.CELL.reps) if graphmod.degrees(self.first_draw(i)).all()]
+        assert len(kept) == 7
+        for i in kept:
+            assert reachable_oracle(self.first_draw(i))
             assert run_replication(self.CELL, i) == run_replication(strict, i)
 
     def test_isolated_vertex_fails_the_replication(self):

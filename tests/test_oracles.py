@@ -1,8 +1,10 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from oracles import expected_scaling_factor
+from netpeer.graph import from_edges
+from oracles import connected_er, expected_scaling_factor, reachable_oracle
 
 
 class TestExpectedScalingFactor:
@@ -36,3 +38,31 @@ class TestExpectedScalingFactor:
             small = expected_scaling_factor(1000, 0.01, f)
             large = expected_scaling_factor(10_000, 0.01, f)
             assert small < large < f
+
+
+class TestReachableOracle:
+    def test_path_connected(self):
+        assert reachable_oracle(from_edges(3, [(0, 1), (1, 2)]))
+
+    def test_two_disjoint_edges(self):
+        assert not reachable_oracle(from_edges(4, [(0, 1), (2, 3)]))
+
+    def test_nine_vertex_connected(self):
+        # a 9-vertex connected graph with a few cross ties
+        g = from_edges(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
+                           (6, 7), (7, 8), (1, 5), (2, 7)])
+        assert reachable_oracle(g)
+
+    def test_trivial_graphs(self):
+        assert reachable_oracle(from_edges(0, []))
+        assert reachable_oracle(from_edges(1, []))
+
+    @pytest.mark.parametrize("shape", ["isolated last vertex", "two components"])
+    def test_disconnected(self, shape):
+        g = connected_er(60, 0.15, np.random.default_rng(4))
+        edges = g.edge_array()
+        if shape == "isolated last vertex":
+            h = from_edges(61, edges)
+        else:
+            h = from_edges(120, np.vstack([edges, edges + 60]))
+        assert reachable_oracle(g) and not reachable_oracle(h)
