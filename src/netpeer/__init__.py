@@ -42,3 +42,18 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def _keep_freed_heap() -> bool:
+    """Keep freed heap in the process, so an N=10^4 rep does not fault in ~80 MB anew."""
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt (macOS, Windows): no-op
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # M_MMAP_THRESHOLD (-3) 32 MiB, M_TRIM_THRESHOLD (-1) 128 MiB: one alone is not enough
+    return [mallopt(-3, 32 << 20), mallopt(-1, 128 << 20)] == [1, 1]
+
+
+_HEAP_KEPT = _keep_freed_heap()
