@@ -63,7 +63,6 @@ _SCHEMAS = {
         "p": (float, _REQUIRED),
         "f": (float, _REQUIRED),
         "seed": (int, 0),
-        "allow_disconnected": (_boolean, False),
         "max_attempts": (int, 1000),
         **{k: (float, v) for k, v in _MODEL_DEFAULTS.items()},
     },
@@ -82,7 +81,6 @@ _SCHEMAS = {
         "seed": (int, 0),
         "workers": (int, 1),
         "fixed_graph": (_boolean, False),
-        "allow_disconnected": (_boolean, False),
         "save_records": (_boolean, False),
         **{k: (float, v) for k, v in _MODEL_DEFAULTS.items()},
     },
@@ -165,7 +163,7 @@ def _model_params(v: dict) -> ModelParams:
 
 def _instance(v: dict):
     """`simulate` and `identify-demo`: the shared builder under seed prefix (seed,)."""
-    graph_opts = {k: v[k] for k in ("allow_disconnected", "max_attempts") if k in v}
+    graph_opts = {"max_attempts": v["max_attempts"]} if "max_attempts" in v else {}
     model.check_covariates(v["x_mean"], v["x_sd"])  # before the graph draw
     return montecarlo.build_instance(
         (v["seed"],), v["n"], v["p"], v["f"], _model_params(v), v["x_mean"], v["x_sd"],
@@ -224,7 +222,6 @@ def _cmd_mc(v: dict, out: str) -> None:
             n_pop=n, density=p, fraction=f, params=params,
             x_mean=v["x_mean"], x_sd=v["x_sd"], reps=v["reps"], level=v["level"],
             master_seed=v["seed"], fixed_graph=v["fixed_graph"],
-            allow_disconnected=v["allow_disconnected"],
         )
         for n, p, f in itertools.product(v["n_pop"], v["density"], v["fraction"])
     ]

@@ -42,7 +42,6 @@ class ObservedDesign:
     X: np.ndarray
     y: np.ndarray
     dropped_count: int
-    retained_ids: np.ndarray  # local (within-sample) indices of retained units
 
     @property
     def n_used(self) -> int:
@@ -101,9 +100,7 @@ def build_observed_design(s: RecruitmentSample) -> ObservedDesign:
     sums = graphmod.neighbor_sums(s.g_r, s.x_obs)
     x_star = sums[retained] / s.observed_degrees[retained]
     X = np.column_stack([np.ones(retained.size), s.x_obs[retained], x_star])
-    return ObservedDesign(
-        X=X, y=s.y_obs[retained], dropped_count=int(dropped), retained_ids=retained
-    )
+    return ObservedDesign(X=X, y=s.y_obs[retained], dropped_count=int(dropped))
 
 
 def _collinear_detail(X: np.ndarray) -> str:

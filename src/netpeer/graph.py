@@ -34,10 +34,6 @@ class Graph:
     indices: np.ndarray  # int64; rows sorted, no duplicates, no self-loops
     offsets: np.ndarray  # int64, length n_vertices + 1, offsets[0] == 0
 
-    def neighbors(self, j: int) -> np.ndarray:
-        """Sorted neighbors of vertex j (a view into `indices`)."""
-        return self.indices[self.offsets[j]:self.offsets[j + 1]]
-
     def n_edges(self) -> int:
         return self.indices.size // 2
 

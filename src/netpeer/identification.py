@@ -26,12 +26,10 @@ class CompletionCandidate:
     """A candidate completion: the recruitment subgraph plus attached units.
 
     Local indices 0..n-1 are the sampled units; appended units follow.
-    attachments lists (sampled local id, appended local id) edges.
     """
 
     g_p: Graph
     x_tilde: np.ndarray
-    attachments: tuple
 
 
 @dataclass
@@ -43,8 +41,6 @@ class WitnessPair:
     observed: RecruitmentSample
     j: int
     l: int
-    u1: int
-    u2: int
     d_j: int
     d_l: int
     x_u1: float
@@ -105,11 +101,7 @@ def build_swap_pair(
         edges = np.concatenate(
             [base, np.array([[j, edge_j], [l, edge_l]], dtype=np.int64)]
         )
-        return CompletionCandidate(
-            g_p=graphmod.from_edges(n + 2, edges),
-            x_tilde=x_tilde,
-            attachments=((j, int(edge_j)), (l, int(edge_l))),
-        )
+        return CompletionCandidate(g_p=graphmod.from_edges(n + 2, edges), x_tilde=x_tilde)
 
     return WitnessPair(
         a=candidate(u1, u2),
@@ -117,8 +109,6 @@ def build_swap_pair(
         observed=observed,
         j=j,
         l=l,
-        u1=u1,
-        u2=u2,
         d_j=int(observed.reported_degrees[j]),
         d_l=int(observed.reported_degrees[l]),
         x_u1=float(x_u1),

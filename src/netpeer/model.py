@@ -46,8 +46,7 @@ def check_covariates(mean: float, sd: float) -> None:
 def gen_covariates(
     n: int, mean: float, sd: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """i.i.d. Gaussian covariates; deterministic given the generator state."""
-    check_covariates(mean, sd)
+    """i.i.d. Gaussian covariates of a law that passed `check_covariates`."""
     return rng.normal(mean, sd, size=n)
 
 

@@ -61,14 +61,14 @@ def draw_graph(prefix, n, p, allow_disconnected=False, max_attempts=1000):
 
 def build_instance(
     prefix, n_pop, density, fraction, params: ModelParams, x_mean=3.0, x_sd=1.5,
-    allow_disconnected=False, max_attempts=1000, graph=None,
+    max_attempts=1000, graph=None,
 ):
     """One simulated instance: graph, covariates, outcomes and an RNS sample.
 
     Returns (g, x, y, sample). A given `graph` replaces the graph draw.
     """
     g = graph if graph is not None else draw_graph(
-        prefix, n_pop, density, allow_disconnected, max_attempts
+        prefix, n_pop, density, max_attempts=max_attempts
     )
     x = model.gen_covariates(n_pop, x_mean, x_sd, stream(prefix, STREAM_COVARIATES))
     y = model.simulate_outcomes(g, x, params, stream(prefix, STREAM_NOISE))
@@ -91,7 +91,6 @@ class ExperimentCell:
     level: float = 0.95
     master_seed: int = 0
     fixed_graph: bool = False
-    allow_disconnected: bool = False
 
     def __post_init__(self):
         if not 1 <= self.reps <= MAX_REPS:
@@ -148,8 +147,7 @@ def run_replication(cell: ExperimentCell, rep_index: int, graph=None) -> RepReco
     try:
         *_, s = build_instance(
             (cell.master_seed, rep_index), cell.n_pop, cell.density, cell.fraction,
-            cell.params, cell.x_mean, cell.x_sd,
-            allow_disconnected=cell.allow_disconnected, graph=graph,
+            cell.params, cell.x_mean, cell.x_sd, graph=graph,
         )
         fit = estimation.fit_corrected(s, level=cell.level)
     except ComputationError as exc:
@@ -214,7 +212,7 @@ def run_reps(cell: ExperimentCell, workers: int = 1) -> list:
     if not 1 <= workers <= MAX_WORKERS:
         raise ValidationError(f"workers must be in [1, {MAX_WORKERS}]")
     shared = draw_graph(
-        (cell.master_seed, 0), cell.n_pop, cell.density, cell.allow_disconnected
+        (cell.master_seed, 0), cell.n_pop, cell.density
     ) if cell.fixed_graph else None
     indices = list(range(cell.reps))
     if workers == 1:

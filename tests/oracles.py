@@ -109,7 +109,7 @@ def edge_list_text(g, tags=()) -> str:
     """The edge-list file: the header, one `# tag` line per tag, then `j,k` per edge."""
     lines = [f"# vertices={g.n_vertices}\n"] + [f"# {tag}\n" for tag in tags]
     for j in range(g.n_vertices):
-        lines += [f"{j},{k}\n" for k in g.neighbors(j).tolist() if k > j]
+        lines += [f"{j},{k}\n" for k in neighbors(g, j).tolist() if k > j]
     return "".join(lines)
 
 
@@ -147,6 +147,11 @@ def candidate_means_loop(candidate, observed, params) -> np.ndarray:
         peer = float(candidate.x_tilde[nbrs].sum()) / observed.reported_degrees[r]
         means[r] = params.beta0 + params.beta1 * observed.x_obs[r] + params.beta2 * peer
     return means
+
+
+def neighbors(g, j: int) -> np.ndarray:
+    """Sorted neighbors of vertex j: row j of the CSR arrays (a view into `indices`)."""
+    return g.indices[g.offsets[j]:g.offsets[j + 1]]
 
 
 def neighborhood_mean(g, x, j: int) -> float:

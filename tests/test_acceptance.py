@@ -221,7 +221,7 @@ def test_criterion_8_ols_oracle(capsys):
             np.ones(n), rng.normal(3.0, 1.5, n), rng.normal(3.0, 1.0, n),
         ])
         y = rng.normal(0.0, 2.0, n)
-        d = ObservedDesign(X=X, y=y, dropped_count=0, retained_ids=np.arange(n))
+        d = ObservedDesign(X=X, y=y, dropped_count=0)
         try:
             fit = fit_mle(d)
         except ComputationError:

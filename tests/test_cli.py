@@ -221,6 +221,24 @@ class TestConfigFile:
         cfg.write_text("[generate]\nn = 70\np = 0.09\nbogus = 1\n")
         assert run(["generate", "--config", cfg, "--out", tmp_path]) == 2
 
+    @pytest.mark.parametrize("command, settings", [
+        ("mc", "n_pop = 100\ndensity = 0.1\nfraction = 0.5\nreps = 2\n"),
+        ("simulate", "n = 40\np = 0.15\nf = 0.5\n"),
+    ], ids=["mc", "simulate"])
+    def test_allow_disconnected_is_unknown(self, tmp_path, capsys, command, settings):
+        # simulate and mc always redraw a graph with an isolated vertex; a
+        # run_config.txt written while they had the setting names it
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[{command}]\n{settings}allow_disconnected = no\n")
+        assert run([command, "--config", cfg, "--out", tmp_path / "a"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: unknown key 'allow_disconnected'")
+        with pytest.raises(SystemExit) as info:
+            run([command, "--config", cfg, "--allow-disconnected", "--out", tmp_path / "b"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --allow-disconnected" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
     def test_missing_required_rejected(self, tmp_path):
         assert run(["generate", "--n", 50, "--out", tmp_path]) == 2
 
@@ -590,8 +608,7 @@ class TestInputBoundary:
         ["mc", "--n-pop", 10, "--density", 0.5, "--fraction", 0.2],
         # the attempt budget is checked whether or not the first draw is kept
         ["generate", "--n", 50, "--p", 0.2, "--max-attempts", 0, "--allow-disconnected"],
-        ["simulate", "--n", 50, "--p", 0.2, "--f", 0.5, "--max-attempts", 0,
-         "--allow-disconnected"],
+        ["simulate", "--n", 50, "--p", 0.2, "--f", 0.5, "--max-attempts", 0],
     ])
     def test_bad_setting_exits_2(self, tmp_path, capsys, argv):
         assert run([*argv, "--out", tmp_path]) == 2

@@ -20,7 +20,7 @@ from netpeer.sampling import (
     scaling_factor_variance,
 )
 
-from oracles import connected_er, critical_value
+from oracles import connected_er, critical_value, neighbors
 
 PARAMS = ModelParams(0.0, 1.0, 1.5, 1.0)
 
@@ -75,7 +75,7 @@ class TestBuildObservedDesign:
         # guard is at 4 rows; compute x* directly instead
         flat_means = []
         for j in range(3):
-            nb = sub.neighbors(j)
+            nb = neighbors(sub, j)
             flat_means.append(s.x_obs[nb].mean())
         assert flat_means == [2.0, 2.0, 2.0]
 
@@ -128,7 +128,7 @@ class TestFitMle:
             [0.2, 1.1, -0.4, 2.2, 0.9],
         ])
         y = np.array([1.0, 0.4, -0.7, 2.2, 1.5])
-        d = ObservedDesign(X=X, y=y, dropped_count=0, retained_ids=np.arange(5))
+        d = ObservedDesign(X=X, y=y, dropped_count=0)
         fit = fit_mle(d)
         assert np.max(np.abs(fit.beta_hat - normal_equations_oracle(X, y))) < 1e-10
 
@@ -139,14 +139,13 @@ class TestFitMle:
             n = int(rng.integers(4, 13))
             X = np.column_stack([np.ones(n), rng.normal(size=n), rng.normal(size=n)])
             y = rng.normal(size=n)
-            d = ObservedDesign(X=X, y=y, dropped_count=0, retained_ids=np.arange(n))
+            d = ObservedDesign(X=X, y=y, dropped_count=0)
             fit = fit_mle(d)
             assert np.max(np.abs(fit.beta_hat - normal_equations_oracle(X, y))) < 1e-10
 
     def test_constant_peer_column_rejected(self):
         X = np.column_stack([np.ones(6), np.arange(6.0), np.full(6, 2.0)])
-        d = ObservedDesign(X=X, y=np.arange(6.0), dropped_count=0,
-                           retained_ids=np.arange(6))
+        d = ObservedDesign(X=X, y=np.arange(6.0), dropped_count=0)
         with pytest.raises(RankDeficiencyError) as err:
             fit_mle(d)
         assert "peer_mean" in str(err.value)
@@ -162,15 +161,13 @@ class TestFitMle:
     ], ids=["collinear", "constant own_x", "huge own_x"])
     def test_rank_deficiency_names_the_cause(self, own_x, peer, message):
         X = np.column_stack([np.ones(6), own_x, peer])
-        d = ObservedDesign(X=X, y=np.arange(6.0), dropped_count=0,
-                           retained_ids=np.arange(6))
+        d = ObservedDesign(X=X, y=np.arange(6.0), dropped_count=0)
         with pytest.raises(RankDeficiencyError, match=message):
             fit_mle(d)
 
     def test_level_validation(self):
         X = np.column_stack([np.ones(5), np.arange(5.0), np.arange(5.0) ** 2])
-        d = ObservedDesign(X=X, y=np.arange(5.0), dropped_count=0,
-                           retained_ids=np.arange(5))
+        d = ObservedDesign(X=X, y=np.arange(5.0), dropped_count=0)
         with pytest.raises(ValidationError):
             fit_mle(d, level=1.2)
 
@@ -178,7 +175,7 @@ class TestFitMle:
         rng = np.random.default_rng(3)
         X = np.column_stack([np.ones(8), rng.normal(size=8), rng.normal(size=8)])
         y = rng.normal(size=8)
-        d = ObservedDesign(X=X, y=y, dropped_count=0, retained_ids=np.arange(8))
+        d = ObservedDesign(X=X, y=y, dropped_count=0)
         z_fit = fit_mle(d, use_t=False)
         t_fit = fit_mle(d, use_t=True)
         assert (t_fit.ci_naive[1] - t_fit.ci_naive[0]) > (
@@ -189,8 +186,7 @@ class TestFitMle:
     def test_critical_value_equals_scipy_stats(self, n):
         rng = np.random.default_rng(n)
         X = np.column_stack([np.ones(n), rng.normal(size=n), rng.normal(size=n)])
-        d = ObservedDesign(X=X, y=rng.normal(size=n), dropped_count=0,
-                           retained_ids=np.arange(n))
+        d = ObservedDesign(X=X, y=rng.normal(size=n), dropped_count=0)
         for level in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
             assert fit_mle(d, level=level).crit == critical_value(level)
             assert fit_mle(d, level=level, use_t=True).crit == critical_value(level, n - 3)
@@ -201,7 +197,7 @@ class TestApplyCorrection:
         rng = np.random.default_rng(4)
         X = np.column_stack([np.ones(20), rng.normal(size=20), rng.normal(size=20)])
         y = rng.normal(size=20)
-        d = ObservedDesign(X=X, y=y, dropped_count=0, retained_ids=np.arange(20))
+        d = ObservedDesign(X=X, y=y, dropped_count=0)
         return fit_mle(d)
 
     def test_census_w_one_is_identity(self):
@@ -241,8 +237,7 @@ class TestApplyCorrection:
         rng = np.random.default_rng(4)
         X = np.column_stack([np.ones(20), rng.normal(size=20), rng.normal(size=20)])
         y = rng.normal(size=20) * np.linspace(0.2, 3.0, 20)
-        fit = fit_mle(ObservedDesign(X=X, y=y, dropped_count=0,
-                                     retained_ids=np.arange(20)))
+        fit = fit_mle(ObservedDesign(X=X, y=y, dropped_count=0))
         n = 20
         bread = np.linalg.inv(X.T @ X)
         e = [y[i] - sum(X[i, k] * fit.beta_hat[k] for k in range(3)) for i in range(n)]
@@ -293,8 +288,7 @@ class TestAsymptoticVariance:
     def _fit(self):
         rng = np.random.default_rng(5)
         X = np.column_stack([np.ones(30), rng.normal(size=30), rng.normal(size=30)])
-        d = ObservedDesign(X=X, y=rng.normal(size=30), dropped_count=0,
-                           retained_ids=np.arange(30))
+        d = ObservedDesign(X=X, y=rng.normal(size=30), dropped_count=0)
         return d, fit_mle(d)
 
     def test_w_one_is_classical_slope_variance(self):
@@ -313,8 +307,7 @@ class TestAsymptoticVariance:
 
     def test_zero_regressor_variance_rejected(self):
         X = np.column_stack([np.ones(5), np.arange(5.0), np.full(5, 1.0)])
-        d = ObservedDesign(X=X, y=np.arange(5.0), dropped_count=0,
-                           retained_ids=np.arange(5))
+        d = ObservedDesign(X=X, y=np.arange(5.0), dropped_count=0)
         with pytest.raises(RankDeficiencyError):
             fit_mle(d)
 
@@ -373,8 +366,7 @@ class TestSerialization:
     def test_json_fields(self):
         rng = np.random.default_rng(15)
         X = np.column_stack([np.ones(10), rng.normal(size=10), rng.normal(size=10)])
-        d = ObservedDesign(X=X, y=rng.normal(size=10), dropped_count=2,
-                           retained_ids=np.arange(10))
+        d = ObservedDesign(X=X, y=rng.normal(size=10), dropped_count=2)
         fit = apply_correction(fit_mle(d), 0.5)
         import json
 

@@ -12,6 +12,7 @@ from oracles import (
     degree,
     edge_list_error,
     edge_list_text,
+    neighbors,
     reachable_oracle,
     validate_graph,
 )
@@ -416,7 +417,7 @@ class TestAgainstSetAdjacency:
         g = from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
         validate_graph(g)
         adj = set_adjacency(n, edges)
-        assert [set(g.neighbors(j).tolist()) for j in range(n)] == [adj[j] for j in range(n)]
+        assert [set(neighbors(g, j).tolist()) for j in range(n)] == [adj[j] for j in range(n)]
         assert g.edge_array().tolist() == sorted(sorted(e) for e in edges)
         vals = np.arange(n) + 0.5  # sums of these are exact
         assert neighbor_sums(g, vals).tolist() == [sum(vals[k] for k in adj[j]) for j in range(n)]
@@ -425,7 +426,7 @@ class TestAgainstSetAdjacency:
         sub, mapping = induced_subgraph(g, members)
         validate_graph(sub)
         new = {old: i for i, old in enumerate(members)}
-        assert [set(sub.neighbors(new[j]).tolist()) for j in members] == [
+        assert [set(neighbors(sub, new[j]).tolist()) for j in members] == [
             {new[k] for k in adj[j] if k in new} for j in members
         ]
         assert mapping.tolist() == [new.get(j, -1) for j in range(n)]

@@ -71,7 +71,6 @@ class TestIsCompatible:
         broken = CompletionCandidate(
             g_p=graphmod.from_edges(pair.a.g_p.n_vertices, np.array(broken_edges)),
             x_tilde=pair.a.x_tilde,
-            attachments=pair.a.attachments,
         )
         assert not is_compatible(broken, s)
 
@@ -82,9 +81,7 @@ class TestIsCompatible:
 
         x_bad = pair.a.x_tilde.copy()
         x_bad[2] += 1.0
-        broken = CompletionCandidate(
-            g_p=pair.a.g_p, x_tilde=x_bad, attachments=pair.a.attachments
-        )
+        broken = CompletionCandidate(g_p=pair.a.g_p, x_tilde=x_bad)
         assert not is_compatible(broken, s)
 
 
@@ -93,7 +90,8 @@ class TestBuildSwapPair:
         s = hand_sample()
         pair = build_swap_pair(s, 0, 1, 5.0, -5.0)
         n = s.n
-        assert pair.u1 == n and pair.u2 == n + 1
+        # the attached units n and n + 1 carry x_u1 and x_u2
+        assert pair.a.x_tilde[n:].tolist() == [5.0, -5.0]
         # candidates differ exactly in the two attachment edges
         a_edges = {tuple(e) for e in pair.a.g_p.edge_array()}
         b_edges = {tuple(e) for e in pair.b.g_p.edge_array()}
@@ -205,11 +203,7 @@ class TestLikelihoodGap:
     def test_identical_candidates_zero(self):
         s = hand_sample()
         pair = build_swap_pair(s, 0, 1, 5.0, 4.0)
-        clone = type(pair)(
-            a=pair.a, b=pair.a, observed=s, j=pair.j, l=pair.l,
-            u1=pair.u1, u2=pair.u2, d_j=pair.d_j, d_l=pair.d_l,
-            x_u1=pair.x_u1, x_u2=pair.x_u2,
-        )
+        clone = dataclasses.replace(pair, b=pair.a)
         assert likelihood_gap(clone, s.y_obs, PARAMS) == 0.0
 
     def test_generic_pair_positive(self):

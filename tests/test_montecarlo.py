@@ -33,7 +33,7 @@ from netpeer.montecarlo import (
     write_grid_csv,
     write_records_csv,
 )
-from oracles import connected_er, reachable_oracle
+from oracles import connected_er
 
 PARAMS = ModelParams(0.0, 1.0, 1.5, 1.0)
 
@@ -364,32 +364,24 @@ class TestDrawGraph:
 
 
 class TestAllowDisconnected:
-    """A replication keeps its first graph draw, connected or not."""
+    """A given graph with an isolated vertex, such as the first draw that
+    `generate --allow-disconnected` keeps, fails its replication."""
 
     # at N=200, p=3% and seed 42, 5 of the 12 first draws have an isolated vertex
-    CELL = small_cell(density=0.03, allow_disconnected=True)
+    CELL = small_cell(density=0.03)
 
     def first_draw(self, rep):
         rng = stream((self.CELL.master_seed, rep), STREAM_GRAPH)
         return graphmod.generate_er(self.CELL.n_pop, self.CELL.density, rng)
 
-    def test_connected_first_draw_gives_the_same_record(self):
-        strict = dataclasses.replace(self.CELL, allow_disconnected=False)
-        kept = [i for i in range(self.CELL.reps) if graphmod.degrees(self.first_draw(i)).all()]
-        assert len(kept) == 7
-        for i in kept:
-            assert reachable_oracle(self.first_draw(i))
-            assert run_replication(self.CELL, i) == run_replication(strict, i)
-
     def test_isolated_vertex_fails_the_replication(self):
-        isolated = [i for i in range(self.CELL.reps)
-                    if graphmod.degrees(self.first_draw(i)).min() == 0]
+        draws = {i: self.first_draw(i) for i in range(self.CELL.reps)}
+        isolated = [i for i, g in draws.items() if graphmod.degrees(g).min() == 0]
         assert isolated == [1, 3, 4, 8, 10]
-        report, records = run_cell(self.CELL)
-        assert [r.rep_index for r in records if not r.ok] == isolated
-        assert all("is isolated" in r.error for r in records if not r.ok)
-        assert report.reps_failed == len(isolated)
-        assert report.reps_completed == self.CELL.reps - len(isolated)
+        for i in isolated:
+            rec = run_replication(self.CELL, i, graph=draws[i])  # recorded, not raised
+            assert not rec.ok and rec.rep_index == i
+            assert "is isolated" in rec.error
 
 
 class TestCellValidation:

@@ -6,7 +6,7 @@ import pytest
 from netpeer import graph as graphmod
 from netpeer.errors import AllIsolatedSampleError, ValidationError
 from netpeer.graph import degrees, from_edges, generate_er
-from oracles import degree, population_induced, sample_csv_text
+from oracles import degree, neighbors, population_induced, sample_csv_text
 from netpeer.sampling import (
     read_sample_csv,
     rns_sample,
@@ -136,7 +136,7 @@ class TestPopulationInduced:
         assert p.u == 1
         # every boundary vertex touches the recruited set
         local_boundary = 2
-        assert all(k < 2 for k in p.g_p.neighbors(local_boundary))
+        assert all(k < 2 for k in neighbors(p.g_p, local_boundary))
 
     def test_nesting_invariant(self):
         g = generate_er(50, 0.1, np.random.default_rng(5))
