@@ -49,7 +49,7 @@ _SCHEMAS = {
         "p": (float, _REQUIRED),
         "seed": (int, 0),
         "allow_disconnected": (_boolean, False),
-        "max_attempts": (int, 1000),
+        "max_attempts": (int, montecarlo.MAX_ATTEMPTS),
     },
     "sample": {
         "graph": (str, _REQUIRED),
@@ -63,7 +63,7 @@ _SCHEMAS = {
         "p": (float, _REQUIRED),
         "f": (float, _REQUIRED),
         "seed": (int, 0),
-        "max_attempts": (int, 1000),
+        "max_attempts": (int, montecarlo.MAX_ATTEMPTS),
         **{k: (float, v) for k, v in _MODEL_DEFAULTS.items()},
     },
     "fit": {
@@ -163,11 +163,10 @@ def _model_params(v: dict) -> ModelParams:
 
 def _instance(v: dict):
     """`simulate` and `identify-demo`: the shared builder under seed prefix (seed,)."""
-    graph_opts = {"max_attempts": v["max_attempts"]} if "max_attempts" in v else {}
     model.check_covariates(v["x_mean"], v["x_sd"])  # before the graph draw
     return montecarlo.build_instance(
         (v["seed"],), v["n"], v["p"], v["f"], _model_params(v), v["x_mean"], v["x_sd"],
-        **graph_opts,
+        max_attempts=v.get("max_attempts", montecarlo.MAX_ATTEMPTS),
     )
 
 
@@ -250,6 +249,7 @@ def _cmd_mc(v: dict, out: str) -> None:
 def _cmd_identify_demo(v: dict, out: str) -> None:
     if (v["j"] is None) != (v["l"] is None):
         raise ValidationError("give both j and l, or neither")
+    identification.check_attached(v["x_u1"], v["x_u2"])  # before the graph draw
     *_, s = _instance(v)
     params = _model_params(v)
     if v["j"] is None:

@@ -66,6 +66,14 @@ def is_compatible(candidate: CompletionCandidate, observed: RecruitmentSample) -
     return bool(np.isin(need, have).all())
 
 
+def check_attached(x_u1, x_u2) -> None:
+    """Attached covariate values, each given or None, must be finite and differ."""
+    if not all(x is None or np.isfinite(x) for x in (x_u1, x_u2)):
+        raise ValidationError("attached covariate values must be finite")
+    if x_u1 is not None and x_u1 == x_u2:
+        raise ValidationError("attached covariate values must differ")
+
+
 def build_swap_pair(
     observed: RecruitmentSample, j: int, l: int, x_u1=None, x_u2=None
 ) -> WitnessPair:
@@ -88,8 +96,7 @@ def build_swap_pair(
     if x_u1 is None or x_u2 is None:
         center, spread = float(observed.x_obs.mean()), float(observed.x_obs.std()) or 1.0
         x_u1, x_u2 = center + spread, center - spread
-    if x_u1 == x_u2:
-        raise ValidationError("attached covariate values must differ")
+    check_attached(x_u1, x_u2)
     for v in (j, l):
         if observed.reported_degrees[v] <= observed.observed_degrees[v]:
             raise NoSlackError(v)
@@ -141,11 +148,12 @@ def mean_sum_gap(pair: WitnessPair, params: ModelParams) -> float:
 
 
 def log_likelihoods(pair: WitnessPair, y_obs, params: ModelParams) -> tuple:
-    """Log-likelihoods of y under candidate a and under candidate b."""
-    return tuple(
-        log_likelihood(candidate_means(c, pair.observed, params), y_obs, params.sigma2_eps)
-        for c in (pair.a, pair.b)
-    )
+    """Log-likelihoods of y under candidates a and b (-inf or nan, unwarned, on overflow)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return tuple(
+            log_likelihood(candidate_means(c, pair.observed, params), y_obs, params.sigma2_eps)
+            for c in (pair.a, pair.b)
+        )
 
 
 def likelihood_gap(pair: WitnessPair, y_obs, params: ModelParams) -> float:

@@ -13,6 +13,7 @@ across runs and across worker counts.
 from __future__ import annotations
 
 import csv
+import functools
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -32,6 +33,7 @@ STREAM_GRAPH, STREAM_COVARIATES, STREAM_NOISE, STREAM_SAMPLING = range(4)
 MAX_REPS = 10**6
 # a fixed bound, not the host's CPU count, so a run's settings stay valid elsewhere
 MAX_WORKERS = 256
+MAX_ATTEMPTS = 1000  # the default redraw budget: graph draws before draw_graph gives up
 
 
 def stream(prefix, purpose: int) -> np.random.Generator:
@@ -39,7 +41,7 @@ def stream(prefix, purpose: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([*map(int, prefix), purpose]))
 
 
-def draw_graph(prefix, n, p, allow_disconnected=False, max_attempts=1000):
+def draw_graph(prefix, n, p, allow_disconnected=False, max_attempts=MAX_ATTEMPTS):
     """G(n, p) from the graph stream: the first draw with no isolated vertex.
 
     The model's peer term is a neighbor mean, so every unit needs a
@@ -61,7 +63,7 @@ def draw_graph(prefix, n, p, allow_disconnected=False, max_attempts=1000):
 
 def build_instance(
     prefix, n_pop, density, fraction, params: ModelParams, x_mean=3.0, x_sd=1.5,
-    max_attempts=1000, graph=None,
+    max_attempts=MAX_ATTEMPTS, graph=None,
 ):
     """One simulated instance: graph, covariates, outcomes and an RNS sample.
 
@@ -165,10 +167,6 @@ def run_replication(cell: ExperimentCell, rep_index: int, graph=None) -> RepReco
     )
 
 
-def _run_chunk(cell: ExperimentCell, indices, pickled_graph=None):
-    return [run_replication(cell, i, graph=pickled_graph) for i in indices]
-
-
 # The process's worker pool, ((pid, workers), executor) or None, reused by
 # every run_reps call so that a grid forks once. Its workers end with the
 # interpreter, through concurrent.futures' exit hook.
@@ -214,28 +212,18 @@ def run_reps(cell: ExperimentCell, workers: int = 1) -> list:
     shared = draw_graph(
         (cell.master_seed, 0), cell.n_pop, cell.density
     ) if cell.fixed_graph else None
-    indices = list(range(cell.reps))
+    rep = functools.partial(run_replication, cell, graph=shared)
     if workers == 1:
-        records = _run_chunk(cell, indices, shared)
-    else:
-        chunk = max(1, (cell.reps + workers * 4 - 1) // (workers * 4))
-        chunks = [indices[i:i + chunk] for i in range(0, cell.reps, chunk)]
-        pool, futures = _worker_pool(workers), []
-        try:
-            futures = [pool.submit(_run_chunk, cell, c, shared) for c in chunks]
-            parts = [f.result() for f in futures]
-        except BrokenProcessPool:
-            _drop_pool()
-            raise ComputationError(
-                "a worker process ended abruptly; its replications are lost"
-            ) from None
-        except BaseException:
-            for f in futures:
-                f.cancel()
-            raise
-        records = [rec for part in parts for rec in part]
-    records.sort(key=lambda r: r.rep_index)
-    return records
+        return list(map(rep, range(cell.reps)))
+    # about four tasks per worker; each pickles the cell and the fixed graph once
+    chunk = -(-cell.reps // (workers * 4))
+    try:
+        return list(_worker_pool(workers).map(rep, range(cell.reps), chunksize=chunk))
+    except BrokenProcessPool:
+        _drop_pool()
+        raise ComputationError(
+            "a worker process ended abruptly; its replications are lost"
+        ) from None
 
 
 def run_cell(cell: ExperimentCell, workers: int = 1):

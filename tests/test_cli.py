@@ -301,6 +301,7 @@ class TestSettingsBoundary:
                                  "--beta0=-inf"], None),
         "identify-demo x_sd 0": (["identify-demo", "--x-sd", 0], None),
         "identify-demo sigma2_eps nan": (["identify-demo"], b"[identify-demo]\nsigma2_eps = nan\n"),
+        "identify-demo x_u1 nan": (["identify-demo", "--x-u1", "nan", "--x-u2", 1], None),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -509,6 +510,13 @@ class TestIdentifyDemo:
         with open(tmp_path / "witness.json") as fh:
             report = json.load(fh)
         assert report["verdict"] == "NO_WITNESS_AVAILABLE"
+
+    def test_overflowing_likelihood_exits_3_without_a_warning(self, tmp_path, capsys):
+        # finite attached values whose squared residuals overflow float64
+        assert run(["identify-demo", "--x-u1=1e308", "--x-u2=-1e308", "--out", tmp_path]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: witness.json: non-finite result")
+        assert not (tmp_path / "witness.json").exists()
 
 
 class TestDiagnostics:

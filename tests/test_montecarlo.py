@@ -297,6 +297,22 @@ class TestWorkerPool:
         assert cli.main(argv) == 0
         assert made == [{"max_workers": 2}]
 
+    @pytest.mark.parametrize("fixed_graph", [False, True])
+    def test_a_call_submits_about_four_tasks_per_worker(self, monkeypatch, fixed_graph):
+        # each task pickles the cell and a fixed graph once, so a task per rep would not do
+        submitted = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submitted.append(args)
+                return super().submit(*args, **kwargs)
+
+        montecarlo._drop_pool()
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+        cell = small_cell(reps=40, fixed_graph=fixed_graph)
+        assert run_reps(cell, workers=2) == run_reps(cell, workers=1)
+        assert 1 <= len(submitted) <= 8
+
     def test_workers_end_with_the_interpreter(self):
         code = ("from netpeer import model, montecarlo\n"
                 "cell = montecarlo.ExperimentCell(200, 0.05, 0.3, model.ModelParams(0, 1, 1.5, 1),"
