@@ -104,7 +104,8 @@ _SCHEMAS = {
 
 def _read_config(command: str, path: str) -> dict:
     """The [command] section of an INI file as text; a file that is not one exits 2."""
-    cp = configparser.ConfigParser(interpolation=None)
+    # no header line spells a name with a newline: [DEFAULT] is an ordinary section
+    cp = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
@@ -163,7 +164,10 @@ def _model_params(v: dict) -> ModelParams:
 
 def _instance(v: dict):
     """`simulate` and `identify-demo`: the shared builder under seed prefix (seed,)."""
-    model.check_covariates(v["x_mean"], v["x_sd"])  # before the graph draw
+    # before the graph draw; a bad n is reported as the graph's, not the sample's
+    model.check_covariates(v["x_mean"], v["x_sd"])
+    graphmod.check_er_size(v["n"], v["p"])
+    sampling.check_sample_size(sampling.sample_size(v["n"], v["f"]), v["n"])
     return montecarlo.build_instance(
         (v["seed"],), v["n"], v["p"], v["f"], _model_params(v), v["x_mean"], v["x_sd"],
         max_attempts=v.get("max_attempts", montecarlo.MAX_ATTEMPTS),

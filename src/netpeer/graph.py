@@ -169,13 +169,8 @@ def neighbor_sums(g: Graph, values: np.ndarray) -> np.ndarray:
     return sums
 
 
-def induced_subgraph(g: Graph, members) -> tuple:
-    """Subgraph induced on a vertex set, plus the old->new index map.
-
-    Returns (subgraph, mapping) where mapping is an array of length
-    g.n_vertices with new indices for members and -1 elsewhere. Member
-    order (sorted ascending) defines the new indexing.
-    """
+def induced_subgraph(g: Graph, members) -> Graph:
+    """Subgraph induced on a vertex set: member k, in ascending order, becomes vertex k."""
     members = np.asarray(members, dtype=np.int64)
     if members.size and (members.min() < 0 or members.max() >= g.n_vertices):
         raise ValidationError("vertex set member out of range")
@@ -189,7 +184,7 @@ def induced_subgraph(g: Graph, members) -> tuple:
     # mapping is increasing on members, so the kept rows stay sorted
     new = mapping[g.indices[pos]]
     kept = np.flatnonzero(new >= 0)
-    return Graph(int(members.size), new[kept], np.searchsorted(kept, bounds)), mapping
+    return Graph(int(members.size), new[kept], np.searchsorted(kept, bounds))
 
 
 def write_edge_list(g: Graph, path, tags=()) -> None:

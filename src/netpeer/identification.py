@@ -67,7 +67,9 @@ def is_compatible(candidate: CompletionCandidate, observed: RecruitmentSample) -
 
 
 def check_attached(x_u1, x_u2) -> None:
-    """Attached covariate values, each given or None, must be finite and differ."""
+    """Attached covariate values, each given or None: both or neither, finite, distinct."""
+    if (x_u1 is None) != (x_u2 is None):
+        raise ValidationError("give both x_u1 and x_u2, or neither")
     if not all(x is None or np.isfinite(x) for x in (x_u1, x_u2)):
         raise ValidationError("attached covariate values must be finite")
     if x_u1 is not None and x_u1 == x_u2:
@@ -82,9 +84,9 @@ def build_swap_pair(
     Candidate a carries edges (j, u1) and (l, u2); candidate b swaps
     them. Both are compatible with the observed data by construction.
     j and l are local (within-sample) indices and must have reported
-    degree strictly above their observed degree. Unless both attached
-    covariate values are given, they are the observed mean plus/minus one
-    observed standard deviation (or 1.0 when degenerate).
+    degree strictly above their observed degree. Give both attached
+    covariate values or neither; neither means the observed mean plus/minus
+    one observed standard deviation (or 1.0 when degenerate).
     """
     n = observed.n
     if observed.x_obs is None:
@@ -93,7 +95,7 @@ def build_swap_pair(
         raise ValidationError("witness units must be distinct")
     if not (0 <= j < n and 0 <= l < n):
         raise ValidationError("witness unit index out of range")
-    if x_u1 is None or x_u2 is None:
+    if x_u1 is None and x_u2 is None:
         center, spread = float(observed.x_obs.mean()), float(observed.x_obs.std()) or 1.0
         x_u1, x_u2 = center + spread, center - spread
     check_attached(x_u1, x_u2)
@@ -154,12 +156,6 @@ def log_likelihoods(pair: WitnessPair, y_obs, params: ModelParams) -> tuple:
             log_likelihood(candidate_means(c, pair.observed, params), y_obs, params.sigma2_eps)
             for c in (pair.a, pair.b)
         )
-
-
-def likelihood_gap(pair: WitnessPair, y_obs, params: ModelParams) -> float:
-    """Absolute log-likelihood difference of y under the two candidates."""
-    ll_a, ll_b = log_likelihoods(pair, y_obs, params)
-    return abs(ll_a - ll_b)
 
 
 def find_witness(observed: RecruitmentSample, x_u1=None, x_u2=None):

@@ -245,19 +245,18 @@ def summarize(cell: ExperimentCell, records) -> CellReport:
     beta2 = cell.params.beta2
     naive = np.array([r.beta2_naive for r in done])
     corr = np.array([r.beta2_corrected for r in done])
-    cov_n = np.mean([r.ci_naive[0] <= beta2 <= r.ci_naive[1] for r in done])
-    cov_c = np.mean([r.ci_corrected[0] <= beta2 <= r.ci_corrected[1] for r in done])
-    cov_w = np.mean(
-        [r.ci_corrected_wald[0] <= beta2 <= r.ci_corrected_wald[1] for r in done]
-    )
+
+    def coverage(intervals):
+        return float(np.mean([lo <= beta2 <= hi for lo, hi in intervals]))
+
     return CellReport(
         rb_naive=float((naive.mean() - beta2) / beta2),
         rb_corrected=float((corr.mean() - beta2) / beta2),
         rmse_naive=float(np.sqrt(np.mean((naive - beta2) ** 2))),
         rmse_corrected=float(np.sqrt(np.mean((corr - beta2) ** 2))),
-        cov_naive=float(cov_n),
-        cov_corrected=float(cov_c),
-        cov_corrected_wald=float(cov_w),
+        cov_naive=coverage(r.ci_naive for r in done),
+        cov_corrected=coverage(r.ci_corrected for r in done),
+        cov_corrected_wald=coverage(r.ci_corrected_wald for r in done),
         mean_w_hat=float(np.mean([r.w_hat for r in done])),
         reps_completed=len(done),
         reps_failed=failed,
@@ -270,14 +269,12 @@ def write_grid_csv(results, path) -> None:
         fh.write("N,p,f,reps,estimator,RB,RMSE,coverage,mean_w_hat,failed\n")
         for cell, rep in results:
             common = f"{cell.n_pop},{cell.density:.10g},{cell.fraction:.10g},{cell.reps}"
-            fh.write(
-                f"{common},naive,{rep.rb_naive:.10g},{rep.rmse_naive:.10g},"
-                f"{rep.cov_naive:.10g},{rep.mean_w_hat:.10g},{rep.reps_failed}\n"
-            )
-            fh.write(
-                f"{common},corrected,{rep.rb_corrected:.10g},{rep.rmse_corrected:.10g},"
-                f"{rep.cov_corrected:.10g},{rep.mean_w_hat:.10g},{rep.reps_failed}\n"
-            )
+            for est, rb, rmse, cov in (
+                ("naive", rep.rb_naive, rep.rmse_naive, rep.cov_naive),
+                ("corrected", rep.rb_corrected, rep.rmse_corrected, rep.cov_corrected),
+            ):
+                fh.write(f"{common},{est},{rb:.10g},{rmse:.10g},{cov:.10g},"
+                         f"{rep.mean_w_hat:.10g},{rep.reps_failed}\n")
 
 
 def write_records_csv(cell: ExperimentCell, records, path) -> None:

@@ -48,19 +48,22 @@ def sample_size(n_pop: int, fraction: float) -> int:
     return int(math.floor(fraction * n_pop + 0.5))
 
 
+def check_sample_size(n: int, n_pop: int) -> None:
+    """An RNS sample takes from 1 to n_pop units."""
+    if not 1 <= n <= n_pop:
+        raise ValidationError(f"sample size {n} out of range for {n_pop} vertices")
+
+
 def rns_sample(
     g: Graph, n: int, rng: np.random.Generator, x=None, y=None
 ) -> RecruitmentSample:
     """Draw a uniform without-replacement sample of n units and induce G_R."""
-    if not 1 <= n <= g.n_vertices:
-        raise ValidationError(
-            f"sample size {n} out of range for {g.n_vertices} vertices"
-        )
+    check_sample_size(n, g.n_vertices)
     for vec in (x, y):
         if vec is not None and len(vec) != g.n_vertices:
             raise ValidationError("unit-data vector length must equal n_vertices")
     ids = np.sort(rng.choice(g.n_vertices, size=n, replace=False))
-    g_r, _ = graphmod.induced_subgraph(g, ids)
+    g_r = graphmod.induced_subgraph(g, ids)
     return RecruitmentSample(
         sampled_ids=ids,
         g_r=g_r,
@@ -71,20 +74,22 @@ def rns_sample(
     )
 
 
-def scaling_factor(s: RecruitmentSample) -> float:
-    """Harmonic-sum degree ratio: sum(1/d_j) / sum(1/d^R_j).
-
-    Units with observed degree 0 are excluded from both sums (an
-    isolated unit would put an infinite term in the denominator).
-    Summation uses exact accumulation, so unit order cannot change the
-    result. Always in (0, 1] since d^R_j <= d_j.
-    """
+def _reciprocal_degrees(s: RecruitmentSample) -> tuple:
+    """(1/d_j, 1/d^R_j) over the units with d^R_j > 0; 1/d^R_j is infinite for the rest."""
     mask = s.observed_degrees > 0
     if not mask.any():
         raise AllIsolatedSampleError()
-    num = math.fsum((1.0 / s.reported_degrees[mask]).tolist())
-    den = math.fsum((1.0 / s.observed_degrees[mask]).tolist())
-    return num / den
+    return 1.0 / s.reported_degrees[mask], 1.0 / s.observed_degrees[mask]
+
+
+def scaling_factor(s: RecruitmentSample) -> float:
+    """Harmonic-sum degree ratio: sum(1/d_j) / sum(1/d^R_j).
+
+    Summation uses exact accumulation, so unit order cannot change the
+    result. Always in (0, 1] since d^R_j <= d_j.
+    """
+    a, b = _reciprocal_degrees(s)
+    return math.fsum(a.tolist()) / math.fsum(b.tolist())
 
 
 def scaling_factor_variance(s: RecruitmentSample, w_hat: float) -> float:
@@ -95,14 +100,9 @@ def scaling_factor_variance(s: RecruitmentSample, w_hat: float) -> float:
     No finite-population correction: d^R_j is random given the sample.
     An edge has two sampled ends, so m >= 2 whenever m > 0.
     """
-    mask = s.observed_degrees > 0
-    m = int(mask.sum())
-    if m == 0:
-        raise AllIsolatedSampleError()
-    a = 1.0 / s.reported_degrees[mask]
-    b = 1.0 / s.observed_degrees[mask]
+    a, b = _reciprocal_degrees(s)
     r = a - w_hat * b
-    return float(r @ r) * m / ((m - 1) * float(b.sum()) ** 2)
+    return float(r @ r) * a.size / ((a.size - 1) * float(b.sum()) ** 2)
 
 
 def write_sample_csv(s: RecruitmentSample, path) -> None:

@@ -34,7 +34,13 @@ edge_list_text(g, tags) and sample_csv_text(s) are the bytes of the
 edge-list and sample CSV files, one formatted string per line.
 find_witness_loop(s) is the pair loop that `identification.find_witness`
 replaced by one scan: (j, l) of the first slack pair by index with distinct
-reported degrees, or None.
+reported degrees, or None. likelihood_gap(pair, y, params) is the absolute
+difference of the two log-likelihoods `identification.log_likelihoods` gives
+a witness pair.
+
+normal_equations_oracle(X, y) solves the 3x3 normal equations X'X b = X'y
+by Cramer's rule in Python floats, the reference for `estimation.fit_mle`.
+star(n) is the star graph on n vertices with centre 0.
 
 reachable_oracle(g) tells whether every vertex is reachable from vertex 0
 by a depth-first search over Python lists. connected_er(n, p, rng) is the
@@ -56,6 +62,7 @@ from scipy import stats
 
 from netpeer.errors import ComputationError, IsolatedVertexError, ValidationError
 from netpeer.graph import Graph, from_edges, generate_er
+from netpeer.identification import log_likelihoods
 
 # binomial tail mass left out of the degree range
 _TAIL = 1e-16
@@ -132,6 +139,39 @@ def find_witness_loop(s):
             if s.reported_degrees[j] != s.reported_degrees[l]:
                 return j, l
     return None
+
+
+def likelihood_gap(pair, y_obs, params) -> float:
+    """Absolute log-likelihood difference of y under a witness pair's two candidates."""
+    ll_a, ll_b = log_likelihoods(pair, y_obs, params)
+    return abs(ll_a - ll_b)
+
+
+def normal_equations_oracle(X, y) -> np.ndarray:
+    """Independent 3x3 solve of X'X beta = X'y via Cramer's rule."""
+    A = [[float(X[:, i] @ X[:, j]) for j in range(3)] for i in range(3)]
+    b = [float(X[:, i] @ y) for i in range(3)]
+
+    def det3(m):
+        return (
+            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+        )
+
+    d = det3(A)
+    out = []
+    for col in range(3):
+        m = [row[:] for row in A]
+        for i in range(3):
+            m[i][col] = b[i]
+        out.append(det3(m) / d)
+    return np.array(out)
+
+
+def star(n: int) -> Graph:
+    """The star on n vertices: vertex 0 joined to every other vertex."""
+    return from_edges(n, [(0, k) for k in range(1, n)])
 
 
 def candidate_means_loop(candidate, observed, params) -> np.ndarray:

@@ -19,7 +19,10 @@ import numpy as np
 import pytest
 
 import conftest
-from oracles import connected_er, expected_scaling_factor, population_induced
+from oracles import (
+    connected_er, expected_scaling_factor, likelihood_gap, normal_equations_oracle,
+    population_induced,
+)
 from netpeer import estimation, graph as graphmod, model, sampling
 from netpeer.cli import main as cli_main
 from netpeer.errors import ComputationError
@@ -28,7 +31,6 @@ from netpeer.identification import (
     build_swap_pair,
     find_witness,
     is_compatible,
-    likelihood_gap,
     mean_sum_gap,
 )
 from netpeer.model import ModelParams, conditional_means, gen_covariates, log_likelihood, simulate_outcomes
@@ -172,7 +174,7 @@ def test_criterion_7_swap_witness(capsys):
         6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 5), (1, 4), (2, 4)]
     )
     ids = np.array([0, 1, 2, 3])
-    sub, _ = graphmod.induced_subgraph(g, ids)
+    sub = graphmod.induced_subgraph(g, ids)
     s_hand = sampling.RecruitmentSample(
         sampled_ids=ids, g_r=sub,
         observed_degrees=graphmod.degrees(sub),
@@ -191,27 +193,6 @@ def test_criterion_7_swap_witness(capsys):
     _verdict(capsys, "criterion 7 (non-identification swap witness)", checks)
 
 
-def _normal_equations_oracle(X, y):
-    """Brute-force 3x3 normal equations by Cramer's rule."""
-    A = X.T @ X
-    b = X.T @ y
-
-    def det3(m):
-        return (
-            m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-        )
-
-    d = det3(A)
-    beta = np.empty(3)
-    for k in range(3):
-        Ak = A.copy()
-        Ak[:, k] = b
-        beta[k] = det3(Ak) / d
-    return beta
-
-
 def test_criterion_8_ols_oracle(capsys):
     worst = 0.0
     for seed in range(100):
@@ -226,7 +207,7 @@ def test_criterion_8_ols_oracle(capsys):
             fit = fit_mle(d)
         except ComputationError:
             continue
-        beta_oracle = _normal_equations_oracle(X, y)
+        beta_oracle = normal_equations_oracle(X, y)
         worst = max(worst, float(np.max(np.abs(fit.beta_hat - beta_oracle))))
     checks = [("max |beta_hat - oracle|", worst, 0.0, 1e-10)]
     _verdict(capsys, "criterion 8 (least-squares matches normal equations)", checks)

@@ -117,6 +117,12 @@ class TestSimulateAndFit:
         assert out["w_hat"] == pytest.approx(1.0, abs=1e-12)
         assert out["beta2_corrected"] == pytest.approx(out["beta_hat"][2], rel=1e-12)
 
+    def test_one_unit_sample_passes_the_boundary(self, tmp_path, capsys):
+        # round(1 * 1) = 1 unit; the one vertex is isolated in every draw
+        argv = ["simulate", "--n", 1, "--p", 0.5, "--f", 1, "--max-attempts", 3]
+        assert run([*argv, "--out", tmp_path]) == 3
+        assert "no graph without an isolated vertex in 3 attempts" in capsys.readouterr().err
+
     def test_run_config_echo(self, tmp_path):
         assert run([
             "simulate", "--n", 100, "--p", 0.08, "--f", 0.5,
@@ -239,6 +245,16 @@ class TestConfigFile:
         assert "unrecognized arguments: --allow-disconnected" in capsys.readouterr().err
         assert not (tmp_path / "a").exists()
 
+    @pytest.mark.parametrize("default", ["seed = 5\n", "n_pop = 100\n"], ids=["seed", "n_pop"])
+    def test_default_section_is_ignored(self, tmp_path, default):
+        # configparser would otherwise merge [DEFAULT] into every section
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[DEFAULT]\n{default}[generate]\nn = 70\np = 0.09\n")
+        assert run(["generate", "--config", cfg, "--out", tmp_path / "a"]) == 0
+        assert run(["generate", "--n", 70, "--p", 0.09, "--out", tmp_path / "b"]) == 0
+        for name in ("graph.edges", "run_config.txt"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_missing_required_rejected(self, tmp_path):
         assert run(["generate", "--n", 50, "--out", tmp_path]) == 2
 
@@ -302,6 +318,15 @@ class TestSettingsBoundary:
         "identify-demo x_sd 0": (["identify-demo", "--x-sd", 0], None),
         "identify-demo sigma2_eps nan": (["identify-demo"], b"[identify-demo]\nsigma2_eps = nan\n"),
         "identify-demo x_u1 nan": (["identify-demo", "--x-u1", "nan", "--x-u2", 1], None),
+        "x_u1 without x_u2": (["identify-demo", "--x-u1", 5], None),
+        "x_u2 without x_u1": (["identify-demo"], b"[identify-demo]\nx_u2 = 5\n"),
+        # f is checked before the population is drawn
+        "simulate f above 1": (["simulate", "--n", 20000, "--p", 0.001, "--f", 1.5], None),
+        "simulate f 0": (["simulate", "--n", 20000, "--p", 0.001, "--f", 0], None),
+        "identify-demo f 2": (["identify-demo", "--f", 2], None),
+        "simulate sample of 0 units": (["simulate", "--n", 1000, "--p", 0.01, "--f", 0.0001],
+                                       None),
+        "simulate n 1": (["simulate", "--n", 1, "--p", 0.5, "--f", 0.4], None),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))

@@ -20,31 +20,9 @@ from netpeer.sampling import (
     scaling_factor_variance,
 )
 
-from oracles import connected_er, critical_value, neighbors
+from oracles import connected_er, critical_value, neighbors, normal_equations_oracle
 
 PARAMS = ModelParams(0.0, 1.0, 1.5, 1.0)
-
-
-def normal_equations_oracle(X, y):
-    """Independent 3x3 solve of X'X beta = X'y via Cramer's rule."""
-    A = [[float(X[:, i] @ X[:, j]) for j in range(3)] for i in range(3)]
-    b = [float(X[:, i] @ y) for i in range(3)]
-
-    def det3(m):
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-
-    d = det3(A)
-    out = []
-    for col in range(3):
-        m = [row[:] for row in A]
-        for i in range(3):
-            m[i][col] = b[i]
-        out.append(det3(m) / d)
-    return np.array(out)
 
 
 def census_sample(g, x, y):
@@ -63,7 +41,7 @@ class TestBuildObservedDesign:
     def test_three_path_hand_values(self):
         g = from_edges(5, [(0, 1), (1, 2), (0, 3), (2, 4)])
         ids = np.array([0, 1, 2])
-        sub, _ = graphmod.induced_subgraph(g, ids)
+        sub = graphmod.induced_subgraph(g, ids)
         s = RecruitmentSample(
             sampled_ids=ids,
             g_r=sub,
@@ -82,7 +60,7 @@ class TestBuildObservedDesign:
     def test_isolated_unit_dropped(self):
         g = from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3), (5, 6)])
         ids = np.array([0, 1, 2, 3, 4, 5])
-        sub, _ = graphmod.induced_subgraph(g, ids)
+        sub = graphmod.induced_subgraph(g, ids)
         s = RecruitmentSample(
             sampled_ids=ids,
             g_r=sub,
@@ -100,7 +78,7 @@ class TestBuildObservedDesign:
         s = census_sample(g, np.arange(4.0), np.arange(4.0))
         # census on a 4-path keeps 4 rows; shrink to 3 sampled units to trip
         ids = np.array([0, 1, 2])
-        sub, _ = graphmod.induced_subgraph(g, ids)
+        sub = graphmod.induced_subgraph(g, ids)
         s = RecruitmentSample(
             sampled_ids=ids,
             g_r=sub,

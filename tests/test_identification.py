@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (
-    candidate_means_loop, connected_er, find_witness_loop, population_induced,
+    candidate_means_loop, connected_er, find_witness_loop, likelihood_gap, population_induced,
 )
 from netpeer.errors import IsolatedVertexError, NoSlackError, ValidationError
 from netpeer.graph import degrees, from_edges, induced_subgraph
@@ -13,7 +13,6 @@ from netpeer.identification import (
     candidate_means,
     find_witness,
     is_compatible,
-    likelihood_gap,
     mean_sum_gap,
 )
 from netpeer.model import ModelParams, gen_covariates, log_likelihood, simulate_outcomes
@@ -41,7 +40,7 @@ def hand_sample():
         6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 5), (1, 4), (2, 4)]
     )
     ids = np.array([0, 1, 2, 3])
-    sub, _ = induced_subgraph(g, ids)
+    sub = induced_subgraph(g, ids)
     return RecruitmentSample(
         sampled_ids=ids,
         g_r=sub,
@@ -111,6 +110,8 @@ class TestBuildSwapPair:
             build_swap_pair(s, 0, 1, 2.0, 2.0)
         with pytest.raises(ValidationError):
             build_swap_pair(s, 0, 0, 1.0, 2.0)
+        with pytest.raises(ValidationError, match="give both x_u1 and x_u2, or neither"):
+            build_swap_pair(s, 0, 1, 2.0, None)
 
     def test_default_attached_values(self):
         s = hand_sample()
@@ -152,7 +153,7 @@ class TestCandidateMeans:
             7, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 5), (1, 4), (2, 4)]
         )
         ids = np.array([0, 1, 2, 3, 6])
-        sub, _ = induced_subgraph(g, ids)
+        sub = induced_subgraph(g, ids)
         s = RecruitmentSample(
             sampled_ids=ids,
             g_r=sub,

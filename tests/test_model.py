@@ -17,13 +17,9 @@ from netpeer.model import (
     write_unit_csv,
 )
 from netpeer.sampling import rns_sample
-from oracles import connected_er, neighborhood_mean, population_induced
+from oracles import connected_er, neighborhood_mean, population_induced, star
 
 PARAMS = ModelParams(0.0, 1.0, 1.5, 1.0)
-
-
-def star(n):
-    return from_edges(n, [(0, k) for k in range(1, n)])
 
 
 class TestModelParams:
