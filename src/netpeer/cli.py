@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import functools
 import itertools
 import json
@@ -24,9 +25,8 @@ from .errors import ComputationError, ValidationError
 from .model import ModelParams
 from .montecarlo import ExperimentCell
 
-_MODEL_DEFAULTS = {
-    "beta0": 0.0, "beta1": 1.0, "beta2": 1.5, "sigma2_eps": 1.0, "x_mean": 3.0, "x_sd": 1.5,
-}
+# one float setting per field of the simulated process, with the field's default
+_MODEL_SETTINGS = {f.name: (float, f.default) for f in dataclasses.fields(ModelParams)}
 
 
 def _boolean(text: str) -> bool:
@@ -64,7 +64,7 @@ _SCHEMAS = {
         "f": (float, _REQUIRED),
         "seed": (int, 0),
         "max_attempts": (int, montecarlo.MAX_ATTEMPTS),
-        **{k: (float, v) for k, v in _MODEL_DEFAULTS.items()},
+        **_MODEL_SETTINGS,
     },
     "fit": {
         "sample": (str, _REQUIRED),
@@ -82,7 +82,7 @@ _SCHEMAS = {
         "workers": (int, 1),
         "fixed_graph": (_boolean, False),
         "save_records": (_boolean, False),
-        **{k: (float, v) for k, v in _MODEL_DEFAULTS.items()},
+        **_MODEL_SETTINGS,
     },
     "identify-demo": {
         "n": (int, 50),
@@ -93,7 +93,7 @@ _SCHEMAS = {
         "l": (int, None),
         "x_u1": (float, None),
         "x_u2": (float, None),
-        **{k: (float, v) for k, v in _MODEL_DEFAULTS.items()},
+        **_MODEL_SETTINGS,
     },
     "diagnostics": {
         "sample": (str, _REQUIRED),
@@ -159,17 +159,17 @@ def _echo_config(command: str, text: dict, out_dir: str) -> None:
 
 
 def _model_params(v: dict) -> ModelParams:
-    return ModelParams(v["beta0"], v["beta1"], v["beta2"], v["sigma2_eps"])
+    return ModelParams(**{key: v[key] for key in _MODEL_SETTINGS})
 
 
 def _instance(v: dict):
-    """`simulate` and `identify-demo`: the shared builder under seed prefix (seed,)."""
+    """`simulate` and `identify-demo`: params, then the shared builder's (g, x, y, sample)."""
     # before the graph draw; a bad n is reported as the graph's, not the sample's
-    model.check_covariates(v["x_mean"], v["x_sd"])
+    params = _model_params(v)
     graphmod.check_er_size(v["n"], v["p"])
     sampling.check_sample_size(sampling.sample_size(v["n"], v["f"]), v["n"])
-    return montecarlo.build_instance(
-        (v["seed"],), v["n"], v["p"], v["f"], _model_params(v), v["x_mean"], v["x_sd"],
+    return params, *montecarlo.build_instance(
+        (v["seed"],), v["n"], v["p"], v["f"], params,
         max_attempts=v.get("max_attempts", montecarlo.MAX_ATTEMPTS),
     )
 
@@ -204,7 +204,7 @@ def _cmd_sample(v: dict, out: str) -> None:
 
 
 def _cmd_simulate(v: dict, out: str) -> None:
-    g, x, y, s = _instance(v)
+    _, g, x, y, s = _instance(v)
     graphmod.write_edge_list(g, os.path.join(out, "graph.edges"))
     model.write_unit_csv(x, y, os.path.join(out, "population.csv"))
     sampling.write_sample_csv(s, os.path.join(out, "sample.csv"))
@@ -222,9 +222,8 @@ def _cmd_mc(v: dict, out: str) -> None:
     params = _model_params(v)
     cells = [
         ExperimentCell(
-            n_pop=n, density=p, fraction=f, params=params,
-            x_mean=v["x_mean"], x_sd=v["x_sd"], reps=v["reps"], level=v["level"],
-            master_seed=v["seed"], fixed_graph=v["fixed_graph"],
+            n_pop=n, density=p, fraction=f, params=params, reps=v["reps"],
+            level=v["level"], master_seed=v["seed"], fixed_graph=v["fixed_graph"],
         )
         for n, p, f in itertools.product(v["n_pop"], v["density"], v["fraction"])
     ]
@@ -254,8 +253,7 @@ def _cmd_identify_demo(v: dict, out: str) -> None:
     if (v["j"] is None) != (v["l"] is None):
         raise ValidationError("give both j and l, or neither")
     identification.check_attached(v["x_u1"], v["x_u2"])  # before the graph draw
-    *_, s = _instance(v)
-    params = _model_params(v)
+    params, *_, s = _instance(v)
     if v["j"] is None:
         pair = identification.find_witness(s, v["x_u1"], v["x_u2"])
     else:
@@ -322,6 +320,11 @@ def main(argv=None) -> int:
     except (ValidationError, ComputationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValidationError) else 3
+    except OSError as exc:  # inputs are read as ValidationError: an output file is unwritable
+        if exc.filename is None:
+            raise
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
     return 0
 
 

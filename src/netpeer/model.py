@@ -20,33 +20,26 @@ from .graph import Graph
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Parameter vector (beta0, beta1, beta2, sigma2_eps): finite, noise variance > 0."""
+    """The simulated process: x ~ N(x_mean, x_sd^2), y's (beta0, beta1, beta2, sigma2_eps)."""
 
-    beta0: float
-    beta1: float
-    beta2: float
-    sigma2_eps: float
+    beta0: float = 0.0
+    beta1: float = 1.0
+    beta2: float = 1.5
+    sigma2_eps: float = 1.0
+    x_mean: float = 3.0
+    x_sd: float = 1.5
 
     def __post_init__(self):
-        for name in ("beta0", "beta1", "beta2"):
+        for name in ("beta0", "beta1", "beta2", "x_mean"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
-        if not 0 < self.sigma2_eps < math.inf:
-            raise ValidationError("sigma2_eps must be finite and positive")
+        for name in ("sigma2_eps", "x_sd"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be finite and positive")
 
 
-def check_covariates(mean: float, sd: float) -> None:
-    """The covariate law N(mean, sd^2) needs a finite mean and a finite sd > 0."""
-    if not math.isfinite(mean):
-        raise ValidationError("x_mean must be finite")
-    if not 0 < sd < math.inf:
-        raise ValidationError("x_sd must be finite and positive")
-
-
-def gen_covariates(
-    n: int, mean: float, sd: float, rng: np.random.Generator
-) -> np.ndarray:
-    """i.i.d. Gaussian covariates of a law that passed `check_covariates`."""
+def gen_covariates(n: int, mean: float, sd: float, rng: np.random.Generator) -> np.ndarray:
+    """i.i.d. Gaussian covariates of a law that `ModelParams` checks."""
     return rng.normal(mean, sd, size=n)
 
 

@@ -62,17 +62,18 @@ def draw_graph(prefix, n, p, allow_disconnected=False, max_attempts=MAX_ATTEMPTS
 
 
 def build_instance(
-    prefix, n_pop, density, fraction, params: ModelParams, x_mean=3.0, x_sd=1.5,
-    max_attempts=MAX_ATTEMPTS, graph=None,
+    prefix, n_pop, density, fraction, params: ModelParams, max_attempts=MAX_ATTEMPTS,
+    graph=None,
 ):
-    """One simulated instance: graph, covariates, outcomes and an RNS sample.
+    """One instance of the process `params`: graph, covariates, outcomes, RNS sample.
 
     Returns (g, x, y, sample). A given `graph` replaces the graph draw.
     """
     g = graph if graph is not None else draw_graph(
         prefix, n_pop, density, max_attempts=max_attempts
     )
-    x = model.gen_covariates(n_pop, x_mean, x_sd, stream(prefix, STREAM_COVARIATES))
+    x = model.gen_covariates(n_pop, params.x_mean, params.x_sd,
+                             stream(prefix, STREAM_COVARIATES))
     y = model.simulate_outcomes(g, x, params, stream(prefix, STREAM_NOISE))
     n = sampling.sample_size(n_pop, fraction)
     s = sampling.rns_sample(g, n, stream(prefix, STREAM_SAMPLING), x, y)
@@ -87,8 +88,6 @@ class ExperimentCell:
     density: float
     fraction: float
     params: ModelParams
-    x_mean: float = 3.0
-    x_sd: float = 1.5
     reps: int = 1000
     level: float = 0.95
     master_seed: int = 0
@@ -107,7 +106,6 @@ class ExperimentCell:
             raise ValidationError("sample size below 4: the fit needs 4 units")
         if not 0.0 < self.level < 1.0:
             raise ValidationError("CI level must be in (0, 1)")
-        model.check_covariates(self.x_mean, self.x_sd)
         if self.master_seed < 0:
             raise ValidationError("seed must be nonnegative")
 
@@ -149,7 +147,7 @@ def run_replication(cell: ExperimentCell, rep_index: int, graph=None) -> RepReco
     try:
         *_, s = build_instance(
             (cell.master_seed, rep_index), cell.n_pop, cell.density, cell.fraction,
-            cell.params, cell.x_mean, cell.x_sd, graph=graph,
+            cell.params, graph=graph,
         )
         fit = estimation.fit_corrected(s, level=cell.level)
     except ComputationError as exc:

@@ -57,12 +57,16 @@ def check_sample_size(n: int, n_pop: int) -> None:
 def rns_sample(
     g: Graph, n: int, rng: np.random.Generator, x=None, y=None
 ) -> RecruitmentSample:
-    """Draw a uniform without-replacement sample of n units and induce G_R."""
+    """RNS step 1, a uniform without-replacement draw of n units, then `recruit`."""
     check_sample_size(n, g.n_vertices)
     for vec in (x, y):
         if vec is not None and len(vec) != g.n_vertices:
             raise ValidationError("unit-data vector length must equal n_vertices")
-    ids = np.sort(rng.choice(g.n_vertices, size=n, replace=False))
+    return recruit(g, np.sort(rng.choice(g.n_vertices, size=n, replace=False)), x, y)
+
+
+def recruit(g: Graph, ids: np.ndarray, x=None, y=None) -> RecruitmentSample:
+    """RNS step 2: the units `ids` (ascending) with every tie among them and their data."""
     g_r = graphmod.induced_subgraph(g, ids)
     return RecruitmentSample(
         sampled_ids=ids,

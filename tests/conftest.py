@@ -15,7 +15,7 @@ from netpeer.model import ModelParams
 from netpeer.montecarlo import ExperimentCell, run_cell
 
 MASTER_SEED = 20260826
-PARAMS = ModelParams(beta0=0.0, beta1=1.0, beta2=1.5, sigma2_eps=1.0)
+PARAMS = ModelParams(beta0=0.0, beta1=1.0, beta2=1.5, sigma2_eps=1.0, x_mean=3.0, x_sd=1.5)
 
 # wall-clock seconds for each heavy fixture, keyed by fixture name
 RUNTIMES = {}
@@ -34,8 +34,6 @@ def _cell(n_pop, fraction, reps):
         density=0.01,
         fraction=fraction,
         params=PARAMS,
-        x_mean=3.0,
-        x_sd=1.5,
         reps=reps,
         level=0.95,
         master_seed=MASTER_SEED,

@@ -42,6 +42,11 @@ normal_equations_oracle(X, y) solves the 3x3 normal equations X'X b = X'y
 by Cramer's rule in Python floats, the reference for `estimation.fit_mle`.
 star(n) is the star graph on n vertices with centre 0.
 
+er_one_geometric_call(n, p, rng) is G(n, p) by the geometric-skip scan
+that `graph.generate_er` runs in batches, from one `geometric` call long
+enough for any scan (every skip is at least 1), walked in Python over the
+pairs (i, j), i < j, in lexicographic order.
+
 reachable_oracle(g) tells whether every vertex is reachable from vertex 0
 by a depth-first search over Python lists. connected_er(n, p, rng) is the
 first `graph.generate_er` draw that reachable_oracle calls connected: the
@@ -172,6 +177,18 @@ def normal_equations_oracle(X, y) -> np.ndarray:
 def star(n: int) -> Graph:
     """The star on n vertices: vertex 0 joined to every other vertex."""
     return from_edges(n, [(0, k) for k in range(1, n)])
+
+
+def er_one_geometric_call(n: int, p: float, rng) -> Graph:
+    """G(n, 0 < p < 1) from a single geometric draw of n(n-1)/2 skips."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges, k = [], -1
+    for skip in rng.geometric(p, size=len(pairs)).tolist():
+        k += skip
+        if k >= len(pairs):
+            break
+        edges.append(pairs[k])
+    return from_edges(n, edges)
 
 
 def candidate_means_loop(candidate, observed, params) -> np.ndarray:

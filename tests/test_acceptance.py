@@ -173,15 +173,8 @@ def test_criterion_7_swap_witness(capsys):
     g = graphmod.from_edges(
         6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 5), (1, 4), (2, 4)]
     )
-    ids = np.array([0, 1, 2, 3])
-    sub = graphmod.induced_subgraph(g, ids)
-    s_hand = sampling.RecruitmentSample(
-        sampled_ids=ids, g_r=sub,
-        observed_degrees=graphmod.degrees(sub),
-        reported_degrees=graphmod.degrees(g)[ids],
-        x_obs=np.array([1.0, -0.5, 2.0, 0.25]),
-        y_obs=np.array([0.1, 0.2, 0.3, 0.4]),
-    )
+    s_hand = sampling.recruit(g, np.array([0, 1, 2, 3]), x=[1.0, -0.5, 2.0, 0.25, 0.0, 0.0],
+                              y=[0.1, 0.2, 0.3, 0.4, 0.0, 0.0])
     equal_pair = build_swap_pair(s_hand, 0, 2, 5.0, 4.0)
     assert equal_pair.d_j == equal_pair.d_l
     checks = [

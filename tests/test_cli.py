@@ -306,6 +306,8 @@ class TestSettingsBoundary:
         "expected edges above MAX_EDGES": (["generate", "--n", 10**7, "--p", 0.5], None),
         "reps above MAX_REPS": (["mc", *MC, "--reps", 10**20], None),
         "workers above MAX_WORKERS": (["mc", *MC, "--workers", 100_000], None),
+        "mc n_pop 1": (["mc", *MC, "--n-pop", 1], None),
+        "mc level 1.5": (["mc", *MC, "--level", 1.5], None),
         "mc x_mean nan": (["mc", *MC, "--workers", 2, "--x-mean", "nan"], None),
         "mc x_mean inf": (["mc", *MC, "--workers", 2, "--x-mean", "inf"], None),
         "mc x_sd inf": (["mc", *MC, "--workers", 2], b"[mc]\nx_sd = inf\n"),
@@ -369,6 +371,49 @@ class TestSettingsBoundary:
         assert run(["generate", "--n", 10, "--p", 0.5, "--out", tmp_path / "taken"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: cannot create output directory")
+
+    @pytest.mark.parametrize("command, name", [
+        ("simulate", "run_config.txt"), ("fit", "fit.json"),
+    ])
+    def test_output_file_that_is_a_directory_exits_2(self, tmp_path, capsys, simulated,
+                                                     command, name):
+        argv = {
+            "simulate": ["--n", 200, "--p", 0.05, "--f", 0.5],
+            "fit": ["--sample", simulated / "sample.csv", "--edges", simulated / "sample.edges"],
+        }[command]
+        (tmp_path / "out" / name).mkdir(parents=True)
+        assert run([command, *argv, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: cannot write {tmp_path / 'out' / name}: Is a directory"]
+
+
+class TestInputMismatch:
+    """Inputs that are each valid but do not fit together exit 2 with one `error:` line."""
+
+    def assert_exits_2(self, capsys, argv, message):
+        assert run(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("command", ["fit", "diagnostics"])
+    def test_sample_without_unit_data(self, tmp_path, capsys, simulated, command):
+        assert run(["sample", "--graph", simulated / "graph.edges", "--f", 0.5,
+                    "--out", tmp_path]) == 0
+        self.assert_exits_2(capsys, [command, "--sample", tmp_path / "sample.csv",
+                                     "--edges", tmp_path / "sample.edges",
+                                     "--out", tmp_path / "out"],
+                            "sample carries no unit data to fit")
+
+    def test_population_of_another_size(self, tmp_path, capsys, simulated):
+        assert run(["generate", "--n", 50, "--p", 0.1, "--out", tmp_path]) == 0
+        self.assert_exits_2(capsys, ["sample", "--graph", tmp_path / "graph.edges",
+                                     "--data", simulated / "population.csv", "--f", 0.5,
+                                     "--out", tmp_path / "out"],
+                            "unit-data vector length must equal n_vertices")
+
+    def test_witness_unit_out_of_range(self, tmp_path, capsys):
+        self.assert_exits_2(capsys, ["identify-demo", "--j", 999, "--l", 0,
+                                     "--out", tmp_path],
+                            "witness unit index out of range")
 
 
 # one valid config per subcommand; the mutations below break it line by line

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from netpeer import graph as graphmod
 from netpeer.errors import RankDeficiencyError, ValidationError
 from netpeer.estimation import (
     ObservedDesign,
@@ -11,10 +10,10 @@ from netpeer.estimation import (
     fit_corrected,
     fit_mle,
 )
-from netpeer.graph import degrees, from_edges, generate_er
+from netpeer.graph import from_edges, generate_er
 from netpeer.model import ModelParams, conditional_means, gen_covariates, neighbor_mean_vector
 from netpeer.sampling import (
-    RecruitmentSample,
+    recruit,
     rns_sample,
     scaling_factor,
     scaling_factor_variance,
@@ -40,35 +39,17 @@ class TestBuildObservedDesign:
 
     def test_three_path_hand_values(self):
         g = from_edges(5, [(0, 1), (1, 2), (0, 3), (2, 4)])
-        ids = np.array([0, 1, 2])
-        sub = graphmod.induced_subgraph(g, ids)
-        s = RecruitmentSample(
-            sampled_ids=ids,
-            g_r=sub,
-            observed_degrees=degrees(sub),
-            reported_degrees=degrees(g)[ids],
-            x_obs=np.array([1.0, 2.0, 3.0]),
-            y_obs=np.zeros(3),
-        )
+        s = recruit(g, np.array([0, 1, 2]), x=[1.0, 2.0, 3.0, 0.0, 0.0], y=np.zeros(5))
         # guard is at 4 rows; compute x* directly instead
         flat_means = []
         for j in range(3):
-            nb = neighbors(sub, j)
+            nb = neighbors(s.g_r, j)
             flat_means.append(s.x_obs[nb].mean())
         assert flat_means == [2.0, 2.0, 2.0]
 
     def test_isolated_unit_dropped(self):
         g = from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3), (5, 6)])
-        ids = np.array([0, 1, 2, 3, 4, 5])
-        sub = graphmod.induced_subgraph(g, ids)
-        s = RecruitmentSample(
-            sampled_ids=ids,
-            g_r=sub,
-            observed_degrees=degrees(sub),
-            reported_degrees=degrees(g)[ids],
-            x_obs=np.arange(6.0),
-            y_obs=np.arange(6.0),
-        )
+        s = recruit(g, np.arange(6), x=np.arange(7.0), y=np.arange(7.0))
         d = build_observed_design(s)
         assert d.dropped_count == 1
         assert d.n_used == 5
@@ -77,16 +58,7 @@ class TestBuildObservedDesign:
         g = from_edges(4, [(0, 1), (1, 2), (2, 3)])
         s = census_sample(g, np.arange(4.0), np.arange(4.0))
         # census on a 4-path keeps 4 rows; shrink to 3 sampled units to trip
-        ids = np.array([0, 1, 2])
-        sub = graphmod.induced_subgraph(g, ids)
-        s = RecruitmentSample(
-            sampled_ids=ids,
-            g_r=sub,
-            observed_degrees=degrees(sub),
-            reported_degrees=degrees(g)[ids],
-            x_obs=np.arange(3.0),
-            y_obs=np.arange(3.0),
-        )
+        s = recruit(g, np.array([0, 1, 2]), x=np.arange(4.0), y=np.arange(4.0))
         with pytest.raises(RankDeficiencyError):
             build_observed_design(s)
 

@@ -12,6 +12,7 @@ from oracles import (
     degree,
     edge_list_error,
     edge_list_text,
+    er_one_geometric_call,
     neighbors,
     reachable_oracle,
     star,
@@ -76,6 +77,26 @@ class TestGenerateEr:
     def test_invariants_hold(self, n, p):
         for seed in range(5):
             validate_graph(generate_er(n, p, np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("n,p,seed,calls,m", [
+        (201, 0.01, 2300, 2, 257),  # the first batch of 257 skips ends inside the scan
+        (60, 0.1, 4, 1, None),
+        (300, 0.02, 9, 1, None),
+    ])
+    def test_matches_one_geometric_call(self, n, p, seed, calls, m):
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def geometric(self, p, size):
+                self.calls += 1
+                return self.rng.geometric(p, size=size)
+
+        rng = CountingRng(np.random.default_rng(seed))
+        g = generate_er(n, p, rng)
+        assert rng.calls == calls
+        assert m is None or g.n_edges() == m
+        assert same_csr(g, er_one_geometric_call(n, p, np.random.default_rng(seed)))
 
     def test_deterministic_given_seed(self):
         a = generate_er(100, 0.05, np.random.default_rng(7))

@@ -7,7 +7,7 @@ from oracles import (
     candidate_means_loop, connected_er, find_witness_loop, likelihood_gap, population_induced,
 )
 from netpeer.errors import IsolatedVertexError, NoSlackError, ValidationError
-from netpeer.graph import degrees, from_edges, induced_subgraph
+from netpeer.graph import from_edges
 from netpeer.identification import (
     build_swap_pair,
     candidate_means,
@@ -16,7 +16,7 @@ from netpeer.identification import (
     mean_sum_gap,
 )
 from netpeer.model import ModelParams, gen_covariates, log_likelihood, simulate_outcomes
-from netpeer.sampling import RecruitmentSample, rns_sample
+from netpeer.sampling import recruit, rns_sample
 
 PARAMS = ModelParams(0.0, 1.0, 1.5, 1.0)
 
@@ -39,16 +39,9 @@ def hand_sample():
     g = from_edges(
         6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 5), (1, 4), (2, 4)]
     )
-    ids = np.array([0, 1, 2, 3])
-    sub = induced_subgraph(g, ids)
-    return RecruitmentSample(
-        sampled_ids=ids,
-        g_r=sub,
-        observed_degrees=degrees(sub),
-        reported_degrees=degrees(g)[ids],
-        x_obs=np.array([1.0, -0.5, 2.0, 0.25]),
-        y_obs=np.array([0.1, 0.2, 0.3, 0.4]),
-    )
+    # units 4 and 5 are unsampled; their data are never observed
+    return recruit(g, np.array([0, 1, 2, 3]), x=[1.0, -0.5, 2.0, 0.25, 0.0, 0.0],
+                   y=[0.1, 0.2, 0.3, 0.4, 0.0, 0.0])
 
 
 class TestIsCompatible:
@@ -82,6 +75,17 @@ class TestIsCompatible:
         x_bad[2] += 1.0
         broken = CompletionCandidate(g_p=pair.a.g_p, x_tilde=x_bad)
         assert not is_compatible(broken, s)
+
+
+    def test_candidate_smaller_than_the_sample(self):
+        s = hand_sample()
+        pair = build_swap_pair(s, 0, 1, 5.0, -5.0)
+        from netpeer.identification import CompletionCandidate
+
+        short_x = CompletionCandidate(g_p=pair.a.g_p, x_tilde=pair.a.x_tilde[: s.n - 1])
+        short_g = CompletionCandidate(g_p=from_edges(s.n - 1, []), x_tilde=pair.a.x_tilde)
+        assert not is_compatible(short_x, s)
+        assert not is_compatible(short_g, s)
 
 
 class TestBuildSwapPair:
@@ -152,16 +156,8 @@ class TestCandidateMeans:
         g = from_edges(
             7, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 5), (1, 4), (2, 4)]
         )
-        ids = np.array([0, 1, 2, 3, 6])
-        sub = induced_subgraph(g, ids)
-        s = RecruitmentSample(
-            sampled_ids=ids,
-            g_r=sub,
-            observed_degrees=degrees(sub),
-            reported_degrees=degrees(g)[ids],
-            x_obs=np.array([1.0, -0.5, 2.0, 0.25, 3.0]),
-            y_obs=np.zeros(5),
-        )
+        s = recruit(g, np.array([0, 1, 2, 3, 6]),
+                    x=[1.0, -0.5, 2.0, 0.25, 0.0, 0.0, 3.0], y=np.zeros(7))
         pair = build_swap_pair(s, 0, 1, 5.0, 4.0)
         with pytest.raises(IsolatedVertexError) as info:
             candidate_means(pair.a, s, PARAMS)

@@ -7,7 +7,6 @@ from netpeer.errors import IsolatedVertexError, ValidationError
 from netpeer.graph import from_edges, generate_er
 from netpeer.model import (
     ModelParams,
-    check_covariates,
     conditional_means,
     gen_covariates,
     log_likelihood,
@@ -36,6 +35,11 @@ class TestModelParams:
         with pytest.raises(ValidationError, match=field):
             ModelParams(**values)
 
+    def test_defaults_are_the_paper_process(self):
+        # the four-argument positional form leaves the covariate law at its default
+        assert ModelParams() == ModelParams(0.0, 1.0, 1.5, 1.0) == ModelParams(
+            beta0=0.0, beta1=1.0, beta2=1.5, sigma2_eps=1.0, x_mean=3.0, x_sd=1.5)
+
 
 class TestGenCovariates:
     def test_mean_at_grid_values(self):
@@ -58,7 +62,7 @@ class TestGenCovariates:
     ])
     def test_rejects_non_finite_law(self, mean, sd, match):
         with pytest.raises(ValidationError, match=match):
-            check_covariates(mean, sd)
+            ModelParams(x_mean=mean, x_sd=sd)
 
 
 class TestNeighborhoodMean:

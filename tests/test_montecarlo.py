@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import netpeer
-from netpeer import cli, estimation, graph as graphmod, montecarlo
+from netpeer import cli, estimation, graph as graphmod, model, montecarlo
 from netpeer.errors import AllRepsFailedError, ComputationError, ValidationError
 from netpeer.model import ModelParams
 from netpeer.montecarlo import (
@@ -133,12 +133,13 @@ class TestRunReplication:
     def test_is_shared_builder_then_shared_fit(self):
         # run_replication adds nothing to the pipeline the CLI runs: the
         # builder under prefix (master_seed, i), then the corrected fit
-        for kw in ({}, {"fraction": 0.8, "master_seed": 7}):
+        for kw in ({}, {"fraction": 0.8, "master_seed": 7},
+                   {"params": ModelParams(beta2=0.5, x_mean=-1.0, x_sd=0.5)}):
             cell = small_cell(**kw)
             for i in (0, 5):
                 *_, s = build_instance(
                     (cell.master_seed, i), cell.n_pop, cell.density, cell.fraction,
-                    cell.params, cell.x_mean, cell.x_sd,
+                    cell.params,
                 )
                 fit = estimation.fit_corrected(s, level=cell.level)
                 assert run_replication(cell, i) == RepRecord(
@@ -152,6 +153,13 @@ class TestRunReplication:
                     w_hat=float(fit.w_hat),
                     var_corrected=float(fit.var_corrected),
                 )
+
+    def test_covariates_follow_the_law_params_carry(self):
+        params = ModelParams(x_mean=-1.0, x_sd=0.5)
+        _, x, _, s = build_instance((3, 1), 200, 0.05, 0.3, params)
+        rng = stream((3, 1), montecarlo.STREAM_COVARIATES)
+        assert np.array_equal(x, model.gen_covariates(200, -1.0, 0.5, rng))
+        assert np.array_equal(s.x_obs, x[s.sampled_ids])
 
     def test_corrected_is_naive_over_w(self):
         rec = run_replication(small_cell(), 3)
@@ -256,7 +264,7 @@ class TestWorkerPool:
         run_reps(cell, workers=2)
         pool = self.cached()
         # a chunk that raises outside the ComputationError a replication records
-        with pytest.raises(AttributeError, match="beta0"):
+        with pytest.raises(AttributeError, match="x_mean"):
             run_reps(dataclasses.replace(cell, params=None), workers=2)
         assert self.cached() is pool
         assert run_reps(cell, workers=2) == run_reps(cell, workers=1)
@@ -406,8 +414,9 @@ class TestCellValidation:
         ("x_sd", np.nan),
     ])
     def test_bad_covariate_law(self, field, value):
+        # the law is part of the cell's process, which rejects it before the cell exists
         with pytest.raises(ValidationError, match=field):
-            small_cell(**{field: value})
+            small_cell(params=ModelParams(**{field: value}))
 
     def test_bad_density(self):
         with pytest.raises(ValidationError):

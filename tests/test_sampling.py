@@ -5,10 +5,11 @@ import pytest
 
 from netpeer import graph as graphmod
 from netpeer.errors import AllIsolatedSampleError, ValidationError
-from netpeer.graph import degrees, from_edges, generate_er
+from netpeer.graph import from_edges, generate_er
 from oracles import degree, neighbors, population_induced, sample_csv_text, star
 from netpeer.sampling import (
     read_sample_csv,
+    recruit,
     rns_sample,
     sample_size,
     scaling_factor,
@@ -37,6 +38,16 @@ class TestRnsSample:
         assert np.array_equal(s.observed_degrees, s.reported_degrees)
         assert np.array_equal(s.g_r.indices, g.indices)
         assert np.array_equal(s.g_r.offsets, g.offsets)
+
+    def test_is_a_uniform_draw_then_recruit(self):
+        g = generate_er(80, 0.1, np.random.default_rng(2))
+        x, y = np.arange(80.0), np.arange(80.0) ** 2
+        s = rns_sample(g, 30, np.random.default_rng(6), x, y)
+        ids = np.sort(np.random.default_rng(6).choice(80, size=30, replace=False))
+        want = recruit(g, ids, x, y)
+        assert sample_csv_text(s) == sample_csv_text(want)
+        assert s.g_r.indices.tobytes() == want.g_r.indices.tobytes()
+        assert s.g_r.offsets.tobytes() == want.g_r.offsets.tobytes()
 
     def test_single_unit(self):
         g = generate_er(10, 0.5, np.random.default_rng(0))
@@ -117,16 +128,7 @@ class TestPopulationInduced:
         g = from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
         s = rns_sample(g, 2, np.random.default_rng(0))
         # rebuild with a fixed choice instead of luck
-        ids = np.array([0, 1])
-        sub = graphmod.induced_subgraph(g, ids)
-        from netpeer.sampling import RecruitmentSample
-
-        s = RecruitmentSample(
-            sampled_ids=ids,
-            g_r=sub,
-            observed_degrees=degrees(sub),
-            reported_degrees=degrees(g)[ids],
-        )
+        s = recruit(g, np.array([0, 1]))
         p = population_induced(g, s)
         assert list(p.boundary_ids) == [2]
         # edges: (0,1) recruited, plus (0,2) and (1,2); never (2,3)
