@@ -16,7 +16,6 @@ delta-method term for the estimated scaling factor.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -54,25 +53,22 @@ class ObservedDesign:
 
 @dataclass
 class FitResult:
-    """MLE fit plus, after correction, the rescaled peer-effect estimate."""
+    """MLE fit and the peer-effect estimate rescaled by the scaling factor w_hat."""
 
     beta_hat: np.ndarray  # (beta0, beta1, beta2_naive)
     se: np.ndarray
     sigma2_hat: float
     n_used: int
     dropped: int
-    crit: float  # CI critical value at the fit's confidence level
-    var_beta2_hc1: float  # HC1 sandwich variance of beta2_naive
-    sxx_star: float  # centered sum of squares of the peer regressor x*
     ci_naive: tuple
-    w_hat: float = None
-    beta2_corrected: float = None
-    ci_corrected: tuple = None
-    ci_corrected_wald: tuple = None
-    var_corrected: float = None  # sigma2 / (w_hat^2 * sxx_star)
+    w_hat: float
+    beta2_corrected: float
+    ci_corrected: tuple
+    ci_corrected_wald: tuple
+    var_corrected: float  # sigma2 / (w_hat^2 * sum (x* - mean)^2)
 
     def to_dict(self) -> dict:
-        """The fields of fit.json; only defined after `apply_correction`."""
+        """The fields of fit.json."""
         return {
             "beta_hat": [float(b) for b in self.beta_hat],
             "se": [float(v) for v in self.se],
@@ -117,17 +113,27 @@ def _collinear_detail(X: np.ndarray) -> str:
     return "collinear columns among (" + ", ".join(_COLUMNS) + ")"
 
 
-def fit_mle(d: ObservedDesign, level: float = 0.95, use_t: bool = False) -> FitResult:
-    """Gaussian MLE of (beta0, beta1, beta2) on the observed design.
+def fit_mle(d: ObservedDesign, w_hat: float = 1.0, var_w_hat: float = 0.0,
+            level: float = 0.95, use_t: bool = False) -> FitResult:
+    """Gaussian MLE of (beta0, beta1, beta2) on the observed design, corrected by w_hat.
 
     Solved by least squares via an orthogonal decomposition; the
     residual variance uses the (n - 3) degrees-of-freedom divisor and
     the naive CI for beta2 uses the Gaussian (or, optionally, t)
-    critical value. The HC1 sandwich variance of beta2 and the centered
-    sum of squares of x* are kept for the corrected estimator's variances.
+    critical value. The peer-effect estimate and its CI limits are then
+    divided by w_hat, with the plug-in sampling variance
+    sigma2 / (w^2 * sum (x* - mean)^2) and a Wald interval whose
+    delta-method variance is var_hc1 / w^2 + beta2_naive^2 * var_w_hat / w^4
+    (var_hc1: the HC1 sandwich variance of beta2_naive). Pass var_w_hat
+    from `sampling.scaling_factor_variance`; 0 treats w_hat as known. The
+    defaults are a census's exact values and leave the estimate uncorrected.
     """
     if not 0.0 < level < 1.0:
         raise ValidationError("confidence level must be in (0, 1)")
+    if not w_hat > 0:
+        raise ValidationError("scaling factor must be positive")
+    if not var_w_hat >= 0:
+        raise ValidationError("scaling-factor variance must be non-negative")
     X, y = d.X, d.y
     n = d.n_used
     beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
@@ -148,57 +154,32 @@ def fit_mle(d: ObservedDesign, level: float = 0.95, use_t: bool = False) -> FitR
     # scipy.stats would take more than half of every process's start-up
     q = 0.5 + level / 2.0
     crit = float(special.stdtrit(n - 3, q) if use_t else special.ndtri(q))
-    ci = (beta[2] - crit * se[2], beta[2] + crit * se[2])
+    b2 = beta[2]
+    lo, hi = b2 - crit * se[2], b2 + crit * se[2]
+    corrected = b2 / w_hat
+    half = crit * math.sqrt(var_hc1 / w_hat**2 + b2**2 * var_w_hat / w_hat**4)
     return FitResult(
         beta_hat=beta,
         se=se,
         sigma2_hat=sigma2,
         n_used=n,
         dropped=d.dropped_count,
-        crit=crit,
-        var_beta2_hc1=var_hc1,
-        sxx_star=sxx,
-        ci_naive=ci,
-    )
-
-
-def apply_correction(fit: FitResult, w_hat: float, var_w_hat: float = 0.0) -> FitResult:
-    """Rescale the peer-effect estimate and its CI limits by 1/w_hat.
-
-    Sets the plug-in sampling variance of the corrected estimator,
-    sigma2 / (w^2 * sum (x* - mean)^2), and emits a Wald interval for
-    beta2_naive / w_hat from the delta method: var_beta2_hc1 / w^2 +
-    beta2_naive^2 * var_w_hat / w^4. Pass var_w_hat from
-    `sampling.scaling_factor_variance`; 0 treats w_hat as known (a
-    census has w_hat = 1 and zero variance exactly).
-    """
-    if not w_hat > 0:
-        raise ValidationError("scaling factor must be positive")
-    if not var_w_hat >= 0:
-        raise ValidationError("scaling-factor variance must be non-negative")
-    lo, hi = fit.ci_naive
-    b2 = fit.beta_hat[2]
-    corrected = b2 / w_hat
-    half = fit.crit * math.sqrt(
-        fit.var_beta2_hc1 / w_hat**2 + b2**2 * var_w_hat / w_hat**4
-    )
-    return dataclasses.replace(
-        fit,
+        ci_naive=(lo, hi),
         w_hat=w_hat,
         beta2_corrected=corrected,
         ci_corrected=(lo / w_hat, hi / w_hat),
         ci_corrected_wald=(corrected - half, corrected + half),
-        var_corrected=fit.sigma2_hat / (w_hat**2 * fit.sxx_star),
+        var_corrected=sigma2 / (w_hat**2 * sxx),
     )
 
 
 def fit_corrected(
     s: RecruitmentSample, level: float = 0.95, use_t: bool = False
 ) -> FitResult:
-    """The corrected estimator on one sample: design, MLE, then the w_hat rescaling."""
-    fit = fit_mle(build_observed_design(s), level=level, use_t=use_t)
+    """The corrected estimator on one sample: design, w_hat and its variance, then the fit."""
+    d = build_observed_design(s)
     w_hat = samplingmod.scaling_factor(s)
-    return apply_correction(fit, w_hat, samplingmod.scaling_factor_variance(s, w_hat))
+    return fit_mle(d, w_hat, samplingmod.scaling_factor_variance(s, w_hat), level, use_t)
 
 
 def diagnostics(d: ObservedDesign, s: RecruitmentSample) -> dict:

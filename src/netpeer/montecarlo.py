@@ -197,6 +197,12 @@ def _drop_pool() -> None:
         _pool = None
 
 
+def check_workers(workers: int) -> None:
+    """A worker count is from 1 to MAX_WORKERS."""
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValidationError(f"workers must be in [1, {MAX_WORKERS}]")
+
+
 def run_reps(cell: ExperimentCell, workers: int = 1) -> list:
     """All replications of a cell, as records in rep order.
 
@@ -205,8 +211,7 @@ def run_reps(cell: ExperimentCell, workers: int = 1) -> list:
     them in the process's worker pool. A worker that dies raises
     ComputationError and the next call forks a fresh pool.
     """
-    if not 1 <= workers <= MAX_WORKERS:
-        raise ValidationError(f"workers must be in [1, {MAX_WORKERS}]")
+    check_workers(workers)
     shared = draw_graph(
         (cell.master_seed, 0), cell.n_pop, cell.density
     ) if cell.fixed_graph else None

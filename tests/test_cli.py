@@ -97,8 +97,7 @@ class TestSimulateAndFit:
         # rebuild the same instance in process: the CLI's seed prefix is (seed,)
         *_, s = build_instance((11,), 300, 0.04, 0.4, ModelParams(0.0, 1.0, 1.5, 1.0))
         design = estimation.build_observed_design(s)
-        fit = estimation.fit_mle(design)
-        fit = estimation.apply_correction(fit, sampling.scaling_factor(s))
+        fit = estimation.fit_mle(design, sampling.scaling_factor(s))
         assert out["beta2_corrected"] == pytest.approx(fit.beta2_corrected, abs=1e-12)
         assert out["beta_hat"][2] == pytest.approx(float(fit.beta_hat[2]), abs=1e-12)
         assert out["w_hat"] == pytest.approx(fit.w_hat, abs=1e-15)
@@ -541,6 +540,26 @@ class TestMcCommand:
             "--reps", 4, "--save-records", "--out", tmp_path,
         ]) == 0
         assert (tmp_path / "records_cell0.csv").exists()
+
+    @pytest.mark.parametrize("fractions, taken", [
+        ("0.2", "results.csv"), ("0.2,0.8", "records_cell1.csv"),
+    ])
+    def test_unwritable_output_exits_2_before_any_replication(
+            self, tmp_path, capsys, monkeypatch, fractions, taken):
+        calls, real = [], montecarlo.run_reps
+
+        def counted(*args, **kw):
+            calls.append(args)
+            return real(*args, **kw)
+        monkeypatch.setattr(montecarlo, "run_reps", counted)
+        (tmp_path / taken).mkdir()
+        assert run([
+            "mc", "--n-pop", 1000, "--density", 0.01, "--fraction", fractions,
+            "--reps", 200, "--save-records", "--out", tmp_path,
+        ]) == 2
+        assert calls == []
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: cannot write {tmp_path / taken}: Is a directory"]
 
     def test_failed_cell_does_not_stop_grid(self, tmp_path, capsys):
         # at N=300, p=1% every draw has an isolated vertex, so every rep of that cell fails

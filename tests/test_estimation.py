@@ -4,7 +4,6 @@ import pytest
 from netpeer.errors import RankDeficiencyError, ValidationError
 from netpeer.estimation import (
     ObservedDesign,
-    apply_correction,
     build_observed_design,
     diagnostics,
     fit_corrected,
@@ -19,7 +18,7 @@ from netpeer.sampling import (
     scaling_factor_variance,
 )
 
-from oracles import connected_er, critical_value, neighbors, normal_equations_oracle
+from oracles import connected_er, critical_value, normal_equations_oracle
 
 PARAMS = ModelParams(0.0, 1.0, 1.5, 1.0)
 
@@ -37,15 +36,22 @@ class TestBuildObservedDesign:
         assert d.dropped_count == 0
         assert np.allclose(d.x_star, neighbor_mean_vector(g, x), atol=1e-12)
 
-    def test_three_path_hand_values(self):
-        g = from_edges(5, [(0, 1), (1, 2), (0, 3), (2, 4)])
-        s = recruit(g, np.array([0, 1, 2]), x=[1.0, 2.0, 3.0, 0.0, 0.0], y=np.zeros(5))
-        # guard is at 4 rows; compute x* directly instead
-        flat_means = []
-        for j in range(3):
-            nb = neighbors(s.g_r, j)
-            flat_means.append(s.x_obs[nb].mean())
-        assert flat_means == [2.0, 2.0, 2.0]
+    def test_hand_values(self):
+        # G_R over units 0-5: the 4-cycle 0-1-2-3 plus 1-4; unit 5 is tied only to
+        # unsampled 6, so it is isolated in G_R and dropped
+        g = from_edges(8, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (5, 6), (0, 7), (4, 7)])
+        x = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]
+        y = [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0]
+        d = build_observed_design(recruit(g, np.arange(6), x=x, y=y))
+        assert d.X.tolist() == [
+            [1.0, 1.0, 5.0],   # (x_1 + x_3) / 2
+            [1.0, 2.0, 7.0],   # (x_0 + x_2 + x_4) / 3
+            [1.0, 4.0, 5.0],   # (x_1 + x_3) / 2
+            [1.0, 8.0, 2.5],   # (x_0 + x_2) / 2
+            [1.0, 16.0, 2.0],  # x_1
+        ]
+        assert d.y.tolist() == [10.0, 20.0, 30.0, 40.0, 50.0]
+        assert d.dropped_count == 1
 
     def test_isolated_unit_dropped(self):
         g = from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3), (5, 6)])
@@ -138,56 +144,58 @@ class TestFitMle:
         X = np.column_stack([np.ones(n), rng.normal(size=n), rng.normal(size=n)])
         d = ObservedDesign(X=X, y=rng.normal(size=n), dropped_count=0)
         for level in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
-            assert fit_mle(d, level=level).crit == critical_value(level)
-            assert fit_mle(d, level=level, use_t=True).crit == critical_value(level, n - 3)
+            for fit, c in ((fit_mle(d, level=level), critical_value(level)),
+                           (fit_mle(d, level=level, use_t=True), critical_value(level, n - 3))):
+                b, se = fit.beta_hat[2], fit.se[2]
+                assert fit.ci_naive == (b - c * se, b + c * se)
 
 
 class TestApplyCorrection:
-    def _fit(self):
+    """The w_hat correction that `fit_mle` applies to the naive fit."""
+
+    def _fit(self, w=1.0, var_w=0.0):
         rng = np.random.default_rng(4)
         X = np.column_stack([np.ones(20), rng.normal(size=20), rng.normal(size=20)])
         y = rng.normal(size=20)
         d = ObservedDesign(X=X, y=y, dropped_count=0)
-        return fit_mle(d)
+        return fit_mle(d, w, var_w)
 
     def test_census_w_one_is_identity(self):
-        fit = apply_correction(self._fit(), 1.0)
+        fit = self._fit()
         assert fit.beta2_corrected == fit.beta_hat[2]
         assert fit.ci_corrected == fit.ci_naive
 
     def test_arithmetic(self):
-        fit = self._fit()
-        corrected = apply_correction(fit, 0.2)
-        assert corrected.beta2_corrected == fit.beta_hat[2] / 0.2
-        # a naive estimate of 0.3 at w=0.2 corrects to the truth 1.5
-        assert 0.3 / 0.2 == pytest.approx(1.5, abs=1e-12)
+        fit = self._fit(0.2)
+        assert fit.beta2_corrected == fit.beta_hat[2] / 0.2
 
     def test_correction_identity_bit_exact(self):
         fit = self._fit()
         w = 0.37
-        corrected = apply_correction(fit, w)
+        corrected = self._fit(w)
         assert corrected.beta2_corrected * w == fit.beta_hat[2] * (w / w)
         assert corrected.ci_corrected[0] == fit.ci_naive[0] / w
         assert corrected.ci_corrected[1] == fit.ci_naive[1] / w
 
     def test_rejects_nonpositive_w(self):
-        with pytest.raises(ValidationError):
-            apply_correction(self._fit(), 0.0)
+        with pytest.raises(ValidationError, match="scaling factor must be positive"):
+            self._fit(0.0)
 
     def test_rejects_negative_w_variance(self):
-        with pytest.raises(ValidationError):
-            apply_correction(self._fit(), 0.5, -1e-3)
+        with pytest.raises(ValidationError, match="variance must be non-negative"):
+            self._fit(0.5, -1e-3)
 
     @staticmethod
     def _wald_var(fit):
         lo, hi = fit.ci_corrected_wald
-        return ((hi - lo) / (2.0 * fit.crit)) ** 2
+        return ((hi - lo) / (2.0 * critical_value(0.95))) ** 2
 
     def test_wald_beta2_variance_is_loop_sandwich(self):
         rng = np.random.default_rng(4)
         X = np.column_stack([np.ones(20), rng.normal(size=20), rng.normal(size=20)])
         y = rng.normal(size=20) * np.linspace(0.2, 3.0, 20)
-        fit = fit_mle(ObservedDesign(X=X, y=y, dropped_count=0))
+        d = ObservedDesign(X=X, y=y, dropped_count=0)
+        fit = fit_mle(d)
         n = 20
         bread = np.linalg.inv(X.T @ X)
         e = [y[i] - sum(X[i, k] * fit.beta_hat[k] for k in range(3)) for i in range(n)]
@@ -195,23 +203,22 @@ class TestApplyCorrection:
                  for b in range(3)] for a in range(3)]
         sandwich = sum(bread[2, a] * meat[a][b] * bread[b, 2]
                        for a in range(3) for b in range(3)) * n / (n - 3)
-        assert fit.var_beta2_hc1 == pytest.approx(sandwich, rel=1e-10)
+        # at w = 1 with zero variance the Wald variance is the HC1 variance itself
+        assert self._wald_var(fit) == pytest.approx(sandwich, rel=1e-10)
         w = 0.4
-        assert self._wald_var(apply_correction(fit, w)) * w**2 == pytest.approx(
-            sandwich, rel=1e-10
-        )
+        assert self._wald_var(fit_mle(d, w)) * w**2 == pytest.approx(sandwich, rel=1e-10)
 
     def test_delta_term(self):
-        fit = self._fit()
         w, var_w = 0.4, 2e-3
-        fixed = apply_correction(fit, w, 0.0)
-        assert fixed.ci_corrected_wald == apply_correction(fit, w).ci_corrected_wald
-        assert self._wald_var(fixed) == pytest.approx(fit.var_beta2_hc1 / w**2, rel=1e-12)
-        delta = self._wald_var(apply_correction(fit, w, var_w)) - self._wald_var(fixed)
-        assert delta == pytest.approx(fit.beta_hat[2] ** 2 * var_w / w**4, rel=1e-9)
+        fixed = self._fit(w, 0.0)
+        assert fixed.ci_corrected_wald == self._fit(w).ci_corrected_wald
+        hc1 = self._wald_var(self._fit())
+        assert self._wald_var(fixed) == pytest.approx(hc1 / w**2, rel=1e-12)
+        delta = self._wald_var(self._fit(w, var_w)) - self._wald_var(fixed)
+        assert delta == pytest.approx(fixed.beta_hat[2] ** 2 * var_w / w**4, rel=1e-9)
 
     def test_wald_contains_corrected_estimate(self):
-        fit = apply_correction(self._fit(), 0.3, 1e-3)
+        fit = self._fit(0.3, 1e-3)
         lo, hi = fit.ci_corrected_wald
         assert lo < fit.beta2_corrected < hi
         assert (lo + hi) / 2 == pytest.approx(fit.beta2_corrected, rel=1e-12)
@@ -223,9 +230,9 @@ class TestFitCorrected:
         x = gen_covariates(200, 3.0, 1.5, np.random.default_rng(22))
         y = conditional_means(g, x, PARAMS) + np.random.default_rng(23).normal(size=200)
         s = rns_sample(g, 80, np.random.default_rng(24), x, y)
-        fit = fit_mle(build_observed_design(s), level=0.9, use_t=True)
         w = scaling_factor(s)
-        want = apply_correction(fit, w, scaling_factor_variance(s, w))
+        want = fit_mle(build_observed_design(s), w, scaling_factor_variance(s, w),
+                       level=0.9, use_t=True)
         got = fit_corrected(s, level=0.9, use_t=True)
         assert got.to_dict() == want.to_dict()
         assert got.var_corrected == want.var_corrected
@@ -233,26 +240,24 @@ class TestFitCorrected:
 
 
 class TestAsymptoticVariance:
-    """`FitResult.var_corrected`, the plug-in variance set by apply_correction."""
+    """`FitResult.var_corrected`, the plug-in variance of the corrected estimator."""
 
-    def _fit(self):
+    def _design(self):
         rng = np.random.default_rng(5)
         X = np.column_stack([np.ones(30), rng.normal(size=30), rng.normal(size=30)])
-        d = ObservedDesign(X=X, y=rng.normal(size=30), dropped_count=0)
-        return d, fit_mle(d)
+        return ObservedDesign(X=X, y=rng.normal(size=30), dropped_count=0)
 
     def test_w_one_is_classical_slope_variance(self):
-        d, fit = self._fit()
+        d = self._design()
+        fit = fit_mle(d, 1.0)
         x_star = d.x_star
         sxx = np.sum((x_star - x_star.mean()) ** 2)
-        assert apply_correction(fit, 1.0).var_corrected == pytest.approx(
-            fit.sigma2_hat / sxx, rel=1e-12
-        )
+        assert fit.var_corrected == pytest.approx(fit.sigma2_hat / sxx, rel=1e-12)
 
     def test_doubling_w_quarters_variance(self):
-        _, fit = self._fit()
-        assert apply_correction(fit, 0.4).var_corrected == pytest.approx(
-            apply_correction(fit, 0.2).var_corrected / 4.0, rel=1e-12
+        d = self._design()
+        assert fit_mle(d, 0.4).var_corrected == pytest.approx(
+            fit_mle(d, 0.2).var_corrected / 4.0, rel=1e-12
         )
 
     def test_zero_regressor_variance_rejected(self):
@@ -317,13 +322,13 @@ class TestSerialization:
         rng = np.random.default_rng(15)
         X = np.column_stack([np.ones(10), rng.normal(size=10), rng.normal(size=10)])
         d = ObservedDesign(X=X, y=rng.normal(size=10), dropped_count=2)
-        fit = apply_correction(fit_mle(d), 0.5)
+        fit = fit_mle(d, 0.5)
         import json
 
         blob = json.loads(json.dumps(fit.to_dict()))
-        for key in ("beta_hat", "se", "sigma2_hat", "w_hat", "beta2_corrected",
-                    "ci_naive", "ci_corrected", "n_used", "dropped"):
-            assert key in blob
+        assert blob.keys() == {"beta_hat", "se", "sigma2_hat", "w_hat", "beta2_corrected",
+                               "ci_naive", "ci_corrected", "ci_corrected_wald",
+                               "n_used", "dropped"}
         assert blob["dropped"] == 2
         # round-trips at full double precision
         assert blob["beta2_corrected"] == fit.beta2_corrected

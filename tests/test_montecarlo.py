@@ -1,6 +1,8 @@
 import csv
 import ctypes
 import dataclasses
+import json
+import multiprocessing
 import os
 import platform
 import resource
@@ -176,6 +178,34 @@ class TestRunCell:
         rep2, recs2 = run_cell(cell, workers=2)
         assert recs1 == recs2
         assert rep1 == rep2
+
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_worker_invariance_under_start_method(self, method):
+        # a fresh interpreter per method: the start method is set once per process
+        code = (
+            "import json, multiprocessing, sys\n"
+            "from netpeer import model, montecarlo\n"
+            "multiprocessing.set_start_method(sys.argv[1])\n"
+            "out = {}\n"
+            "for fixed in (False, True):\n"
+            "    cell = montecarlo.ExperimentCell(300, 0.03, 0.4, model.ModelParams(),\n"
+            "                                     reps=40, fixed_graph=fixed)\n"
+            "    out[f'fixed_graph={fixed}'] = (\n"
+            "        montecarlo.run_cell(cell, workers=2) == montecarlo.run_cell(cell, workers=1))\n"
+            "# eval is picklable by name, so a spawned worker can run it\n"
+            "out['heap_kept'] = montecarlo._worker_pool(2).submit(\n"
+            "    eval, \"__import__('netpeer')._HEAP_KEPT\").result()\n"
+            "print(json.dumps(out))\n"
+        )
+        src = os.path.dirname(os.path.dirname(netpeer.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code, method], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        assert json.loads(done.stdout) == {
+            "fixed_graph=False": True,
+            "fixed_graph=True": True,
+            "heap_kept": platform.libc_ver()[0] == "glibc",
+        }
 
     def test_same_seed_bit_identical(self):
         cell = small_cell()
