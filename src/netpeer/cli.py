@@ -242,9 +242,8 @@ def _cmd_mc(v: dict, out: str) -> None:
         try:
             records = montecarlo.run_reps(cell, workers=v["workers"])
             if v["save_records"]:
-                montecarlo.write_records_csv(
-                    cell, records, os.path.join(out, f"records_cell{idx}.csv")
-                )
+                path = os.path.join(out, f"records_cell{idx}.csv")
+                montecarlo.write_records_csv(records, path)
             results.append((cell, montecarlo.summarize(cell, records)))
         except ComputationError as exc:
             failed.append(f"N={cell.n_pop}, p={cell.density}, f={cell.fraction}: {exc}")

@@ -185,10 +185,10 @@ def fit_corrected(
 def diagnostics(d: ObservedDesign, s: RecruitmentSample) -> dict:
     """Empirical checks of the regularity conditions behind the correction.
 
-    Reports the covariate variance statistic, the cross-product
-    statistic, the observed/true degree-ratio summary with the scaling
-    factor, and the dropped-unit count. `d` is the design built from
-    `s`, so at least four sampled units have a positive observed degree.
+    Reports the covariate variance statistic, the observed/true
+    degree-ratio summary with the scaling factor, and the dropped-unit
+    count. `d` is the design built from `s`, so at least four sampled
+    units have a positive observed degree.
     A statistic too large for float64 comes out as inf or nan, without a
     warning.
     """
@@ -197,10 +197,8 @@ def diagnostics(d: ObservedDesign, s: RecruitmentSample) -> dict:
     with np.errstate(over="ignore", invalid="ignore"):
         centered = s.x_obs - s.x_obs.mean()
         var_stat = float(np.sum(centered**2)) / s.n
-        cross_stat = float(np.sum(centered) ** 2 - np.sum(centered**2)) / s.n
     return {
         "covariate_variance_stat": var_stat,
-        "covariate_cross_stat": cross_stat,
         "degenerate_covariate": var_stat == 0.0,
         "degree_ratio_min": float(ratios.min()),
         "degree_ratio_mean": float(ratios.mean()),

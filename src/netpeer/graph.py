@@ -135,24 +135,19 @@ def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
     """
     check_er_size(n, p)
     m_total = n * (n - 1) // 2
-    if m_total == 0 or p == 0.0:
-        return Graph(n, np.empty(0, dtype=np.int64), np.zeros(n + 1, dtype=np.int64))
-    if p == 1.0:
-        return _csr(n, *np.triu_indices(n, k=1))
-    indices = []
+    hits = [np.empty(0, dtype=np.int64)]
     current = -1
-    while True:
-        remaining = m_total - current - 1
-        batch = max(256, int(remaining * p * 1.2) + 16)
+    while p > 0 and current < m_total - 1:
+        batch = max(256, int((m_total - current - 1) * p * 1.2) + 16)
         skips = rng.geometric(p, size=batch)  # int64
+        # a skip past the last pair ends the scan either way; the clip keeps
+        # the sum from wrapping int64 at tiny p, where skips near 2**63 come up
+        np.minimum(skips, m_total + 1, out=skips)
         cand = current + np.cumsum(skips)
-        hits = cand[cand < m_total]
-        indices.append(hits)
-        if hits.size < cand.size or cand[-1] >= m_total - 1:
-            break
+        hits.append(cand[cand < m_total])
         current = int(cand[-1])
     # the skips are positive, so the pair indices come out ascending
-    return _csr(n, *_pair_index_to_edges(np.concatenate(indices), n))
+    return _csr(n, *_pair_index_to_edges(np.concatenate(hits), n))
 
 
 def degrees(g: Graph) -> np.ndarray:

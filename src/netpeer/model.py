@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph as graphmod
-from .errors import IsolatedVertexError, ValidationError
+from .errors import ComputationError, IsolatedVertexError, ValidationError
 from .graph import Graph
 
 
@@ -66,9 +66,15 @@ def conditional_means(g: Graph, x, params: ModelParams) -> np.ndarray:
 def simulate_outcomes(
     g: Graph, x, params: ModelParams, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw outcomes from the peer-effects model on a graph with no isolated vertex."""
-    means = conditional_means(g, x, params)
-    return means + rng.normal(0.0, math.sqrt(params.sigma2_eps), size=g.n_vertices)
+    """Draw outcomes from the peer-effects model on a graph with no isolated vertex.
+
+    Raises ComputationError when an outcome is not finite in float64."""
+    noise = rng.normal(0.0, math.sqrt(params.sigma2_eps), size=g.n_vertices)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = conditional_means(g, x, params) + noise
+    if not np.isfinite(y).all():
+        raise ComputationError("simulated outcomes overflow float64")
+    return y
 
 
 def write_unit_csv(x, y, path) -> None:

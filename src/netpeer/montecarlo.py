@@ -280,7 +280,7 @@ def write_grid_csv(results, path) -> None:
                          f"{rep.mean_w_hat:.10g},{rep.reps_failed}\n")
 
 
-def write_records_csv(cell: ExperimentCell, records, path) -> None:
+def write_records_csv(records, path) -> None:
     """Optional per-replication dump so metrics can be recomputed offline."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

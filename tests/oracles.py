@@ -180,7 +180,9 @@ def star(n: int) -> Graph:
 
 
 def er_one_geometric_call(n: int, p: float, rng) -> Graph:
-    """G(n, 0 < p < 1) from a single geometric draw of n(n-1)/2 skips."""
+    """G(n, 0 < p <= 1) from a single geometric draw of n(n-1)/2 skips.
+
+    The skips are summed as Python ints, so no p can wrap the sum."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges, k = [], -1
     for skip in rng.geometric(p, size=len(pairs)).tolist():

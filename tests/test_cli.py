@@ -161,7 +161,7 @@ class TestPinnedOutputs:
 
     REPORT_DIGESTS = {
         "diag/diagnostics.json":
-            "6cc9e77c5031c78cc3cc617bd3673c27d3c60c433b2e0cab0a823ee8f9e100da",
+            "1fe317b090f6f138169b47c79353e88d84b3486f428770fe93d5c0634b5d771f",
         "id/witness.json": "0a5634a4812be0dfe927d480c2c6020acf2712a9c3eaaf57552eaf81ef41f886",
         "idjl/witness.json":
             "dd5a2fcffaa290d7cb953df6dee41db76c3f462685f6d9ad1876da4bd8fa125c",
@@ -714,6 +714,39 @@ class TestInputBoundary:
         # rejected before any graph draw or replication
         assert not (tmp_path / "graph.edges").exists()
         assert not (tmp_path / "results.csv").exists()
+
+
+class TestExtremeSettings:
+    """Accepted settings at their extremes exit 0 or 3, with no warning or traceback."""
+
+    @pytest.mark.parametrize("argv,code,message", [
+        # a p too small to expect an edge draws the empty graph...
+        (["generate", "--n", 100, "--p", 1e-19, "--allow-disconnected"], 0, None),
+        (["generate", "--n", 100, "--p", 5e-324, "--allow-disconnected"], 0, None),
+        # ...whose isolated vertices fail every redraw
+        (["simulate", "--n", 100, "--p", 1e-19, "--f", 0.5], 3, "no graph without"),
+        (["mc", "--n-pop", 100, "--density", 1e-19, "--fraction", 0.5, "--reps", 2],
+         3, "all 2 replications failed"),
+        # outcomes that overflow float64
+        (["simulate", "--n", 200, "--p", 0.05, "--f", 0.5, "--beta2", 1e308],
+         3, "simulated outcomes overflow float64"),
+        (["mc", "--n-pop", 200, "--density", 0.05, "--fraction", 0.5, "--reps", 3,
+          "--beta2", 1e308], 3, "all 3 replications failed"),
+        (["identify-demo", "--beta2", 1e308], 3, "simulated outcomes overflow float64"),
+    ], ids=["generate-p1e-19", "generate-p5e-324", "simulate-p1e-19", "mc-p1e-19",
+            "simulate-beta2", "mc-beta2", "identify-demo-beta2"])
+    def test_exit_code(self, tmp_path, capsys, argv, code, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run([*argv, "--out", tmp_path]) == code
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == (code != 0)
+        assert all(line.startswith("error: ") and message in line for line in err)
+        if argv[0] == "generate":
+            assert (tmp_path / "graph.edges").read_text() == "# vertices=100\n"
+        elif argv[0] != "mc":  # nothing written but the settings
+            assert os.listdir(tmp_path) == ["run_config.txt"]
 
 
 TOKENS = ("", "nan", "inf", "-1", "0", "1", "2.5", "abc", "1e3", "99999999999999999999",

@@ -82,6 +82,10 @@ class TestGenerateEr:
         (201, 0.01, 2300, 2, 257),  # the first batch of 257 skips ends inside the scan
         (60, 0.1, 4, 1, None),
         (300, 0.02, 9, 1, None),
+        # skips near 2**63 end the scan at once: the sum must not wrap
+        (201, 1e-300, 5, 1, 0),
+        (201, 1e-19, 6, 1, 0),
+        (5, 1.0, 7, 1, 10),  # every skip is 1
     ])
     def test_matches_one_geometric_call(self, n, p, seed, calls, m):
         class CountingRng:
@@ -111,7 +115,7 @@ class TestGenerateEr:
 
     @pytest.mark.parametrize("n,p", [(10**7, 0.5), (20_000, 1.0)])
     def test_rejects_expected_edges_above_max_edges(self, n, p):
-        # refused before any allocation; p = 1 takes the complete-graph path
+        # refused before any allocation, p = 1 included
         assert n * (n - 1) // 2 * p > graphmod.MAX_EDGES
         with pytest.raises(ValidationError, match="expected edge count"):
             generate_er(n, p, np.random.default_rng(0))

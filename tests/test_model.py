@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from netpeer.errors import IsolatedVertexError, ValidationError
+from netpeer.errors import ComputationError, IsolatedVertexError, ValidationError
 from netpeer.graph import from_edges, generate_er
 from netpeer.model import (
     ModelParams,
@@ -126,6 +126,14 @@ class TestOutcomes:
         ])
         assert abs(draws.mean() - 2.5) < 0.1
         assert abs(draws.var() - 4.0) / 4.0 < 0.1
+
+    def test_overflowing_outcomes_raise(self):
+        # finite settings whose peer term is not representable in float64;
+        # the suite turns numpy's overflow warning into an error, so none is raised
+        g = connected_er(20, 0.3, np.random.default_rng(2))
+        x = gen_covariates(20, 3.0, 1.5, np.random.default_rng(3))
+        with pytest.raises(ComputationError, match="overflow float64"):
+            simulate_outcomes(g, x, ModelParams(beta2=1e308), np.random.default_rng(4))
 
     def test_grid_parameter_vector(self):
         # default experiment parameters are representable exactly

@@ -527,7 +527,7 @@ class TestGridCsv:
         cell = small_cell(reps=5)
         _, recs = run_cell(cell, workers=1)
         out = tmp_path / "records.csv"
-        write_records_csv(cell, recs, out)
+        write_records_csv(recs, out)
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + 5
@@ -544,7 +544,7 @@ class TestGridCsv:
             RepRecord(rep_index=1, ok=False, error="no graph (n=3, p=0.1); retry"),
         ]
         out = tmp_path / "records.csv"
-        write_records_csv(small_cell(), recs, out)
+        write_records_csv(recs, out)
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         assert [len(r) for r in rows] == [12, 12, 12]
