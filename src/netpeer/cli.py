@@ -163,15 +163,14 @@ def _model_params(v: dict) -> ModelParams:
 
 
 def _instance(v: dict):
-    """`simulate` and `identify-demo`: params, then the shared builder's (g, x, y, sample)."""
+    """`simulate` and `identify-demo`: params, the graph draw, the builder's (x, y, sample)."""
     # before the graph draw; a bad n is reported as the graph's, not the sample's
     params = _model_params(v)
     graphmod.check_er_size(v["n"], v["p"])
     sampling.check_sample_size(sampling.sample_size(v["n"], v["f"]), v["n"])
-    return params, *montecarlo.build_instance(
-        (v["seed"],), v["n"], v["p"], v["f"], params,
-        max_attempts=v.get("max_attempts", montecarlo.MAX_ATTEMPTS),
-    )
+    g = montecarlo.draw_graph((v["seed"],), v["n"], v["p"],
+                              max_attempts=v.get("max_attempts", montecarlo.MAX_ATTEMPTS))
+    return params, g, *montecarlo.build_instance((v["seed"],), g, v["f"], params)
 
 
 def _write_json(out: str, name: str, report: dict) -> None:
@@ -263,10 +262,15 @@ def _cmd_identify_demo(v: dict, out: str) -> None:
         pair = identification.find_witness(s, v["x_u1"], v["x_u2"])
     else:
         pair = identification.build_swap_pair(s, v["j"], v["l"], v["x_u1"], v["x_u2"])
+    if pair is not None:
+        ll_a, ll_b = identification.log_likelihoods(pair, s.y_obs, params)
+        # equal likelihoods (beta2 = 0, say) witness nothing; a nan gap, from
+        # two -inf likelihoods, is not 0 and reaches the strict-JSON exit 3
+        if abs(ll_a - ll_b) == 0.0:
+            pair = None
     if pair is None:
         report = {"verdict": "NO_WITNESS_AVAILABLE"}
     else:
-        ll_a, ll_b = identification.log_likelihoods(pair, s.y_obs, params)
         report = {
             "verdict": "NOT_IDENTIFIED_WITNESS_FOUND",
             "j": pair.j, "l": pair.l,
@@ -285,8 +289,7 @@ def _cmd_identify_demo(v: dict, out: str) -> None:
 def _cmd_diagnostics(v: dict, out: str) -> None:
     g_r = graphmod.read_edge_list(v["edges"])
     s = sampling.read_sample_csv(v["sample"], g_r)
-    _write_json(out, "diagnostics.json",
-                estimation.diagnostics(estimation.build_observed_design(s), s))
+    _write_json(out, "diagnostics.json", estimation.diagnostics(s))
 
 
 _HANDLERS = {

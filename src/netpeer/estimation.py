@@ -182,16 +182,15 @@ def fit_corrected(
     return fit_mle(d, w_hat, samplingmod.scaling_factor_variance(s, w_hat), level, use_t)
 
 
-def diagnostics(d: ObservedDesign, s: RecruitmentSample) -> dict:
+def diagnostics(s: RecruitmentSample) -> dict:
     """Empirical checks of the regularity conditions behind the correction.
 
     Reports the covariate variance statistic, the observed/true
     degree-ratio summary with the scaling factor, and the dropped-unit
-    count. `d` is the design built from `s`, so at least four sampled
-    units have a positive observed degree.
-    A statistic too large for float64 comes out as inf or nan, without a
-    warning.
+    count of the design built from `s`. A statistic too large for
+    float64 comes out as inf or nan, without a warning.
     """
+    d = build_observed_design(s)
     pos = s.reported_degrees > 0
     ratios = s.observed_degrees[pos] / s.reported_degrees[pos]
     with np.errstate(over="ignore", invalid="ignore"):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph as graphmod
-from .errors import IsolatedVertexError, NoSlackError, ValidationError
+from .errors import ComputationError, IsolatedVertexError, NoSlackError, ValidationError
 from .graph import Graph
 from .model import ModelParams, log_likelihood
 from .sampling import RecruitmentSample
@@ -86,7 +86,8 @@ def build_swap_pair(
     j and l are local (within-sample) indices and must have reported
     degree strictly above their observed degree. Give both attached
     covariate values or neither; neither means the observed mean plus/minus
-    one observed standard deviation (or 1.0 when degenerate).
+    one observed standard deviation (or 1.0 when degenerate), and raises
+    ComputationError unless those are two distinct finite floats.
     """
     n = observed.n
     if observed.x_obs is None:
@@ -96,8 +97,14 @@ def build_swap_pair(
     if not (0 <= j < n and 0 <= l < n):
         raise ValidationError("witness unit index out of range")
     if x_u1 is None and x_u2 is None:
-        center, spread = float(observed.x_obs.mean()), float(observed.x_obs.std()) or 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            center, spread = float(observed.x_obs.mean()), float(observed.x_obs.std()) or 1.0
         x_u1, x_u2 = center + spread, center - spread
+        if not (np.isfinite([x_u1, x_u2]).all() and x_u1 != x_u2):
+            raise ComputationError(
+                f"default attached values {x_u1:g} and {x_u2:g} (the covariate mean "
+                "plus/minus one sd) are not two distinct finite floats"
+            )
     check_attached(x_u1, x_u2)
     for v in (j, l):
         if observed.reported_degrees[v] <= observed.observed_degrees[v]:

@@ -1,13 +1,13 @@
 """Seeded simulate -> sample -> fit pipeline and the replication engine.
 
-`build_instance` draws a random graph in which every unit has a
-neighbor, simulates covariates and outcomes and takes an RNS sample;
-`estimation.fit_corrected` then fits the model on the incomplete data and
-applies the scaling-factor correction. The CLI and the Monte Carlo engine
-share both. Every random draw comes from its own stream
-SeedSequence([*prefix, purpose]): the engine passes the prefix
-(master_seed, rep_index), the CLI (seed,), so results are bit-identical
-across runs and across worker counts.
+`draw_graph` draws a random graph in which every unit has a neighbor;
+`build_instance` simulates covariates and outcomes on any graph it is
+given and takes an RNS sample; `estimation.fit_corrected` then fits the
+model on the incomplete data and applies the scaling-factor correction.
+The CLI and the Monte Carlo engine share all three. Every random draw
+comes from its own stream SeedSequence([*prefix, purpose]): the engine
+passes the prefix (master_seed, rep_index), the CLI (seed,), so results
+are bit-identical across runs and across worker counts.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,23 +61,18 @@ def draw_graph(prefix, n, p, allow_disconnected=False, max_attempts=MAX_ATTEMPTS
     raise ConnectivityError(max_attempts, n, p)
 
 
-def build_instance(
-    prefix, n_pop, density, fraction, params: ModelParams, max_attempts=MAX_ATTEMPTS,
-    graph=None,
-):
-    """One instance of the process `params`: graph, covariates, outcomes, RNS sample.
+def build_instance(prefix, g, fraction, params: ModelParams):
+    """One instance of the process `params` on graph `g`: covariates, outcomes, RNS sample.
 
-    Returns (g, x, y, sample). A given `graph` replaces the graph draw.
+    Returns (x, y, sample); N is g.n_vertices.
     """
-    g = graph if graph is not None else draw_graph(
-        prefix, n_pop, density, max_attempts=max_attempts
-    )
+    n_pop = g.n_vertices
     x = model.gen_covariates(n_pop, params.x_mean, params.x_sd,
                              stream(prefix, STREAM_COVARIATES))
     y = model.simulate_outcomes(g, x, params, stream(prefix, STREAM_NOISE))
     n = sampling.sample_size(n_pop, fraction)
     s = sampling.rns_sample(g, n, stream(prefix, STREAM_SAMPLING), x, y)
-    return g, x, y, s
+    return x, y, s
 
 
 @dataclass(frozen=True)
@@ -143,12 +138,11 @@ class CellReport:
 
 
 def run_replication(cell: ExperimentCell, rep_index: int, graph=None) -> RepRecord:
-    """One full pipeline pass; failures are recorded, not raised."""
+    """One pipeline pass on `graph` or the rep's own draw; a failure is recorded, not raised."""
     try:
-        *_, s = build_instance(
-            (cell.master_seed, rep_index), cell.n_pop, cell.density, cell.fraction,
-            cell.params, graph=graph,
-        )
+        prefix = (cell.master_seed, rep_index)
+        g = graph if graph is not None else draw_graph(prefix, cell.n_pop, cell.density)
+        *_, s = build_instance(prefix, g, cell.fraction, cell.params)
         fit = estimation.fit_corrected(s, level=cell.level)
     except ComputationError as exc:
         return RepRecord(rep_index=rep_index, ok=False, error=str(exc))
@@ -239,7 +233,8 @@ def summarize(cell: ExperimentCell, records) -> CellReport:
     """Reduce per-rep records to relative bias, RMSE and coverage metrics.
 
     Metrics use completed replications only, accumulated in rep-index
-    order for bit-reproducibility.
+    order for bit-reproducibility. A metric that is not finite in float64
+    (a relative bias at beta2 = 0, say) raises ComputationError.
     """
     done = [r for r in records if r.ok]
     failed = len(records) - len(done)
@@ -252,18 +247,23 @@ def summarize(cell: ExperimentCell, records) -> CellReport:
     def coverage(intervals):
         return float(np.mean([lo <= beta2 <= hi for lo, hi in intervals]))
 
-    return CellReport(
-        rb_naive=float((naive.mean() - beta2) / beta2),
-        rb_corrected=float((corr.mean() - beta2) / beta2),
-        rmse_naive=float(np.sqrt(np.mean((naive - beta2) ** 2))),
-        rmse_corrected=float(np.sqrt(np.mean((corr - beta2) ** 2))),
-        cov_naive=coverage(r.ci_naive for r in done),
-        cov_corrected=coverage(r.ci_corrected for r in done),
-        cov_corrected_wald=coverage(r.ci_corrected_wald for r in done),
-        mean_w_hat=float(np.mean([r.w_hat for r in done])),
-        reps_completed=len(done),
-        reps_failed=failed,
-    )
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        report = CellReport(
+            rb_naive=float((naive.mean() - beta2) / beta2),
+            rb_corrected=float((corr.mean() - beta2) / beta2),
+            rmse_naive=float(np.sqrt(np.mean((naive - beta2) ** 2))),
+            rmse_corrected=float(np.sqrt(np.mean((corr - beta2) ** 2))),
+            cov_naive=coverage(r.ci_naive for r in done),
+            cov_corrected=coverage(r.ci_corrected for r in done),
+            cov_corrected_wald=coverage(r.ci_corrected_wald for r in done),
+            mean_w_hat=float(np.mean([r.w_hat for r in done])),
+            reps_completed=len(done),
+            reps_failed=failed,
+        )
+    for field in fields(report):
+        if not np.isfinite(getattr(report, field.name)):
+            raise ComputationError(f"cell metric {field.name} is not finite in float64")
+    return report
 
 
 def write_grid_csv(results, path) -> None:

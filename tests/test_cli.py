@@ -95,7 +95,8 @@ class TestSimulateAndFit:
             out = json.load(fh)
 
         # rebuild the same instance in process: the CLI's seed prefix is (seed,)
-        *_, s = build_instance((11,), 300, 0.04, 0.4, ModelParams(0.0, 1.0, 1.5, 1.0))
+        g = montecarlo.draw_graph((11,), 300, 0.04)
+        *_, s = build_instance((11,), g, 0.4, ModelParams(0.0, 1.0, 1.5, 1.0))
         design = estimation.build_observed_design(s)
         fit = estimation.fit_mle(design, sampling.scaling_factor(s))
         assert out["beta2_corrected"] == pytest.approx(fit.beta2_corrected, abs=1e-12)
@@ -337,8 +338,13 @@ class TestSettingsBoundary:
 
         def no_instance(*args, **kwargs):
             raise AssertionError("an instance was drawn")
+
+        def no_draw(n, p, rng):
+            graphmod.check_er_size(n, p)  # the check generate_er makes before it draws
+            raise AssertionError("a graph was drawn")
         monkeypatch.setattr(montecarlo, "_worker_pool", no_pool)
         monkeypatch.setattr(montecarlo, "build_instance", no_instance)
+        monkeypatch.setattr(graphmod, "generate_er", no_draw)
         argv, config = self.CASES[name]
         if config is not None:
             (tmp_path / "run.ini").write_bytes(config)
@@ -600,6 +606,12 @@ class TestIdentifyDemo:
             report = json.load(fh)
         assert report["verdict"] == "NO_WITNESS_AVAILABLE"
 
+    @pytest.mark.parametrize("pair", [[], ["--j", 1, "--l", 4]], ids=["found", "given"])
+    def test_equal_likelihoods_are_no_witness(self, tmp_path, pair):
+        # with no peer effect the swapped completions have one likelihood
+        assert run(["identify-demo", "--beta2", 0, *pair, "--out", tmp_path]) == 0
+        assert strict_json(tmp_path / "witness.json") == {"verdict": "NO_WITNESS_AVAILABLE"}
+
     def test_overflowing_likelihood_exits_3_without_a_warning(self, tmp_path, capsys):
         # finite attached values whose squared residuals overflow float64
         assert run(["identify-demo", "--x-u1=1e308", "--x-u2=-1e308", "--out", tmp_path]) == 3
@@ -733,8 +745,17 @@ class TestExtremeSettings:
         (["mc", "--n-pop", 200, "--density", 0.05, "--fraction", 0.5, "--reps", 3,
           "--beta2", 1e308], 3, "all 3 replications failed"),
         (["identify-demo", "--beta2", 1e308], 3, "simulated outcomes overflow float64"),
+        # a relative bias that divides by zero or overflows
+        (["mc", "--n-pop", 200, "--density", 0.05, "--fraction", 0.5, "--reps", 3,
+          "--beta2", 0], 3, "rb_naive"),
+        (["mc", "--n-pop", 200, "--density", 0.05, "--fraction", 0.5, "--reps", 3,
+          "--beta2", 1e-320], 3, "rb_naive"),
+        # default attached values (mean +/- sd) that overflow or round to one float
+        (["identify-demo", "--x-sd", 1e200], 3, "default attached values"),
+        (["identify-demo", "--x-mean", 1e20, "--x-sd", 1], 3, "default attached values"),
     ], ids=["generate-p1e-19", "generate-p5e-324", "simulate-p1e-19", "mc-p1e-19",
-            "simulate-beta2", "mc-beta2", "identify-demo-beta2"])
+            "simulate-beta2", "mc-beta2", "identify-demo-beta2", "mc-beta2-0",
+            "mc-beta2-1e-320", "identify-demo-x-sd-1e200", "identify-demo-x-mean-1e20"])
     def test_exit_code(self, tmp_path, capsys, argv, code, message):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

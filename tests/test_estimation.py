@@ -290,8 +290,7 @@ class TestDiagnostics:
         x = gen_covariates(10_000, 3.0, 1.5, np.random.default_rng(8))
         y = x + np.random.default_rng(9).normal(size=10_000)
         s = rns_sample(g, 10_000, np.random.default_rng(10), x, y)
-        d = build_observed_design(s)
-        rep = diagnostics(d, s)
+        rep = diagnostics(s)
         assert abs(rep["covariate_variance_stat"] - 2.25) / 2.25 < 0.03
         assert not rep["degenerate_covariate"]
 
@@ -300,7 +299,7 @@ class TestDiagnostics:
         x = gen_covariates(50, 3.0, 1.5, np.random.default_rng(12))
         y = conditional_means(g, x, PARAMS)
         s = census_sample(g, x, y)
-        rep = diagnostics(build_observed_design(s), s)
+        rep = diagnostics(s)
         assert rep["degree_ratio_min"] == 1.0
         assert rep["degree_ratio_mean"] == 1.0
         assert rep["degree_ratio_max"] == 1.0
@@ -312,7 +311,7 @@ class TestDiagnostics:
         x = np.full(30, 2.0)
         y = np.random.default_rng(14).normal(size=30)
         s = census_sample(g, x, y)
-        rep = diagnostics(build_observed_design(s), s)
+        rep = diagnostics(s)
         assert rep["degenerate_covariate"]
         assert rep["covariate_variance_stat"] == 0.0
 

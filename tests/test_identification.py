@@ -6,7 +6,7 @@ import pytest
 from oracles import (
     candidate_means_loop, connected_er, find_witness_loop, likelihood_gap, population_induced,
 )
-from netpeer.errors import IsolatedVertexError, NoSlackError, ValidationError
+from netpeer.errors import ComputationError, IsolatedVertexError, NoSlackError, ValidationError
 from netpeer.graph import from_edges
 from netpeer.identification import (
     build_swap_pair,
@@ -124,6 +124,20 @@ class TestBuildSwapPair:
         assert (pair.x_u1, pair.x_u2) == (center + spread, center - spread)
         found = find_witness(s)
         assert (found.x_u1, found.x_u2) == (pair.x_u1, pair.x_u2)
+
+    @pytest.mark.parametrize("x_obs", [
+        [1e200, -1e200, 3e200, 0.0],  # the sd overflows float64
+        [1e20] * 4,  # mean +/- 1 rounds to one float
+    ])
+    def test_default_values_that_overflow_or_collapse(self, x_obs):
+        s = dataclasses.replace(hand_sample(), x_obs=np.array(x_obs))
+        with pytest.raises(ComputationError, match="default attached values"):
+            build_swap_pair(s, 0, 1)
+        with pytest.raises(ComputationError, match="default attached values"):
+            find_witness(s)
+        # values that are given are a usage error, not a computation failure
+        with pytest.raises(ValidationError):
+            build_swap_pair(s, 0, 1, np.inf, 1.0)
 
     def test_rejects_sample_without_covariates(self):
         s = dataclasses.replace(hand_sample(), x_obs=None)

@@ -9,6 +9,7 @@ import resource
 import subprocess
 import sys
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -35,7 +36,7 @@ from netpeer.montecarlo import (
     write_grid_csv,
     write_records_csv,
 )
-from oracles import connected_er
+from oracles import connected_er, star
 
 PARAMS = ModelParams(0.0, 1.0, 1.5, 1.0)
 
@@ -107,6 +108,18 @@ class TestSummarize:
         assert rep.rb_naive == pytest.approx(0.0)
         assert rep.cov_naive == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("beta2", [0.0, 1e-320])
+    def test_non_finite_metric_raises_without_a_warning(self, beta2):
+        # a relative bias divides by beta2: 0 divides by zero, 1e-320 overflows
+        cell = small_cell(params=ModelParams(beta2=beta2))
+        recs = [fake_record(0, 1.0, 0.5, 1.5), fake_record(1, 2.0, 2.1, 2.5)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ComputationError,
+                               match="cell metric rb_naive is not finite in float64"):
+                summarize(cell, recs)
+        assert [str(w.message) for w in caught] == []
+
     def test_all_failed_raises(self):
         cell = small_cell()
         recs = [fake_record(i, 0.0, 0.0, 0.0, ok=False) for i in range(3)]
@@ -139,10 +152,9 @@ class TestRunReplication:
                    {"params": ModelParams(beta2=0.5, x_mean=-1.0, x_sd=0.5)}):
             cell = small_cell(**kw)
             for i in (0, 5):
-                *_, s = build_instance(
-                    (cell.master_seed, i), cell.n_pop, cell.density, cell.fraction,
-                    cell.params,
-                )
+                prefix = (cell.master_seed, i)
+                g = draw_graph(prefix, cell.n_pop, cell.density)
+                *_, s = build_instance(prefix, g, cell.fraction, cell.params)
                 fit = estimation.fit_corrected(s, level=cell.level)
                 assert run_replication(cell, i) == RepRecord(
                     rep_index=i,
@@ -158,10 +170,13 @@ class TestRunReplication:
 
     def test_covariates_follow_the_law_params_carry(self):
         params = ModelParams(x_mean=-1.0, x_sd=0.5)
-        _, x, _, s = build_instance((3, 1), 200, 0.05, 0.3, params)
-        rng = stream((3, 1), montecarlo.STREAM_COVARIATES)
-        assert np.array_equal(x, model.gen_covariates(200, -1.0, 0.5, rng))
-        assert np.array_equal(s.x_obs, x[s.sampled_ids])
+        # any graph, not only an Erdos-Renyi draw; N is its vertex count
+        for g in (draw_graph((3, 1), 200, 0.05), star(50)):
+            x, _, s = build_instance((3, 1), g, 0.3, params)
+            rng = stream((3, 1), montecarlo.STREAM_COVARIATES)
+            assert np.array_equal(x, model.gen_covariates(g.n_vertices, -1.0, 0.5, rng))
+            assert np.array_equal(s.x_obs, x[s.sampled_ids])
+            assert s.n == round(0.3 * g.n_vertices)
 
     def test_corrected_is_naive_over_w(self):
         rec = run_replication(small_cell(), 3)
