@@ -9,6 +9,7 @@ after construction and are safe to share across worker processes.
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -132,18 +133,37 @@ def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
     Uses a geometric-skip scan over the linearized pair indices, which
     draws the exact G(n, p) distribution in O(edges) work. Deterministic
     per seed (algorithm version: geometric-skip v1).
+
+    The skips are Generator.geometric's: below p = 1/3 numpy draws each
+    one as ceil(-E / log1p(-p)) from its own exponential, and the scan
+    takes that same inversion over a whole batch at once, so it reads
+    the same stream and leaves the generator in the same state as
+    rng.geometric(p, size=batch). From numpy's switch point up it calls
+    rng.geometric itself.
     """
     check_er_size(n, p)
     m_total = n * (n - 1) // 2
     hits = [np.empty(0, dtype=np.int64)]
     current = -1
+    invert = p < 0.333333333333333333333333  # numpy's own switch point
+    # math.log1p is libm's, as numpy's C is; the ufunc may take a SIMD kernel
+    scale = -math.log1p(-p) if invert else None
     while p > 0 and current < m_total - 1:
         batch = max(256, int((m_total - current - 1) * p * 1.2) + 16)
-        skips = rng.geometric(p, size=batch)  # int64
-        # a skip past the last pair ends the scan either way; the clip keeps
-        # the sum from wrapping int64 at tiny p, where skips near 2**63 come up
+        if invert:
+            skips = rng.standard_exponential(batch)
+            # -E / log1p(-p) overflows to inf at the smallest p
+            with np.errstate(over="ignore"):
+                skips /= scale
+            np.ceil(skips, out=skips)
+        else:
+            skips = rng.geometric(p, size=batch)
+        # a skip past the last pair ends the scan either way; clipping keeps an
+        # inf out of the int64 cast and the sum from wrapping at tiny p, and is
+        # exact in float64 since m_total + 1 < 2**53
         np.minimum(skips, m_total + 1, out=skips)
-        cand = current + np.cumsum(skips)
+        cand = np.cumsum(skips, dtype=np.int64)
+        cand += current
         hits.append(cand[cand < m_total])
         current = int(cand[-1])
     # the skips are positive, so the pair indices come out ascending

@@ -12,6 +12,7 @@ from oracles import (
     degree,
     edge_list_error,
     edge_list_text,
+    er_geometric_batches,
     er_one_geometric_call,
     neighbors,
     reachable_oracle,
@@ -46,6 +47,21 @@ def same_csr(a, b):
         and np.array_equal(a.indices, b.indices)
         and np.array_equal(a.offsets, b.offsets)
     )
+
+
+class RecordingRng:
+    """A Generator that logs the size of every batch of skips drawn from it."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def geometric(self, p, size):
+        self.sizes.append(size)
+        return self.rng.geometric(p, size=size)
+
+    def standard_exponential(self, size):
+        self.sizes.append(size)
+        return self.rng.standard_exponential(size)
 
 
 class TestGenerateEr:
@@ -86,21 +102,40 @@ class TestGenerateEr:
         (201, 1e-300, 5, 1, 0),
         (201, 1e-19, 6, 1, 0),
         (5, 1.0, 7, 1, 10),  # every skip is 1
+        # numpy's switch from inversion to search: the double below 1/3, 1/3 itself
+        # (numpy's literal threshold rounds to it), the double above, and 1/2
+        (60, 0.33333333333333326, 11, 1, 600),
+        (60, 0.3333333333333333, 12, 1, 576),
+        (60, 0.33333333333333337, 13, 1, 606),
+        (60, 0.5, 14, 1, 877),
     ])
     def test_matches_one_geometric_call(self, n, p, seed, calls, m):
-        class CountingRng:
-            def __init__(self, rng):
-                self.rng, self.calls = rng, 0
-
-            def geometric(self, p, size):
-                self.calls += 1
-                return self.rng.geometric(p, size=size)
-
-        rng = CountingRng(np.random.default_rng(seed))
+        # below the switch the skips are an inversion of standard_exponential,
+        # checked here against Generator.geometric itself
+        rng = RecordingRng(np.random.default_rng(seed))
         g = generate_er(n, p, rng)
-        assert rng.calls == calls
+        assert len(rng.sizes) == calls
         assert m is None or g.n_edges() == m
         assert same_csr(g, er_one_geometric_call(n, p, np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("p", [5e-324, 1e-300, 1e-19, 1e-6, 0.01, 0.2, 0.33333333333333326,
+                                   0.3333333333333333, 0.33333333333333337, 0.9, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_leaves_the_generator_where_geometric_does(self, p, seed):
+        # a redraw continues on the same stream, so the state after a draw is
+        # part of the output; tiny p must also raise no overflow warning
+        n = 201
+        rng = RecordingRng(np.random.default_rng(seed))
+        generate_er(n, p, rng)
+        generate_er(n, p, rng)
+        replay = np.random.default_rng(seed)
+        for size in rng.sizes:
+            replay.geometric(p, size=size)
+        assert rng.rng.bit_generator.state == replay.bit_generator.state
+        # the batches are the ones a scan through Generator.geometric requests,
+        # not only the skips the scan uses
+        want = np.random.default_rng(seed)
+        assert rng.sizes == er_geometric_batches(n, p, want) + er_geometric_batches(n, p, want)
 
     def test_deterministic_given_seed(self):
         a = generate_er(100, 0.05, np.random.default_rng(7))
