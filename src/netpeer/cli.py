@@ -163,14 +163,17 @@ def _model_params(v: dict) -> ModelParams:
 
 
 def _instance(v: dict):
-    """`simulate` and `identify-demo`: params, the graph draw, the builder's (x, y, sample)."""
+    """`simulate` and `identify-demo`: params, the graph draw, the population, the sample."""
     # before the graph draw; a bad n is reported as the graph's, not the sample's
     params = _model_params(v)
     graphmod.check_er_size(v["n"], v["p"])
-    sampling.check_sample_size(sampling.sample_size(v["n"], v["f"]), v["n"])
-    g = montecarlo.draw_graph((v["seed"],), v["n"], v["p"],
+    n = sampling.sample_size(v["n"], v["f"])
+    sampling.check_sample_size(n, v["n"])
+    prefix = (v["seed"],)
+    g = montecarlo.draw_graph(prefix, v["n"], v["p"],
                               max_attempts=v.get("max_attempts", montecarlo.MAX_ATTEMPTS))
-    return params, g, *montecarlo.build_instance((v["seed"],), g, v["f"], params)
+    x, y = montecarlo.populate(prefix, g, params)
+    return params, g, x, y, montecarlo.draw_sample(prefix, g, n, x, y)
 
 
 def _write_json(out: str, name: str, report: dict) -> None:
@@ -196,8 +199,7 @@ def _cmd_sample(v: dict, out: str) -> None:
     g = graphmod.read_edge_list(v["graph"])
     x, y = (None, None) if v["data"] is None else model.read_unit_csv(v["data"])
     n = v["n_sample"] if v["f"] is None else sampling.sample_size(g.n_vertices, v["f"])
-    rng = montecarlo.stream((v["seed"],), montecarlo.STREAM_SAMPLING)
-    s = sampling.rns_sample(g, n, rng, x, y)
+    s = montecarlo.draw_sample((v["seed"],), g, n, x, y)
     sampling.write_sample_csv(s, os.path.join(out, "sample.csv"))
     graphmod.write_edge_list(s.g_r, os.path.join(out, "sample.edges"), tags=("sample",))
 

@@ -13,12 +13,16 @@ class ComputationError(RuntimeError):
 
 
 class ConnectivityError(ComputationError):
-    """Every graph draw of the retry budget had an isolated vertex."""
+    """Every graph draw of the retry budget had, or could be expected to have,
+    an isolated vertex; `expected`, the expected edge count, marks the latter."""
 
-    def __init__(self, attempts: int, n: int, p: float):
+    def __init__(self, attempts: int, n: int, p: float, expected: float = None):
         self.attempts = attempts
+        why = "" if expected is None else (
+            f": such a graph needs at least {-(-n // 2)} edges and {expected:.3g} are expected,"
+            " so none was drawn")
         super().__init__(
-            f"no graph without an isolated vertex in {attempts} attempts (n={n}, p={p})"
+            f"no graph without an isolated vertex in {attempts} attempts (n={n}, p={p}){why}"
         )
 
 

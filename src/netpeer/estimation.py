@@ -124,8 +124,9 @@ def fit_mle(d: ObservedDesign, w_hat: float = 1.0, var_w_hat: float = 0.0,
     divided by w_hat, with the plug-in sampling variance
     sigma2 / (w^2 * sum (x* - mean)^2) and a Wald interval whose
     delta-method variance is var_hc1 / w^2 + beta2_naive^2 * var_w_hat / w^4
-    (var_hc1: the HC1 sandwich variance of beta2_naive). Pass var_w_hat
-    from `sampling.scaling_factor_variance`; 0 treats w_hat as known. The
+    (var_hc1: the HC1 sandwich variance of beta2_naive).
+    `sampling.scaling_factor` gives the pair (w_hat, var_w_hat); a zero
+    var_w_hat treats w_hat as known. The
     defaults are a census's exact values and leave the estimate uncorrected.
     """
     if not 0.0 < level < 1.0:
@@ -177,9 +178,7 @@ def fit_corrected(
     s: RecruitmentSample, level: float = 0.95, use_t: bool = False
 ) -> FitResult:
     """The corrected estimator on one sample: design, w_hat and its variance, then the fit."""
-    d = build_observed_design(s)
-    w_hat = samplingmod.scaling_factor(s)
-    return fit_mle(d, w_hat, samplingmod.scaling_factor_variance(s, w_hat), level, use_t)
+    return fit_mle(build_observed_design(s), *samplingmod.scaling_factor(s), level, use_t)
 
 
 def diagnostics(s: RecruitmentSample) -> dict:
@@ -202,7 +201,7 @@ def diagnostics(s: RecruitmentSample) -> dict:
         "degree_ratio_min": float(ratios.min()),
         "degree_ratio_mean": float(ratios.mean()),
         "degree_ratio_max": float(ratios.max()),
-        "w_hat": samplingmod.scaling_factor(s),
+        "w_hat": samplingmod.scaling_factor(s)[0],
         "dropped_count": d.dropped_count,
         "n_sampled": s.n,
     }

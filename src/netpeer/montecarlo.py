@@ -1,19 +1,21 @@
 """Seeded simulate -> sample -> fit pipeline and the replication engine.
 
 `draw_graph` draws a random graph in which every unit has a neighbor;
-`build_instance` simulates covariates and outcomes on any graph it is
-given and takes an RNS sample; `estimation.fit_corrected` then fits the
-model on the incomplete data and applies the scaling-factor correction.
-The CLI and the Monte Carlo engine share all three. Every random draw
-comes from its own stream SeedSequence([*prefix, purpose]): the engine
-passes the prefix (master_seed, rep_index), the CLI (seed,), so results
-are bit-identical across runs and across worker counts.
+`populate` simulates covariates and outcomes on any graph it is given;
+`draw_sample` takes an RNS sample of it; `estimation.fit_corrected` then
+fits the model on the incomplete data and applies the scaling-factor
+correction. The CLI and the Monte Carlo engine share all four. Every
+random draw comes from its own stream SeedSequence([*prefix, purpose]),
+and only this module names a purpose: the engine passes the prefix
+(master_seed, rep_index), the CLI (seed,), so results are bit-identical
+across runs and across worker counts.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import math
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -34,6 +36,8 @@ MAX_REPS = 10**6
 # a fixed bound, not the host's CPU count, so a run's settings stay valid elsewhere
 MAX_WORKERS = 256
 MAX_ATTEMPTS = 1000  # the default redraw budget: graph draws before draw_graph gives up
+# below this bound on the chance that any attempt succeeds, draw_graph fails before drawing
+HOPELESS = 1e-12
 
 
 def stream(prefix, purpose: int) -> np.random.Generator:
@@ -48,10 +52,15 @@ def draw_graph(prefix, n, p, allow_disconnected=False, max_attempts=MAX_ATTEMPTS
     neighbor; the empty graph (n = 0) has no unit to lack one. With
     `allow_disconnected` the first draw is kept as it is. Raises
     ConnectivityError when each of the `max_attempts` draws has an
-    isolated vertex.
+    isolated vertex, or at once when `_success_bound` says that every
+    attempt together succeeds with a chance below HOPELESS.
     """
     if max_attempts < 1:
         raise ValidationError("max_attempts must be >= 1")
+    graphmod.check_er_size(n, p)
+    expected = n * (n - 1) // 2 * p
+    if not allow_disconnected and max_attempts * _success_bound(n, expected) < HOPELESS:
+        raise ConnectivityError(max_attempts, n, p, expected)
     rng = stream(prefix, STREAM_GRAPH)
     for _ in range(max_attempts):
         g = graphmod.generate_er(n, p, rng)
@@ -61,18 +70,32 @@ def draw_graph(prefix, n, p, allow_disconnected=False, max_attempts=MAX_ATTEMPTS
     raise ConnectivityError(max_attempts, n, p)
 
 
-def build_instance(prefix, g, fraction, params: ModelParams):
-    """One instance of the process `params` on graph `g`: covariates, outcomes, RNS sample.
+def _success_bound(n, mu) -> float:
+    """An upper bound on the chance that a G(n, p) draw has no isolated vertex.
 
-    Returns (x, y, sample); N is g.n_vertices.
+    Such a graph has at least k = ceil(n/2) edges, and the edge count is
+    Binomial(n(n-1)/2, p) with mean mu. For k > mu, Chernoff's bound gives
+    P(edges >= k) <= exp(k - mu) * (mu / k)^k; otherwise the bound is 1.
     """
-    n_pop = g.n_vertices
-    x = model.gen_covariates(n_pop, params.x_mean, params.x_sd,
+    k = -(-n // 2)
+    if k <= mu:
+        return 1.0
+    if mu == 0:
+        return 0.0
+    # in logs: mu / k underflows at the smallest p
+    return math.exp(k - mu + k * (math.log(mu) - math.log(k)))
+
+
+def populate(prefix, g, params: ModelParams):
+    """The process `params` on graph `g`, from the covariate and noise streams: (x, y)."""
+    x = model.gen_covariates(g.n_vertices, params.x_mean, params.x_sd,
                              stream(prefix, STREAM_COVARIATES))
-    y = model.simulate_outcomes(g, x, params, stream(prefix, STREAM_NOISE))
-    n = sampling.sample_size(n_pop, fraction)
-    s = sampling.rns_sample(g, n, stream(prefix, STREAM_SAMPLING), x, y)
-    return x, y, s
+    return x, model.simulate_outcomes(g, x, params, stream(prefix, STREAM_NOISE))
+
+
+def draw_sample(prefix, g, n, x=None, y=None) -> sampling.RecruitmentSample:
+    """An RNS sample of n units of `g` with their data, from the sampling stream."""
+    return sampling.rns_sample(g, n, stream(prefix, STREAM_SAMPLING), x, y)
 
 
 @dataclass(frozen=True)
@@ -142,7 +165,8 @@ def run_replication(cell: ExperimentCell, rep_index: int, graph=None) -> RepReco
     try:
         prefix = (cell.master_seed, rep_index)
         g = graph if graph is not None else draw_graph(prefix, cell.n_pop, cell.density)
-        *_, s = build_instance(prefix, g, cell.fraction, cell.params)
+        s = draw_sample(prefix, g, sampling.sample_size(g.n_vertices, cell.fraction),
+                        *populate(prefix, g, cell.params))
         fit = estimation.fit_corrected(s, level=cell.level)
     except ComputationError as exc:
         return RepRecord(rep_index=rep_index, ok=False, error=str(exc))
@@ -233,8 +257,9 @@ def summarize(cell: ExperimentCell, records) -> CellReport:
     """Reduce per-rep records to relative bias, RMSE and coverage metrics.
 
     Metrics use completed replications only, accumulated in rep-index
-    order for bit-reproducibility. A metric that is not finite in float64
-    (a relative bias at beta2 = 0, say) raises ComputationError.
+    order for bit-reproducibility. A relative bias divides by beta2, so at
+    beta2 = 0 both are nan; any other metric that is not finite in float64
+    (a relative bias at beta2 = 1e-320, say) raises ComputationError.
     """
     done = [r for r in records if r.ok]
     failed = len(records) - len(done)
@@ -247,10 +272,13 @@ def summarize(cell: ExperimentCell, records) -> CellReport:
     def coverage(intervals):
         return float(np.mean([lo <= beta2 <= hi for lo, hi in intervals]))
 
+    def relative_bias(estimates):
+        return float((estimates.mean() - beta2) / beta2) if beta2 != 0 else np.nan
+
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         report = CellReport(
-            rb_naive=float((naive.mean() - beta2) / beta2),
-            rb_corrected=float((corr.mean() - beta2) / beta2),
+            rb_naive=relative_bias(naive),
+            rb_corrected=relative_bias(corr),
             rmse_naive=float(np.sqrt(np.mean((naive - beta2) ** 2))),
             rmse_corrected=float(np.sqrt(np.mean((corr - beta2) ** 2))),
             cov_naive=coverage(r.ci_naive for r in done),
@@ -260,14 +288,18 @@ def summarize(cell: ExperimentCell, records) -> CellReport:
             reps_completed=len(done),
             reps_failed=failed,
         )
+    undefined = ("rb_naive", "rb_corrected") if beta2 == 0 else ()
     for field in fields(report):
-        if not np.isfinite(getattr(report, field.name)):
+        if field.name not in undefined and not np.isfinite(getattr(report, field.name)):
             raise ComputationError(f"cell metric {field.name} is not finite in float64")
     return report
 
 
 def write_grid_csv(results, path) -> None:
-    """Emit two rows (naive, corrected) per cell in a fixed column layout."""
+    """Emit two rows (naive, corrected) per cell in a fixed column layout.
+
+    A relative bias that is undefined (beta2 = 0) is an empty field.
+    """
     with open(path, "w") as fh:
         fh.write("N,p,f,reps,estimator,RB,RMSE,coverage,mean_w_hat,failed\n")
         for cell, rep in results:
@@ -276,7 +308,8 @@ def write_grid_csv(results, path) -> None:
                 ("naive", rep.rb_naive, rep.rmse_naive, rep.cov_naive),
                 ("corrected", rep.rb_corrected, rep.rmse_corrected, rep.cov_corrected),
             ):
-                fh.write(f"{common},{est},{rb:.10g},{rmse:.10g},{cov:.10g},"
+                rb = "" if np.isnan(rb) else f"{rb:.10g}"
+                fh.write(f"{common},{est},{rb},{rmse:.10g},{cov:.10g},"
                          f"{rep.mean_w_hat:.10g},{rep.reps_failed}\n")
 
 

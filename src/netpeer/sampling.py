@@ -78,35 +78,24 @@ def recruit(g: Graph, ids: np.ndarray, x=None, y=None) -> RecruitmentSample:
     )
 
 
-def _reciprocal_degrees(s: RecruitmentSample) -> tuple:
-    """(1/d_j, 1/d^R_j) over the units with d^R_j > 0; 1/d^R_j is infinite for the rest."""
+def scaling_factor(s: RecruitmentSample) -> tuple:
+    """(w_hat, var(w_hat)): the harmonic-sum degree ratio and its variance.
+
+    With a_j = 1/d_j and b_j = 1/d^R_j over the m units with d^R_j > 0,
+    w_hat = sum(a_j) / sum(b_j), always in (0, 1] since d^R_j <= d_j; its
+    sums use exact accumulation, so unit order cannot change it. The
+    ratio-estimator variance is
+    m / (m - 1) * sum((a_j - w_hat b_j)^2) / (sum b_j)^2, with no
+    finite-population correction: d^R_j is random given the sample. An
+    edge has two sampled ends, so m >= 2 whenever m > 0.
+    """
     mask = s.observed_degrees > 0
     if not mask.any():
         raise AllIsolatedSampleError()
-    return 1.0 / s.reported_degrees[mask], 1.0 / s.observed_degrees[mask]
-
-
-def scaling_factor(s: RecruitmentSample) -> float:
-    """Harmonic-sum degree ratio: sum(1/d_j) / sum(1/d^R_j).
-
-    Summation uses exact accumulation, so unit order cannot change the
-    result. Always in (0, 1] since d^R_j <= d_j.
-    """
-    a, b = _reciprocal_degrees(s)
-    return math.fsum(a.tolist()) / math.fsum(b.tolist())
-
-
-def scaling_factor_variance(s: RecruitmentSample, w_hat: float) -> float:
-    """Ratio-estimator variance of w_hat = sum(a_j) / sum(b_j).
-
-    With a_j = 1/d_j and b_j = 1/d^R_j over the m units with d^R_j > 0,
-    var(w_hat) = m / (m - 1) * sum((a_j - w_hat b_j)^2) / (sum b_j)^2.
-    No finite-population correction: d^R_j is random given the sample.
-    An edge has two sampled ends, so m >= 2 whenever m > 0.
-    """
-    a, b = _reciprocal_degrees(s)
+    a, b = 1.0 / s.reported_degrees[mask], 1.0 / s.observed_degrees[mask]
+    w_hat = math.fsum(a.tolist()) / math.fsum(b.tolist())
     r = a - w_hat * b
-    return float(r @ r) * a.size / ((a.size - 1) * float(b.sum()) ** 2)
+    return w_hat, float(r @ r) * a.size / ((a.size - 1) * float(b.sum()) ** 2)
 
 
 def write_sample_csv(s: RecruitmentSample, path) -> None:

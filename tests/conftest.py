@@ -80,5 +80,5 @@ def w_hat_sweep():
         for f in vals:
             rng.bit_generator.state = after_draw
             s = sampling.rns_sample(g, sampling.sample_size(n_pop, f), rng)
-            vals[f].append(sampling.scaling_factor(s))
+            vals[f].append(sampling.scaling_factor(s)[0])
     return {f: float(np.mean(v)) for f, v in vals.items()}

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -16,7 +17,7 @@ from netpeer import estimation, graph as graphmod, model, montecarlo, sampling
 from netpeer.cli import _SCHEMAS, _resolve, main
 from netpeer.errors import ValidationError
 from netpeer.model import ModelParams
-from netpeer.montecarlo import build_instance
+from netpeer.montecarlo import draw_sample, populate
 
 
 def run(args):
@@ -96,9 +97,10 @@ class TestSimulateAndFit:
 
         # rebuild the same instance in process: the CLI's seed prefix is (seed,)
         g = montecarlo.draw_graph((11,), 300, 0.04)
-        *_, s = build_instance((11,), g, 0.4, ModelParams(0.0, 1.0, 1.5, 1.0))
+        x, y = populate((11,), g, ModelParams(0.0, 1.0, 1.5, 1.0))
+        s = draw_sample((11,), g, 120, x, y)
         design = estimation.build_observed_design(s)
-        fit = estimation.fit_mle(design, sampling.scaling_factor(s))
+        fit = estimation.fit_mle(design, sampling.scaling_factor(s)[0])
         assert out["beta2_corrected"] == pytest.approx(fit.beta2_corrected, abs=1e-12)
         assert out["beta_hat"][2] == pytest.approx(float(fit.beta_hat[2]), abs=1e-12)
         assert out["w_hat"] == pytest.approx(fit.w_hat, abs=1e-15)
@@ -337,13 +339,14 @@ class TestSettingsBoundary:
             raise AssertionError("a process pool was used")
 
         def no_instance(*args, **kwargs):
-            raise AssertionError("an instance was drawn")
+            raise AssertionError("a population or a sample was drawn")
 
         def no_draw(n, p, rng):
             graphmod.check_er_size(n, p)  # the check generate_er makes before it draws
             raise AssertionError("a graph was drawn")
         monkeypatch.setattr(montecarlo, "_worker_pool", no_pool)
-        monkeypatch.setattr(montecarlo, "build_instance", no_instance)
+        monkeypatch.setattr(montecarlo, "populate", no_instance)
+        monkeypatch.setattr(montecarlo, "draw_sample", no_instance)
         monkeypatch.setattr(graphmod, "generate_er", no_draw)
         argv, config = self.CASES[name]
         if config is not None:
@@ -475,6 +478,16 @@ def test_no_module_imports_scipy_stats():
     assert done.stdout.strip() == "False"
 
 
+def test_only_montecarlo_names_a_stream():
+    # the seeded streams have one owner: every other module asks it for a
+    # graph, a population or a sample, never for a stream of a purpose
+    src = Path(netpeer.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name != "montecarlo.py":
+            text = path.read_text()
+            assert "STREAM_" not in text and "montecarlo.stream" not in text, path.name
+
+
 class TestConfigContract:
     @settings(max_examples=150, derandomize=True, deadline=None, database=None)
     @given(command=st.sampled_from(sorted(CONFIGS)), ops=config_mutations,
@@ -566,6 +579,29 @@ class TestMcCommand:
         assert calls == []
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: cannot write {tmp_path / taken}: Is a directory"]
+
+    def test_zero_beta2_rows_leave_relative_bias_empty(self, tmp_path):
+        # a null peer effect is a cell like any other; only its relative
+        # biases, which divide by beta2, are undefined
+        argv = ["--n-pop", 200, "--density", 0.05, "--fraction", "0.5,0.8", "--reps", 6,
+                "--seed", 3, "--beta2", 0]
+        assert run(["mc", *argv, "--out", tmp_path]) == 0
+        with open(tmp_path / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        params = ModelParams(beta2=0.0)
+        for i, f in enumerate((0.5, 0.8)):
+            cell = montecarlo.ExperimentCell(200, 0.05, f, params, reps=6, master_seed=3)
+            report = montecarlo.summarize(cell, montecarlo.run_reps(cell))
+            assert np.isnan(report.rb_naive) and np.isnan(report.rb_corrected)
+            for row, est in zip(rows[2 * i:2 * i + 2], ("naive", "corrected")):
+                rmse, cov = ((report.rmse_naive, report.cov_naive) if est == "naive"
+                             else (report.rmse_corrected, report.cov_corrected))
+                assert row == {
+                    "N": "200", "p": "0.05", "f": str(f), "reps": "6", "estimator": est,
+                    "RB": "", "RMSE": f"{rmse:.10g}", "coverage": f"{cov:.10g}",
+                    "mean_w_hat": f"{report.mean_w_hat:.10g}", "failed": "0",
+                }
 
     def test_failed_cell_does_not_stop_grid(self, tmp_path, capsys):
         # at N=300, p=1% every draw has an isolated vertex, so every rep of that cell fails
@@ -745,9 +781,9 @@ class TestExtremeSettings:
         (["mc", "--n-pop", 200, "--density", 0.05, "--fraction", 0.5, "--reps", 3,
           "--beta2", 1e308], 3, "all 3 replications failed"),
         (["identify-demo", "--beta2", 1e308], 3, "simulated outcomes overflow float64"),
-        # a relative bias that divides by zero or overflows
+        # a relative bias is undefined at beta2 = 0 and overflows at 1e-320
         (["mc", "--n-pop", 200, "--density", 0.05, "--fraction", 0.5, "--reps", 3,
-          "--beta2", 0], 3, "rb_naive"),
+          "--beta2", 0], 0, None),
         (["mc", "--n-pop", 200, "--density", 0.05, "--fraction", 0.5, "--reps", 3,
           "--beta2", 1e-320], 3, "rb_naive"),
         # default attached values (mean +/- sd) that overflow or round to one float

@@ -15,7 +15,6 @@ from netpeer.sampling import (
     recruit,
     rns_sample,
     scaling_factor,
-    scaling_factor_variance,
 )
 
 from oracles import connected_er, critical_value, normal_equations_oracle
@@ -230,9 +229,7 @@ class TestFitCorrected:
         x = gen_covariates(200, 3.0, 1.5, np.random.default_rng(22))
         y = conditional_means(g, x, PARAMS) + np.random.default_rng(23).normal(size=200)
         s = rns_sample(g, 80, np.random.default_rng(24), x, y)
-        w = scaling_factor(s)
-        want = fit_mle(build_observed_design(s), w, scaling_factor_variance(s, w),
-                       level=0.9, use_t=True)
+        want = fit_mle(build_observed_design(s), *scaling_factor(s), level=0.9, use_t=True)
         got = fit_corrected(s, level=0.9, use_t=True)
         assert got.to_dict() == want.to_dict()
         assert got.var_corrected == want.var_corrected

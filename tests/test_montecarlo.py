@@ -14,6 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 import netpeer
 from netpeer import cli, estimation, graph as graphmod, model, montecarlo
@@ -26,8 +27,9 @@ from netpeer.montecarlo import (
     CellReport,
     ExperimentCell,
     RepRecord,
-    build_instance,
     draw_graph,
+    draw_sample,
+    populate,
     run_cell,
     run_replication,
     run_reps,
@@ -108,9 +110,9 @@ class TestSummarize:
         assert rep.rb_naive == pytest.approx(0.0)
         assert rep.cov_naive == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("beta2", [0.0, 1e-320])
+    @pytest.mark.parametrize("beta2", [1e-320])
     def test_non_finite_metric_raises_without_a_warning(self, beta2):
-        # a relative bias divides by beta2: 0 divides by zero, 1e-320 overflows
+        # a relative bias divides by beta2, and 1e-320 overflows it
         cell = small_cell(params=ModelParams(beta2=beta2))
         recs = [fake_record(0, 1.0, 0.5, 1.5), fake_record(1, 2.0, 2.1, 2.5)]
         with warnings.catch_warnings(record=True) as caught:
@@ -119,6 +121,23 @@ class TestSummarize:
                                match="cell metric rb_naive is not finite in float64"):
                 summarize(cell, recs)
         assert [str(w.message) for w in caught] == []
+
+    def test_zero_beta2_leaves_only_relative_bias_undefined(self):
+        # at beta2 = 0 a relative bias would divide by zero; every other
+        # metric is finite and kept
+        cell = small_cell(params=ModelParams(beta2=0.0))
+        recs = [fake_record(0, 1.0, -0.5, 1.5), fake_record(1, -0.5, -1.0, 0.25)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = summarize(cell, recs)
+        assert [str(w.message) for w in caught] == []
+        assert np.isnan(rep.rb_naive) and np.isnan(rep.rb_corrected)
+        assert rep.rmse_naive == pytest.approx(np.sqrt((1.0 + 0.25) / 2))
+        assert rep.rmse_corrected == pytest.approx(np.sqrt((4.0 + 1.0) / 2))
+        # naive CIs (-0.5, 1.5) and (-1, 0.25) both cover 0, and so do the
+        # corrected ones, divided by w = 0.5
+        assert rep.cov_naive == rep.cov_corrected == rep.cov_corrected_wald == 1.0
+        assert rep.mean_w_hat == 0.5 and rep.reps_completed == 2
 
     def test_all_failed_raises(self):
         cell = small_cell()
@@ -147,14 +166,16 @@ class TestRunReplication:
 
     def test_is_shared_builder_then_shared_fit(self):
         # run_replication adds nothing to the pipeline the CLI runs: the
-        # builder under prefix (master_seed, i), then the corrected fit
+        # population and its sample under prefix (master_seed, i), then the
+        # corrected fit
         for kw in ({}, {"fraction": 0.8, "master_seed": 7},
                    {"params": ModelParams(beta2=0.5, x_mean=-1.0, x_sd=0.5)}):
             cell = small_cell(**kw)
             for i in (0, 5):
                 prefix = (cell.master_seed, i)
                 g = draw_graph(prefix, cell.n_pop, cell.density)
-                *_, s = build_instance(prefix, g, cell.fraction, cell.params)
+                n = round(cell.fraction * cell.n_pop)
+                s = draw_sample(prefix, g, n, *populate(prefix, g, cell.params))
                 fit = estimation.fit_corrected(s, level=cell.level)
                 assert run_replication(cell, i) == RepRecord(
                     rep_index=i,
@@ -172,7 +193,8 @@ class TestRunReplication:
         params = ModelParams(x_mean=-1.0, x_sd=0.5)
         # any graph, not only an Erdos-Renyi draw; N is its vertex count
         for g in (draw_graph((3, 1), 200, 0.05), star(50)):
-            x, _, s = build_instance((3, 1), g, 0.3, params)
+            x, y = populate((3, 1), g, params)
+            s = draw_sample((3, 1), g, round(0.3 * g.n_vertices), x, y)
             rng = stream((3, 1), montecarlo.STREAM_COVARIATES)
             assert np.array_equal(x, model.gen_covariates(g.n_vertices, -1.0, 0.5, rng))
             assert np.array_equal(s.x_obs, x[s.sampled_ids])
@@ -430,6 +452,45 @@ class TestDrawGraph:
             first = graphmod.generate_er(1000, 0.01, stream((0, rep), STREAM_GRAPH))
             redrawn += not graphmod.degrees(first).all()
         assert redrawn == 18
+
+    # (n, p, max_attempts, the draws made before the ConnectivityError): a
+    # graph with no isolated vertex needs ceil(n/2) edges, and the cases
+    # straddle the point where every attempt's Chernoff bound on that falls
+    # below montecarlo.HOPELESS
+    @pytest.mark.parametrize("n, p, attempts, draws", [
+        (1, 0.5, 1000, 0),        # no edge can exist
+        (2, 0.0, 1000, 0),
+        (100, 1e-19, 1000, 0),
+        (100, 5e-324, 1000, 0),
+        (100, 1e-4, 3, 0),
+        (100, 0.002, 1000, 0),     # 9.9 edges expected, 50 needed: bound 1.8e-18
+        (100, 0.0025, 1, 0),       # 12.4 expected: bound 1.0e-14
+        (100, 0.003, 1, 1),        # 14.85 expected: bound 8.0e-12
+        (100, 0.003, 1000, 1000),
+        (300, 0.01, 5, 5),         # 448.5 expected, 150 needed: bound 1
+        (1000, 0.005, 2, 2),       # 2497.5 expected, 500 needed
+    ])
+    def test_hopeless_density_fails_before_drawing(self, monkeypatch, n, p, attempts, draws):
+        calls = []
+
+        def empty(n, p, rng):  # every draw has an isolated vertex
+            calls.append(n)
+            return graphmod.from_edges(n, np.empty((0, 2)))
+        monkeypatch.setattr(graphmod, "generate_er", empty)
+        with pytest.raises(ComputationError, match="^no graph without an isolated vertex"
+                           ) as err:
+            draw_graph((0,), n, p, max_attempts=attempts)
+        assert len(calls) == draws
+        assert ("so none was drawn" in str(err.value)) == (draws == 0)
+        # kept as drawn on request, whatever the bound says
+        assert draw_graph((0,), n, p, allow_disconnected=True).n_vertices == n
+
+    @pytest.mark.parametrize("n, p", [(10, 0.05), (20, 0.02), (30, 0.02), (100, 0.003),
+                                      (1000, 0.0003)])
+    def test_hopeless_bound_is_above_the_binomial_tail(self, n, p):
+        pairs = n * (n - 1) // 2
+        tail = binom.sf(-(-n // 2) - 1, pairs, p)
+        assert tail <= montecarlo._success_bound(n, pairs * p) < 1.0
 
 
 class TestAllowDisconnected:

@@ -13,7 +13,6 @@ from netpeer.sampling import (
     rns_sample,
     sample_size,
     scaling_factor,
-    scaling_factor_variance,
     write_sample_csv,
 )
 
@@ -161,17 +160,20 @@ class TestPopulationInduced:
 
 
 class TestScalingFactor:
+    """The first of scaling_factor's pair, w_hat."""
+
     def test_census_is_one(self):
         g = generate_er(40, 0.2, np.random.default_rng(0))
         s = rns_sample(g, 40, np.random.default_rng(1))
-        assert scaling_factor(s) == 1.0
+        assert scaling_factor(s)[0] == 1.0
 
     def test_hand_arithmetic(self):
         s = SimpleNamespace(
             observed_degrees=np.array([2, 1]), reported_degrees=np.array([4, 5])
         )
-        assert scaling_factor(s) == pytest.approx((0.25 + 0.2) / (0.5 + 1.0), abs=1e-15)
-        assert scaling_factor(s) == pytest.approx(0.30, abs=1e-12)
+        w_hat, _ = scaling_factor(s)
+        assert w_hat == pytest.approx((0.25 + 0.2) / (0.5 + 1.0), abs=1e-15)
+        assert w_hat == pytest.approx(0.30, abs=1e-12)
 
     def test_permutation_invariant_bitwise(self):
         rng = np.random.default_rng(3)
@@ -180,7 +182,7 @@ class TestScalingFactor:
         perm = rng.permutation(50)
         a = SimpleNamespace(observed_degrees=dr, reported_degrees=d)
         b = SimpleNamespace(observed_degrees=dr[perm], reported_degrees=d[perm])
-        assert scaling_factor(a) == scaling_factor(b)
+        assert scaling_factor(a)[0] == scaling_factor(b)[0]
 
     def test_all_isolated_error(self):
         s = SimpleNamespace(
@@ -194,14 +196,16 @@ class TestScalingFactor:
             observed_degrees=np.array([2, 0, 1]),
             reported_degrees=np.array([4, 9, 5]),
         )
-        assert scaling_factor(s) == pytest.approx((0.25 + 0.2) / (0.5 + 1.0), abs=1e-15)
+        assert scaling_factor(s)[0] == pytest.approx((0.25 + 0.2) / (0.5 + 1.0), abs=1e-15)
 
 
 class TestScalingFactorVariance:
+    """The second of scaling_factor's pair, var(w_hat), taken around the first."""
+
     def test_census_is_zero(self):
         g = generate_er(40, 0.2, np.random.default_rng(0))
         s = rns_sample(g, 40, np.random.default_rng(1))
-        assert scaling_factor_variance(s, scaling_factor(s)) == 0.0
+        assert scaling_factor(s)[1] == 0.0
 
     def test_hand_arithmetic(self):
         # units with d^R > 0: a = (1/4, 1/5), b = (1/2, 1), w = 0.3, so the
@@ -211,14 +215,15 @@ class TestScalingFactorVariance:
             reported_degrees=np.array([4, 9, 5]),
         )
         expected = 2 / 1 * (0.1**2 + 0.1**2) / 1.5**2
-        assert scaling_factor_variance(s, 0.3) == pytest.approx(expected, rel=1e-12)
+        assert scaling_factor(s)[1] == pytest.approx(expected, rel=1e-12)
 
     def test_all_isolated_error(self):
+        # the one mask serves both values: neither is computed
         s = SimpleNamespace(
             observed_degrees=np.array([0, 0]), reported_degrees=np.array([3, 4])
         )
         with pytest.raises(AllIsolatedSampleError):
-            scaling_factor_variance(s, 0.5)
+            scaling_factor(s)
 
 
 class TestSampleCsv:
