@@ -45,7 +45,7 @@ __version__ = "0.1.0"
 
 
 def _keep_freed_heap() -> bool:
-    """Keep freed heap in the process, so an N=10^4 rep does not fault in ~80 MB anew."""
+    """Keep freed heap in the process so no N=10^4 rep faults its temporaries in anew."""
     import ctypes
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -21,7 +21,8 @@ from .errors import ValidationError
 # bound on an edge list's vertex count: its CSR offsets take 8 bytes per vertex
 MAX_VERTICES = 10**7
 # bound on a G(n, p) draw's expected edge count n(n-1)/2 * p: its CSR indices
-# take 16 bytes per edge, 1.6 GB at the bound
+# take 16 bytes per edge, 1.6 GB at the bound, and the draw peaks at about 40
+# bytes per edge, the CSR included (tracemalloc, N=10^4 at p = 1%)
 MAX_EDGES = 10**8
 # edges formatted per write in write_edge_list: about 58 bytes each while formatted
 WRITE_CHUNK_EDGES = 2**16
@@ -57,8 +58,9 @@ def _row_positions(offsets: np.ndarray, rows: np.ndarray) -> tuple:
     starts = offsets[rows]
     bounds = np.zeros(rows.size + 1, dtype=np.int64)
     np.cumsum(offsets[rows + 1] - starts, out=bounds[1:])
-    shift = np.repeat(starts - bounds[:-1], np.diff(bounds))
-    return shift + np.arange(bounds[-1], dtype=np.int64), bounds
+    pos = np.repeat(starts - bounds[:-1], np.diff(bounds))
+    pos += np.arange(bounds[-1], dtype=np.int64)
+    return pos, bounds
 
 
 def _csr(n: int, a: np.ndarray, b: np.ndarray) -> Graph:
@@ -72,7 +74,14 @@ def _csr(n: int, a: np.ndarray, b: np.ndarray) -> Graph:
     """
     key_type = np.uint32 if n < 2**16 else np.int64
     a, b = a.astype(key_type, copy=False), b.astype(key_type, copy=False)
-    keys = np.concatenate([a * n + b, b * n + a])
+    # both orientations are written into one buffer, and the casts die before the sort
+    keys = np.empty(2 * a.size, dtype=key_type)
+    forward, backward = keys[:a.size], keys[a.size:]
+    np.multiply(a, n, out=forward)
+    forward += b
+    np.multiply(b, n, out=backward)
+    backward += a
+    del a, b
     keys.sort()
     row_starts = np.arange(n + 1, dtype=key_type) * n
     offsets = np.searchsorted(keys, row_starts)
@@ -108,8 +117,11 @@ def _pair_index_to_edges(idx: np.ndarray, n: int) -> tuple:
     """
     rows = np.arange(n - 1, dtype=np.int64)
     starts = rows * n - rows * (rows + 1) // 2
-    i = np.repeat(rows, np.diff(np.searchsorted(idx, starts), append=idx.size))
-    return i, idx - starts[i] + i + 1
+    counts = np.diff(np.searchsorted(idx, starts), append=idx.size)
+    # pair starts[i] + t is (i, i + 1 + t), so j = idx - (starts[i] - i - 1)
+    j = np.repeat(starts - rows - 1, counts)
+    np.subtract(idx, j, out=j)
+    return np.repeat(rows, counts), j
 
 
 def check_er_size(n: int, p: float) -> None:
@@ -163,11 +175,20 @@ def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
         # exact in float64 since m_total + 1 < 2**53
         np.minimum(skips, m_total + 1, out=skips)
         cand = np.cumsum(skips, dtype=np.int64)
+        # a draw peaks at the sum of the arrays still bound, so each dies once read
+        del skips
         cand += current
-        hits.append(cand[cand < m_total])
         current = int(cand[-1])
-    # the skips are positive, so the pair indices come out ascending
-    return _csr(n, *_pair_index_to_edges(np.concatenate(hits), n))
+        # the skips are positive, so the pair indices come out ascending and
+        # the hits are a prefix, kept as a view
+        hits.append(cand[:cand.searchsorted(m_total)])
+        del cand
+    # one batch usually ends the scan, and concatenating would copy it
+    idx = hits[1] if len(hits) == 2 else np.concatenate(hits)
+    del hits
+    pairs = _pair_index_to_edges(idx, n)
+    del idx
+    return _csr(n, *pairs)
 
 
 def degrees(g: Graph) -> np.ndarray:
@@ -197,7 +218,9 @@ def induced_subgraph(g: Graph, members) -> Graph:
     mapping[members] = np.arange(members.size, dtype=np.int64)
     pos, bounds = _row_positions(g.offsets, members)
     # mapping is increasing on members, so the kept rows stay sorted
-    new = mapping[g.indices[pos]]
+    new = g.indices[pos]
+    del pos  # dead after the first gather; the second would hold it too
+    new = mapping[new]
     kept = np.flatnonzero(new >= 0)
     return Graph(int(members.size), new[kept], np.searchsorted(kept, bounds))
 

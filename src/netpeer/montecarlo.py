@@ -67,6 +67,8 @@ def draw_graph(prefix, n, p, allow_disconnected=False, max_attempts=MAX_ATTEMPTS
         # .all() is vacuously true on n = 0, where .min() would raise
         if allow_disconnected or graphmod.degrees(g).all():
             return g
+        # a rejected graph would otherwise stay bound through the next draw's peak
+        del g
     raise ConnectivityError(max_attempts, n, p)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,50 @@ class TestCsrKeyWidth:
                 assert array.tobytes() == want.tobytes()
 
 
+class TestPairIndexToEdges:
+    """Linear pair indices map to the lexicographic pairs (i, j), i < j."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_every_subset_matches_combinations(self, n):
+        pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=np.int64).reshape(-1, 2)
+        every = np.arange(len(pairs), dtype=np.int64)
+        # each subset of the pairs, the empty one and the last pair included, as a bit mask
+        for mask in range(2 ** len(pairs)):
+            idx = every[(mask >> every) & 1 == 1]
+            i, j = graphmod._pair_index_to_edges(idx, n)
+            assert i.dtype == j.dtype == np.int64
+            assert np.array_equal(np.column_stack([i, j]), pairs[idx])
+
+
+def traced_peak(fn):
+    """fn's result and the peak of numpy and Python allocations during the call, in MiB."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBound:
+    """The N=10^4 draw and subgraph hold no dead arrays. Holding them peaked
+    at 36.0 MiB for the draw and 22.2 MiB for the f=0.8 subgraph; without
+    them the peaks are 19.2 and 16.1 MiB, and each bound sits between."""
+
+    def test_draw_peak(self):
+        # the TestSamplerPinned draw: 499,680 edges, a 7.6 MiB CSR
+        g, peak = traced_peak(lambda: generate_er(10_000, 0.01, np.random.default_rng(8)))
+        assert g.n_edges() == 499680
+        assert peak < 24.0
+
+    def test_induced_subgraph_peak(self):
+        g = generate_er(10_000, 0.01, np.random.default_rng(8))
+        members = np.sort(np.random.default_rng(0).choice(10_000, 8000, replace=False))
+        sub, peak = traced_peak(lambda: induced_subgraph(g, members))
+        assert sub.n_vertices == 8000
+        assert peak < 19.0
+
+
 class TestConnectedEr:
     """`montecarlo.draw_graph` redraws G(n, p) until no vertex is isolated."""
 
@@ -231,6 +276,17 @@ class TestInducedSubgraph:
     def test_out_of_range_member(self):
         with pytest.raises(ValidationError):
             induced_subgraph(path(4), [0, 7])
+
+    @pytest.mark.parametrize("f", [0.2, 0.8])
+    def test_matches_relabelled_edge_list_at_n_10000(self, f):
+        g = generate_er(10_000, 0.01, np.random.default_rng(8))
+        members = np.sort(np.random.default_rng(1).choice(10_000, int(f * 10_000), replace=False))
+        edges = g.edge_array()
+        kept = edges[np.isin(edges, members).all(axis=1)]
+        want = from_edges(members.size, np.searchsorted(members, kept))
+        got = induced_subgraph(g, members)
+        assert same_csr(got, want)
+        assert got.indices.dtype == got.offsets.dtype == np.int64
 
 
 class TestEdgeListIO:

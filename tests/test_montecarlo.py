@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import warnings
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -484,6 +485,28 @@ class TestDrawGraph:
         assert ("so none was drawn" in str(err.value)) == (draws == 0)
         # kept as drawn on request, whatever the bound says
         assert draw_graph((0,), n, p, allow_disconnected=True).n_vertices == n
+
+    def test_drops_a_rejected_draw_before_the_next(self, monkeypatch):
+        # a rejected graph still bound during the next draw adds its CSR to that
+        # draw's peak; at N=300, p=2% and seed 0 the third draw is kept
+        draws = []
+        real = graphmod.generate_er
+
+        def recording(n, p, rng):
+            assert all(ref() is None for ref in draws), "a rejected draw is still held"
+            g = real(n, p, rng)
+            draws.append(weakref.ref(g))
+            return g
+        monkeypatch.setattr(graphmod, "generate_er", recording)
+        g = draw_graph((0,), 300, 0.02)
+        assert len(draws) == 3 and draws[-1]() is g
+        want = connected_er(300, 0.02, stream((0,), STREAM_GRAPH))
+        assert g.indices.tobytes() == want.indices.tobytes()
+        assert g.offsets.tobytes() == want.offsets.tobytes()
+        draws.clear()
+        with pytest.raises(ComputationError, match="in 2 attempts"):
+            draw_graph((0,), 300, 0.02, max_attempts=2)
+        assert len(draws) == 2
 
     @pytest.mark.parametrize("n, p", [(10, 0.05), (20, 0.02), (30, 0.02), (100, 0.003),
                                       (1000, 0.0003)])
