@@ -49,13 +49,11 @@ _SCHEMAS = {
         "p": (float, _REQUIRED),
         "seed": (int, 0),
         "allow_disconnected": (_boolean, False),
-        "max_attempts": (int, montecarlo.MAX_ATTEMPTS),
     },
     "sample": {
         "graph": (str, _REQUIRED),
         "data": (str, None),
-        "n_sample": (int, None),
-        "f": (float, None),
+        "f": (float, _REQUIRED),
         "seed": (int, 0),
     },
     "simulate": {
@@ -63,7 +61,6 @@ _SCHEMAS = {
         "p": (float, _REQUIRED),
         "f": (float, _REQUIRED),
         "seed": (int, 0),
-        "max_attempts": (int, montecarlo.MAX_ATTEMPTS),
         **_MODEL_SETTINGS,
     },
     "fit": {
@@ -89,10 +86,6 @@ _SCHEMAS = {
         "p": (float, 0.1),
         "f": (float, 0.4),
         "seed": (int, 0),
-        "j": (int, None),
-        "l": (int, None),
-        "x_u1": (float, None),
-        "x_u2": (float, None),
         **_MODEL_SETTINGS,
     },
     "diagnostics": {
@@ -170,8 +163,7 @@ def _instance(v: dict):
     n = sampling.sample_size(v["n"], v["f"])
     sampling.check_sample_size(n, v["n"])
     prefix = (v["seed"],)
-    g = montecarlo.draw_graph(prefix, v["n"], v["p"],
-                              max_attempts=v.get("max_attempts", montecarlo.MAX_ATTEMPTS))
+    g = montecarlo.draw_graph(prefix, v["n"], v["p"])
     x, y = montecarlo.populate(prefix, g, params)
     return params, g, x, y, montecarlo.draw_sample(prefix, g, n, x, y)
 
@@ -187,18 +179,14 @@ def _write_json(out: str, name: str, report: dict) -> None:
 
 
 def _cmd_generate(v: dict, out: str) -> None:
-    g = montecarlo.draw_graph(
-        (v["seed"],), v["n"], v["p"], v["allow_disconnected"], v["max_attempts"]
-    )
+    g = montecarlo.draw_graph((v["seed"],), v["n"], v["p"], v["allow_disconnected"])
     graphmod.write_edge_list(g, os.path.join(out, "graph.edges"))
 
 
 def _cmd_sample(v: dict, out: str) -> None:
-    if (v["n_sample"] is None) == (v["f"] is None):
-        raise ValidationError("specify exactly one of n_sample or f")
     g = graphmod.read_edge_list(v["graph"])
     x, y = (None, None) if v["data"] is None else model.read_unit_csv(v["data"])
-    n = v["n_sample"] if v["f"] is None else sampling.sample_size(g.n_vertices, v["f"])
+    n = sampling.sample_size(g.n_vertices, v["f"])
     s = montecarlo.draw_sample((v["seed"],), g, n, x, y)
     sampling.write_sample_csv(s, os.path.join(out, "sample.csv"))
     graphmod.write_edge_list(s.g_r, os.path.join(out, "sample.edges"), tags=("sample",))
@@ -256,14 +244,8 @@ def _cmd_mc(v: dict, out: str) -> None:
 
 
 def _cmd_identify_demo(v: dict, out: str) -> None:
-    if (v["j"] is None) != (v["l"] is None):
-        raise ValidationError("give both j and l, or neither")
-    identification.check_attached(v["x_u1"], v["x_u2"])  # before the graph draw
     params, *_, s = _instance(v)
-    if v["j"] is None:
-        pair = identification.find_witness(s, v["x_u1"], v["x_u2"])
-    else:
-        pair = identification.build_swap_pair(s, v["j"], v["l"], v["x_u1"], v["x_u2"])
+    pair = identification.find_witness(s)
     if pair is not None:
         ll_a, ll_b = identification.log_likelihoods(pair, s.y_obs, params)
         # equal likelihoods (beta2 = 0, say) witness nothing; a nan gap, from
@@ -330,10 +312,10 @@ def main(argv=None) -> int:
     except (ValidationError, ComputationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValidationError) else 3
-    except OSError as exc:  # inputs are read as ValidationError: an output file is unwritable
-        if exc.filename is None:
-            raise
-        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+    except OSError as exc:  # inputs are read as ValidationError: an output write failed
+        # a write that fails on flush (a full disk) names no file
+        where = exc.filename or f"to output directory {args.out}"
+        print(f"error: cannot write {where}: {exc.strerror}", file=sys.stderr)
         return 2
     return 0
 

@@ -10,6 +10,7 @@ after construction and are safe to share across worker processes.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import warnings
 from dataclasses import dataclass
@@ -90,8 +91,17 @@ def _csr(n: int, a: np.ndarray, b: np.ndarray) -> Graph:
     return Graph(n, keys.astype(np.int64, copy=False), offsets)
 
 
+def _vertex_count(n) -> int:
+    """n as a Python int: a numpy integer would change the dtype of _csr's keys."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValidationError(f"vertex count must be an integer, not {n!r}") from None
+
+
 def from_edges(n: int, edges: np.ndarray) -> Graph:
     """Build a Graph from an edge array, rejecting self-loops and duplicates."""
+    n = _vertex_count(n)
     if n < 0:
         raise ValidationError("vertex count must be nonnegative")
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -124,11 +134,13 @@ def _pair_index_to_edges(idx: np.ndarray, n: int) -> tuple:
     return np.repeat(rows, counts), j
 
 
-def check_er_size(n: int, p: float) -> None:
-    """Reject a G(n, p) request out of range or above MAX_VERTICES or MAX_EDGES.
+def check_er_size(n: int, p: float) -> tuple:
+    """(n as a Python int, expected edge count) of a valid G(n, p) request.
 
-    Raises ValidationError before anything is allocated.
+    Raises ValidationError, before anything is allocated, for a request
+    out of range or above MAX_VERTICES or MAX_EDGES.
     """
+    n = _vertex_count(n)
     if not 0 <= n <= MAX_VERTICES:
         raise ValidationError(f"n must be in [0, {MAX_VERTICES}]")
     if not 0.0 <= p <= 1.0:
@@ -137,6 +149,7 @@ def check_er_size(n: int, p: float) -> None:
     if expected > MAX_EDGES:
         raise ValidationError(
             f"expected edge count n(n-1)/2 * p = {expected:.3g} exceeds {MAX_EDGES:.0e}")
+    return n, expected
 
 
 def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
@@ -153,7 +166,7 @@ def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
     rng.geometric(p, size=batch). From numpy's switch point up it calls
     rng.geometric itself.
     """
-    check_er_size(n, p)
+    n, _ = check_er_size(n, p)
     m_total = n * (n - 1) // 2
     hits = [np.empty(0, dtype=np.int64)]
     current = -1

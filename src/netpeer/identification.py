@@ -48,22 +48,23 @@ class WitnessPair:
 
 
 def is_compatible(candidate: CompletionCandidate, observed: RecruitmentSample) -> bool:
-    """Check the three compatibility clauses against the observed data.
+    """Whether a candidate completion could have produced the observed data.
 
-    The sampled vertices must be present, every recruitment edge must
-    appear in the candidate, and the observed covariates must be the
-    restriction of the candidate's.
+    Its first n vertices are the sampled units. Restricted to them, it must
+    be the recruitment subgraph, since RNS step 2 keeps every tie among
+    them, and carry the observed covariates; and no sampled unit may have
+    more ties than its reported degree.
     """
     n = observed.n
     if candidate.g_p.n_vertices < n or candidate.x_tilde.size < n:
         return False
-    if not np.allclose(candidate.x_tilde[:n], observed.x_obs, rtol=0, atol=0):
-        return False
-    # both edge arrays list j < k; key each edge by its position in an m x m grid
-    m = candidate.g_p.n_vertices
-    need = observed.g_r.edge_array() @ np.array([m, 1])
-    have = candidate.g_p.edge_array() @ np.array([m, 1])
-    return bool(np.isin(need, have).all())
+    restricted = graphmod.induced_subgraph(candidate.g_p, np.arange(n))
+    return bool(
+        np.array_equal(restricted.indices, observed.g_r.indices)
+        and np.array_equal(restricted.offsets, observed.g_r.offsets)
+        and np.array_equal(candidate.x_tilde[:n], observed.x_obs)
+        and (graphmod.degrees(candidate.g_p)[:n] <= observed.reported_degrees).all()
+    )
 
 
 def check_attached(x_u1, x_u2) -> None:
@@ -165,11 +166,11 @@ def log_likelihoods(pair: WitnessPair, y_obs, params: ModelParams) -> tuple:
         )
 
 
-def find_witness(observed: RecruitmentSample, x_u1=None, x_u2=None):
+def find_witness(observed: RecruitmentSample):
     """First recruited pair (by index) with attachment slack and distinct degrees.
 
     Returns a WitnessPair, or None when no such pair exists. The attached
-    covariate values default as in `build_swap_pair`.
+    covariate values are `build_swap_pair`'s defaults.
     """
     slack = np.flatnonzero(observed.reported_degrees > observed.observed_degrees)
     # the first such pair in index order is slack[0] and the first slack unit
@@ -178,4 +179,4 @@ def find_witness(observed: RecruitmentSample, x_u1=None, x_u2=None):
     differ = np.flatnonzero(d != d[:1])
     if differ.size == 0:
         return None
-    return build_swap_pair(observed, int(slack[0]), int(slack[differ[0]]), x_u1, x_u2)
+    return build_swap_pair(observed, int(slack[0]), int(slack[differ[0]]))

@@ -35,7 +35,7 @@ STREAM_GRAPH, STREAM_COVARIATES, STREAM_NOISE, STREAM_SAMPLING = range(4)
 MAX_REPS = 10**6
 # a fixed bound, not the host's CPU count, so a run's settings stay valid elsewhere
 MAX_WORKERS = 256
-MAX_ATTEMPTS = 1000  # the default redraw budget: graph draws before draw_graph gives up
+MAX_ATTEMPTS = 1000  # the redraw budget: graph draws before draw_graph gives up
 # below this bound on the chance that any attempt succeeds, draw_graph fails before drawing
 HOPELESS = 1e-12
 
@@ -45,31 +45,28 @@ def stream(prefix, purpose: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([*map(int, prefix), purpose]))
 
 
-def draw_graph(prefix, n, p, allow_disconnected=False, max_attempts=MAX_ATTEMPTS):
+def draw_graph(prefix, n, p, allow_disconnected=False):
     """G(n, p) from the graph stream: the first draw with no isolated vertex.
 
     The model's peer term is a neighbor mean, so every unit needs a
     neighbor; the empty graph (n = 0) has no unit to lack one. With
     `allow_disconnected` the first draw is kept as it is. Raises
-    ConnectivityError when each of the `max_attempts` draws has an
+    ConnectivityError when each of the MAX_ATTEMPTS draws has an
     isolated vertex, or at once when `_success_bound` says that every
     attempt together succeeds with a chance below HOPELESS.
     """
-    if max_attempts < 1:
-        raise ValidationError("max_attempts must be >= 1")
-    graphmod.check_er_size(n, p)
-    expected = n * (n - 1) // 2 * p
-    if not allow_disconnected and max_attempts * _success_bound(n, expected) < HOPELESS:
-        raise ConnectivityError(max_attempts, n, p, expected)
+    n, expected = graphmod.check_er_size(n, p)
+    if not allow_disconnected and MAX_ATTEMPTS * _success_bound(n, expected) < HOPELESS:
+        raise ConnectivityError(MAX_ATTEMPTS, n, p, expected)
     rng = stream(prefix, STREAM_GRAPH)
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         g = graphmod.generate_er(n, p, rng)
         # .all() is vacuously true on n = 0, where .min() would raise
         if allow_disconnected or graphmod.degrees(g).all():
             return g
         # a rejected graph would otherwise stay bound through the next draw's peak
         del g
-    raise ConnectivityError(max_attempts, n, p)
+    raise ConnectivityError(MAX_ATTEMPTS, n, p)
 
 
 def _success_bound(n, mu) -> float:
@@ -120,7 +117,8 @@ class ExperimentCell:
             raise ValidationError("population size must be >= 2")
         if not 0.0 < self.density < 1.0:
             raise ValidationError("edge density must be in (0, 1)")
-        graphmod.check_er_size(self.n_pop, self.density)
+        # a numpy integer count is kept as the equal Python int
+        object.__setattr__(self, "n_pop", graphmod.check_er_size(self.n_pop, self.density)[0])
         # sample_size also rejects a fraction outside (0, 1]
         if sampling.sample_size(self.n_pop, self.fraction) < 4:
             raise ValidationError("sample size below 4: the fit needs 4 units")

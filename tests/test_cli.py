@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -60,12 +61,10 @@ class TestGenerate:
         assert g.edge_array().tolist() == first.edge_array().tolist()
         assert not graphmod.degrees(g).all()
 
-    def test_connectivity_exhaustion_exits_3(self, tmp_path, capsys):
+    def test_connectivity_exhaustion_exits_3(self, tmp_path, capsys, monkeypatch):
         # p so small that every draw on 100 vertices has an isolated vertex
-        code = run([
-            "generate", "--n", 100, "--p", 0.0001,
-            "--max-attempts", 3, "--out", tmp_path,
-        ])
+        monkeypatch.setattr(montecarlo, "MAX_ATTEMPTS", 3)
+        code = run(["generate", "--n", 100, "--p", 0.0001, "--out", tmp_path])
         assert code == 3
         assert "no graph without an isolated vertex in 3 attempts" in capsys.readouterr().err
 
@@ -119,9 +118,10 @@ class TestSimulateAndFit:
         assert out["w_hat"] == pytest.approx(1.0, abs=1e-12)
         assert out["beta2_corrected"] == pytest.approx(out["beta_hat"][2], rel=1e-12)
 
-    def test_one_unit_sample_passes_the_boundary(self, tmp_path, capsys):
+    def test_one_unit_sample_passes_the_boundary(self, tmp_path, capsys, monkeypatch):
         # round(1 * 1) = 1 unit; the one vertex is isolated in every draw
-        argv = ["simulate", "--n", 1, "--p", 0.5, "--f", 1, "--max-attempts", 3]
+        monkeypatch.setattr(montecarlo, "MAX_ATTEMPTS", 3)
+        argv = ["simulate", "--n", 1, "--p", 0.5, "--f", 1]
         assert run([*argv, "--out", tmp_path]) == 3
         assert "no graph without an isolated vertex in 3 attempts" in capsys.readouterr().err
 
@@ -166,8 +166,6 @@ class TestPinnedOutputs:
         "diag/diagnostics.json":
             "1fe317b090f6f138169b47c79353e88d84b3486f428770fe93d5c0634b5d771f",
         "id/witness.json": "0a5634a4812be0dfe927d480c2c6020acf2712a9c3eaaf57552eaf81ef41f886",
-        "idjl/witness.json":
-            "dd5a2fcffaa290d7cb953df6dee41db76c3f462685f6d9ad1876da4bd8fa125c",
     }
 
     def test_diagnostics_and_witness_digests(self, tmp_path):
@@ -177,8 +175,6 @@ class TestPinnedOutputs:
         assert run(["diagnostics", "--sample", sim / "sample.csv",
                     "--edges", sim / "sample.edges", "--out", tmp_path / "diag"]) == 0
         assert run(["identify-demo", *instance, "--out", tmp_path / "id"]) == 0
-        assert run(["identify-demo", *instance, "--j", 2, "--l", 5,
-                    "--out", tmp_path / "idjl"]) == 0
         assert digests(tmp_path, self.REPORT_DIGESTS) == self.REPORT_DIGESTS
 
 
@@ -200,13 +196,16 @@ class TestSampleCommand:
         s = sampling.read_sample_csv(tmp_path / "sample.csv", g_r)
         assert s.n == 30
 
-    def test_requires_exactly_one_size_setting(self, tmp_path):
+    def test_requires_exactly_one_size_setting(self, tmp_path, capsys):
+        # f is the one size setting: it is required, and n_sample is no setting
         assert run(["generate", "--n", 50, "--p", 0.1, "--out", tmp_path]) == 0
-        code = run([
-            "sample", "--graph", tmp_path / "graph.edges",
-            "--n-sample", 10, "--f", 0.2, "--out", tmp_path,
-        ])
-        assert code == 2
+        assert run(["sample", "--graph", tmp_path / "graph.edges",
+                    "--out", tmp_path / "a"]) == 2
+        assert capsys.readouterr().err == "error: missing required setting(s): f\n"
+        (tmp_path / "run.ini").write_text("[sample]\nn_sample = 10\nf = 0.2\n")
+        assert run(["sample", "--graph", tmp_path / "graph.edges",
+                    "--config", tmp_path / "run.ini", "--out", tmp_path / "b"]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown key 'n_sample'")
 
 
 class TestConfigFile:
@@ -247,6 +246,29 @@ class TestConfigFile:
         assert "unrecognized arguments: --allow-disconnected" in capsys.readouterr().err
         assert not (tmp_path / "a").exists()
 
+    @pytest.mark.parametrize("command, key", [
+        ("generate", "max_attempts"), ("simulate", "max_attempts"), ("sample", "n_sample"),
+        ("identify-demo", "j"), ("identify-demo", "l"),
+        ("identify-demo", "x_u1"), ("identify-demo", "x_u2"),
+    ])
+    def test_removed_setting_is_unknown(self, tmp_path, capsys, command, key):
+        # the redraw budget is montecarlo.MAX_ATTEMPTS, f is the one sample size
+        # and identify-demo reports the first witness; a run_config.txt written
+        # while a setting existed names it with its default, or empty
+        settings = {"generate": "n = 40\np = 0.15\n", "simulate": "n = 40\np = 0.15\nf = 0.5\n",
+                    "sample": "graph = g.edges\nf = 0.5\n", "identify-demo": ""}[command]
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[{command}]\n{settings}{key} = \n")
+        assert run([command, "--config", cfg, "--out", tmp_path / "a"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: unknown key {key!r} in config section [{command}]"]
+        with pytest.raises(SystemExit) as info:
+            run([command, "--config", cfg, "--" + key.replace("_", "-"), 1,
+                 "--out", tmp_path / "b"])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
     @pytest.mark.parametrize("default", ["seed = 5\n", "n_pop = 100\n"], ids=["seed", "n_pop"])
     def test_default_section_is_ignored(self, tmp_path, default):
         # configparser would otherwise merge [DEFAULT] into every section
@@ -266,23 +288,22 @@ class TestConfigFile:
 
     def test_text_rules(self, tmp_path):
         cfg = tmp_path / "run.ini"
-        cfg.write_text("[sample]\ngraph = run%1.edges\ndata =\nf = 0.5\n\n"
+        cfg.write_text("[sample]\ngraph = run%1.edges\ndata = pop.csv\nf = 0.5\n\n"
                        "[mc]\nn_pop = 100, 200\ndensity = 0.1\nfraction = 0.5\n"
                        "fixed_graph = On\nsave_records = no\n", encoding="utf-8")
-        text, values = _resolve("sample", cfg, {"seed": "4", "f": ""})
+        text, values = _resolve("sample", cfg, {"seed": "4", "data": ""})
         # % is literal, an empty value leaves an optional setting unset
-        assert values == {"graph": "run%1.edges", "data": None, "n_sample": None,
-                          "f": None, "seed": 4}
-        assert text == {"graph": "run%1.edges", "data": "", "n_sample": "", "f": "",
-                        "seed": "4"}
+        assert values == {"graph": "run%1.edges", "data": None, "f": 0.5, "seed": 4}
+        assert text == {"graph": "run%1.edges", "data": "", "f": "0.5", "seed": "4"}
         _, values = _resolve("mc", cfg, {k: None for k in _SCHEMAS["mc"]})
         assert values["n_pop"] == [100, 200] and values["density"] == [0.1]
         assert values["fixed_graph"] is True and values["save_records"] is False
 
-    def test_unset_settings_echo_empty(self, tmp_path):
-        assert run(["identify-demo", "--n", 40, "--p", 0.15, "--out", tmp_path]) == 0
+    def test_unset_settings_echo_empty(self, tmp_path, simulated):
+        assert run(["sample", "--graph", simulated / "graph.edges", "--f", 0.5,
+                    "--out", tmp_path]) == 0
         lines = (tmp_path / "run_config.txt").read_text().splitlines()
-        assert {"j = ", "l = ", "x_u1 = ", "x_u2 = ", "n = 40"} <= set(lines)
+        assert {"data = ", "f = 0.5"} <= set(lines)
 
 
 class TestSettingsBoundary:
@@ -290,12 +311,13 @@ class TestSettingsBoundary:
 
     MC = ["--n-pop", 100, "--density", 0.1, "--fraction", 0.5]
     CASES = {
-        "x_u1 not a number": (["identify-demo", "--x-u1", "abc"], None),
-        "j without l": (["identify-demo", "--j", 3], None),
-        "l without j": (["identify-demo", "--l", 3], None),
+        # the witness's units and attached values are no settings
+        "x_u1 not a number": (["identify-demo"], b"[identify-demo]\nx_u1 = abc\n"),
+        "j without l": (["identify-demo"], b"[identify-demo]\nj = 3\n"),
+        "l without j": (["identify-demo"], b"[identify-demo]\nl = 3\n"),
         "reps not an integer": (["mc", *MC], b"[mc]\nreps = abc\n"),
         "n in float notation": (["generate", "--p", 0.5], b"[generate]\nn = 1e3\n"),
-        "percent sign": (["identify-demo"], b"[identify-demo]\nx_u1 = 5%\n"),
+        "percent sign": (["identify-demo"], b"[identify-demo]\nx_mean = 5%\n"),
         "repeated section": (["mc", *MC], b"[mc]\nreps = 2\n[mc]\nseed = 3\n"),
         "not UTF-8": (["mc", *MC], b"\xff\xfe[mc]\nreps = 2\n"),
         "no section header": (["mc", *MC], b"reps = 2\n"),
@@ -321,8 +343,9 @@ class TestSettingsBoundary:
                                  "--beta0=-inf"], None),
         "identify-demo x_sd 0": (["identify-demo", "--x-sd", 0], None),
         "identify-demo sigma2_eps nan": (["identify-demo"], b"[identify-demo]\nsigma2_eps = nan\n"),
-        "identify-demo x_u1 nan": (["identify-demo", "--x-u1", "nan", "--x-u2", 1], None),
-        "x_u1 without x_u2": (["identify-demo", "--x-u1", 5], None),
+        "identify-demo x_u1 nan": (["identify-demo"],
+                                   b"[identify-demo]\nx_u1 = nan\nx_u2 = 1\n"),
+        "x_u1 without x_u2": (["identify-demo"], b"[identify-demo]\nx_u1 = 5\n"),
         "x_u2 without x_u1": (["identify-demo"], b"[identify-demo]\nx_u2 = 5\n"),
         # f is checked before the population is drawn
         "simulate f above 1": (["simulate", "--n", 20000, "--p", 0.001, "--f", 1.5], None),
@@ -394,6 +417,20 @@ class TestSettingsBoundary:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: cannot write {tmp_path / 'out' / name}: Is a directory"]
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("name", ["run_config.txt", "fit.json"])
+    def test_full_disk_exits_2(self, tmp_path, capsys, simulated, name):
+        # writing to /dev/full fails with ENOSPC when the file is flushed,
+        # and that error names no file
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / name).symlink_to("/dev/full")
+        assert run(["fit", "--sample", simulated / "sample.csv",
+                    "--edges", simulated / "sample.edges", "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: cannot write to output directory {out}: "
+                       f"{os.strerror(errno.ENOSPC)}"]
+
 
 class TestInputMismatch:
     """Inputs that are each valid but do not fit together exit 2 with one `error:` line."""
@@ -418,21 +455,16 @@ class TestInputMismatch:
                                      "--out", tmp_path / "out"],
                             "unit-data vector length must equal n_vertices")
 
-    def test_witness_unit_out_of_range(self, tmp_path, capsys):
-        self.assert_exits_2(capsys, ["identify-demo", "--j", 999, "--l", 0,
-                                     "--out", tmp_path],
-                            "witness unit index out of range")
-
 
 # one valid config per subcommand; the mutations below break it line by line
 CONFIGS = {
     "generate": "[generate]\nn = 60\np = 0.1\nseed = 1\nallow_disconnected = no\n",
     "sample": "[sample]\ngraph = g.edges\ndata =\nf = 0.5\nseed = 2\n",
-    "simulate": "[simulate]\nn = 60\np = 0.1\nf = 0.5\nbeta2 = 1.5\nmax_attempts = 9\n",
+    "simulate": "[simulate]\nn = 60\np = 0.1\nf = 0.5\nbeta2 = 1.5\nseed = 9\n",
     "fit": "[fit]\nsample = s.csv\nedges = s.edges\nlevel = 0.9\nuse_t = true\n",
     "mc": "[mc]\nn_pop = 100,200\ndensity = 0.1\nfraction = 0.2, 0.5\nreps = 4\n"
           "workers = 2\nsave_records = yes\n",
-    "identify-demo": "[identify-demo]\nj = 2\nl = 5\nx_u1 = 4\nx_u2 = 1\nseed = 0\n",
+    "identify-demo": "[identify-demo]\nn = 40\nf = 0.5\nx_mean = 4\nx_sd = 2\nseed = 0\n",
     "diagnostics": "[diagnostics]\nsample = s.csv\nedges = s.edges\n",
 }
 CONFIG_TOKENS = (b"", b"abc", b"1e3", b"-1", b"0", b"nan", b"5%", b"%(n)s", b"[mc]",
@@ -522,12 +554,12 @@ def round_trip_argv(command, sim):
     return {
         "generate": [*instance, "--allow-disconnected"],
         "simulate": [*instance, "--f", 0.5, "--beta2", 2],
-        "sample": ["--graph", sim / "graph.edges", "--n-sample", 12, "--seed", 2],
+        "sample": ["--graph", sim / "graph.edges", "--f", 0.3, "--seed", 2],
         "fit": ["--sample", sim / "sample.csv", "--edges", sim / "sample.edges",
                 "--use-t", "--level", 0.9],
         "mc": ["--n-pop", "100,120", "--density", 0.1, "--fraction", 0.5, "--reps", 3,
                "--save-records"],
-        "identify-demo": [*instance, "--f", 0.5, "--x-u1", 4, "--x-u2", 1],
+        "identify-demo": [*instance, "--f", 0.5, "--x-mean", 4, "--x-sd", 2],
         "diagnostics": ["--sample", sim / "sample.csv", "--edges", sim / "sample.edges"],
     }[command]
 
@@ -642,15 +674,16 @@ class TestIdentifyDemo:
             report = json.load(fh)
         assert report["verdict"] == "NO_WITNESS_AVAILABLE"
 
-    @pytest.mark.parametrize("pair", [[], ["--j", 1, "--l", 4]], ids=["found", "given"])
-    def test_equal_likelihoods_are_no_witness(self, tmp_path, pair):
+    def test_equal_likelihoods_are_no_witness(self, tmp_path):
         # with no peer effect the swapped completions have one likelihood
-        assert run(["identify-demo", "--beta2", 0, *pair, "--out", tmp_path]) == 0
+        assert run(["identify-demo", "--beta2", 0, "--out", tmp_path]) == 0
         assert strict_json(tmp_path / "witness.json") == {"verdict": "NO_WITNESS_AVAILABLE"}
 
     def test_overflowing_likelihood_exits_3_without_a_warning(self, tmp_path, capsys):
-        # finite attached values whose squared residuals overflow float64
-        assert run(["identify-demo", "--x-u1=1e308", "--x-u2=-1e308", "--out", tmp_path]) == 3
+        # finite default attached values (mean +/- one sd) whose squared
+        # residuals overflow float64: both likelihoods are -inf, the gap nan
+        assert run(["identify-demo", "--x-mean", 1e160, "--x-sd", 1e150,
+                    "--out", tmp_path]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: witness.json: non-finite result")
         assert not (tmp_path / "witness.json").exists()
@@ -751,9 +784,8 @@ class TestInputBoundary:
          "--reps", 2, "--seed", -3],
         # round(0.2 * 10) = 2 sampled units, fewer than the fit's 4
         ["mc", "--n-pop", 10, "--density", 0.5, "--fraction", 0.2],
-        # the attempt budget is checked whether or not the first draw is kept
-        ["generate", "--n", 50, "--p", 0.2, "--max-attempts", 0, "--allow-disconnected"],
-        ["simulate", "--n", 50, "--p", 0.2, "--f", 0.5, "--max-attempts", 0],
+        # f is sample's one size setting, and it has no default
+        ["sample", "--graph", "graph.edges"],
     ])
     def test_bad_setting_exits_2(self, tmp_path, capsys, argv):
         assert run([*argv, "--out", tmp_path]) == 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netpeer import graph as graphmod
+from netpeer import graph as graphmod, montecarlo
 from oracles import (
     connected_er,
     csr_int64,
@@ -227,9 +227,10 @@ class TestConnectedEr:
         assert same_csr(g, connected_er(50, 0.15, stream((3,), STREAM_GRAPH)))
         assert degrees(g).all() and reachable_oracle(g)
 
-    def test_exhausted_attempts(self):
+    def test_exhausted_attempts(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "MAX_ATTEMPTS", 3)
         with pytest.raises(ConnectivityError, match="without an isolated vertex") as err:
-            draw_graph((0,), 100, 0.001, max_attempts=3)
+            draw_graph((0,), 100, 0.001)
         assert err.value.attempts == 3
 
 
@@ -388,6 +389,29 @@ class TestEdgeListIO:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError):
             read_edge_list(tmp_path / "absent.edges")
+
+
+class TestIntegerVertexCount:
+    """A vertex count of any integer type is used as the equal Python int."""
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32])
+    def test_numpy_integer_draws_the_same_graph(self, kind):
+        g = generate_er(kind(1000), 0.01, np.random.default_rng(0))
+        assert same_csr(g, generate_er(1000, 0.01, np.random.default_rng(0)))
+        assert type(g.n_vertices) is int
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32])
+    def test_numpy_integer_builds_the_same_graph(self, kind):
+        g = from_edges(kind(5), [[0, 1]])
+        assert same_csr(g, from_edges(5, [[0, 1]])) and type(g.n_vertices) is int
+
+    def test_float_and_negative_counts_rejected(self):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            generate_er(1000.0, 0.01, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match="must be an integer"):
+            from_edges(1000.0, [[0, 1]])
+        with pytest.raises(ValidationError, match="nonnegative"):
+            from_edges(-1, [])
 
 
 class TestFromEdges:

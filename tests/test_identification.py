@@ -7,8 +7,9 @@ from oracles import (
     candidate_means_loop, connected_er, find_witness_loop, likelihood_gap, population_induced,
 )
 from netpeer.errors import ComputationError, IsolatedVertexError, NoSlackError, ValidationError
-from netpeer.graph import from_edges
+from netpeer.graph import degrees, from_edges
 from netpeer.identification import (
+    CompletionCandidate,
     build_swap_pair,
     candidate_means,
     find_witness,
@@ -16,6 +17,7 @@ from netpeer.identification import (
     mean_sum_gap,
 )
 from netpeer.model import ModelParams, gen_covariates, log_likelihood, simulate_outcomes
+from netpeer.montecarlo import draw_graph, draw_sample, populate
 from netpeer.sampling import recruit, rns_sample
 
 PARAMS = ModelParams(0.0, 1.0, 1.5, 1.0)
@@ -44,6 +46,12 @@ def hand_sample():
                    y=[0.1, 0.2, 0.3, 0.4, 0.0, 0.0])
 
 
+def identify_demo_sample():
+    """The sample identify-demo draws at its defaults: seed 0, N=50, p=0.1, f=0.4."""
+    g = draw_graph((0,), 50, 0.1)
+    return draw_sample((0,), g, 20, *populate((0,), g, ModelParams()))
+
+
 class TestIsCompatible:
     def test_swap_candidates_compatible(self):
         s = hand_sample()
@@ -57,11 +65,8 @@ class TestIsCompatible:
         broken_edges = [
             (a, b) for a, b in pair.a.g_p.edge_array() if (a, b) != (0, 1)
         ]
-        import netpeer.graph as graphmod
-        from netpeer.identification import CompletionCandidate
-
         broken = CompletionCandidate(
-            g_p=graphmod.from_edges(pair.a.g_p.n_vertices, np.array(broken_edges)),
+            g_p=from_edges(pair.a.g_p.n_vertices, np.array(broken_edges)),
             x_tilde=pair.a.x_tilde,
         )
         assert not is_compatible(broken, s)
@@ -69,23 +74,43 @@ class TestIsCompatible:
     def test_altered_observed_covariate(self):
         s = hand_sample()
         pair = build_swap_pair(s, 0, 1, 5.0, -5.0)
-        from netpeer.identification import CompletionCandidate
-
         x_bad = pair.a.x_tilde.copy()
         x_bad[2] += 1.0
         broken = CompletionCandidate(g_p=pair.a.g_p, x_tilde=x_bad)
         assert not is_compatible(broken, s)
 
-
     def test_candidate_smaller_than_the_sample(self):
         s = hand_sample()
         pair = build_swap_pair(s, 0, 1, 5.0, -5.0)
-        from netpeer.identification import CompletionCandidate
-
         short_x = CompletionCandidate(g_p=pair.a.g_p, x_tilde=pair.a.x_tilde[: s.n - 1])
         short_g = CompletionCandidate(g_p=from_edges(s.n - 1, []), x_tilde=pair.a.x_tilde)
         assert not is_compatible(short_x, s)
         assert not is_compatible(short_g, s)
+
+    def test_tie_that_recruitment_would_have_observed(self):
+        # RNS step 2 keeps every tie among the sampled units, and units 0 and 1
+        # of this sample have none, so a completion that ties them contradicts it
+        s = identify_demo_sample()
+        a = find_witness(s).a
+        assert 1 not in s.g_r.indices[s.g_r.offsets[0]:s.g_r.offsets[1]]
+        tied = CompletionCandidate(
+            g_p=from_edges(a.g_p.n_vertices, [*a.g_p.edge_array(), (0, 1)]),
+            x_tilde=a.x_tilde,
+        )
+        assert is_compatible(a, s)
+        assert not is_compatible(tied, s)
+
+    def test_more_ties_than_reported(self):
+        # unit 0 reported 2 ties; four more unsampled neighbors give it 6
+        s = identify_demo_sample()
+        a = find_witness(s).a
+        m = a.g_p.n_vertices
+        crowded = CompletionCandidate(
+            g_p=from_edges(m + 4, [*a.g_p.edge_array(), *[(0, m + k) for k in range(4)]]),
+            x_tilde=np.concatenate([a.x_tilde, np.zeros(4)]),
+        )
+        assert s.reported_degrees[0] == 2 and degrees(crowded.g_p)[0] == 6
+        assert not is_compatible(crowded, s)
 
 
 class TestBuildSwapPair:
@@ -107,6 +132,11 @@ class TestBuildSwapPair:
         assert s.reported_degrees[3] == s.observed_degrees[3]
         with pytest.raises(NoSlackError):
             build_swap_pair(s, 0, 3, 5.0, -5.0)
+
+    def test_rejects_unit_out_of_range(self):
+        for j, l in [(999, 0), (0, -1)]:
+            with pytest.raises(ValidationError, match="witness unit index out of range"):
+                build_swap_pair(hand_sample(), j, l, 5.0, -5.0)
 
     def test_rejects_equal_values_and_same_unit(self):
         s = hand_sample()

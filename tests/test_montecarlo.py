@@ -454,7 +454,7 @@ class TestDrawGraph:
             redrawn += not graphmod.degrees(first).all()
         assert redrawn == 18
 
-    # (n, p, max_attempts, the draws made before the ConnectivityError): a
+    # (n, p, MAX_ATTEMPTS, the draws made before the ConnectivityError): a
     # graph with no isolated vertex needs ceil(n/2) edges, and the cases
     # straddle the point where every attempt's Chernoff bound on that falls
     # below montecarlo.HOPELESS
@@ -478,9 +478,10 @@ class TestDrawGraph:
             calls.append(n)
             return graphmod.from_edges(n, np.empty((0, 2)))
         monkeypatch.setattr(graphmod, "generate_er", empty)
+        monkeypatch.setattr(montecarlo, "MAX_ATTEMPTS", attempts)
         with pytest.raises(ComputationError, match="^no graph without an isolated vertex"
                            ) as err:
-            draw_graph((0,), n, p, max_attempts=attempts)
+            draw_graph((0,), n, p)
         assert len(calls) == draws
         assert ("so none was drawn" in str(err.value)) == (draws == 0)
         # kept as drawn on request, whatever the bound says
@@ -504,8 +505,9 @@ class TestDrawGraph:
         assert g.indices.tobytes() == want.indices.tobytes()
         assert g.offsets.tobytes() == want.offsets.tobytes()
         draws.clear()
+        monkeypatch.setattr(montecarlo, "MAX_ATTEMPTS", 2)
         with pytest.raises(ComputationError, match="in 2 attempts"):
-            draw_graph((0,), 300, 0.02, max_attempts=2)
+            draw_graph((0,), 300, 0.02)
         assert len(draws) == 2
 
     @pytest.mark.parametrize("n, p", [(10, 0.05), (20, 0.02), (30, 0.02), (100, 0.003),
@@ -580,6 +582,17 @@ class TestCellValidation:
     def test_negative_seed(self):
         with pytest.raises(ValidationError, match="seed"):
             small_cell(master_seed=-1)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32])
+    def test_numpy_integer_population_size(self, kind):
+        cell = small_cell(n_pop=kind(1000), density=0.01, fraction=0.2, reps=3)
+        assert type(cell.n_pop) is int
+        want = run_cell(small_cell(n_pop=1000, density=0.01, fraction=0.2, reps=3))
+        assert run_cell(cell) == want
+
+    def test_float_population_size(self):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            small_cell(n_pop=1000.0)
 
     def test_sample_below_four(self):
         # round(0.2 * 10) = 2 units: no replication could fit three coefficients
