@@ -217,11 +217,13 @@ def _cmd_mc(v: dict, out: str) -> None:
         for n, p, f in itertools.product(v["n_pop"], v["density"], v["fraction"])
     ]
     # the settings, then every output file: a file that cannot be written exits 2
-    # before the first replication, not after the grid
+    # before the first replication, not after the grid. Each gets its header,
+    # flushed on close, since a full disk opens a file but fails its first write
     montecarlo.check_workers(v["workers"])
-    records = [f"records_cell{i}.csv" for i in range(len(cells))] if v["save_records"] else []
-    for name in ["results.csv", *records]:
-        open(os.path.join(out, name), "w").close()
+    montecarlo.write_grid_csv([], os.path.join(out, "results.csv"))
+    if v["save_records"]:
+        for idx in range(len(cells)):
+            montecarlo.write_records_csv([], os.path.join(out, f"records_cell{idx}.csv"))
     # a cell that cannot be computed (every replication failed, or no fixed
     # graph without an isolated vertex) does not stop the grid: the completed
     # cells are written, the records of a cell whose every replication failed

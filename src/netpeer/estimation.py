@@ -20,13 +20,60 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import graph as graphmod, sampling as samplingmod
 from .errors import RankDeficiencyError, ValidationError
 from .sampling import RecruitmentSample
 
 _COLUMNS = ("intercept", "own_x", "peer_mean")
+
+# Cephes ndtri (Moshier, Methods and Programs for Mathematical Functions,
+# 1989), the algorithm scipy.special.ndtri compiles: a rational function of
+# q - 1/2 up to q = 1 - exp(-2), and above it of 1/z, z = sqrt(-2 log(1 - q)).
+# Each Q leads with the 1 that Cephes' p1evl leaves implicit; 1 * x + c is exact.
+_EXP_M2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242e0
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+# z between 2 and 8, that is 1 - q between exp(-2) and exp(-32)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+# z between 8 and 64
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    """Cephes' polevl, Horner's rule: coef[0] x^k + ... + coef[k]."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(q: float) -> float:
+    """The standard normal quantile at q in [0.5, 1], as scipy.special.ndtri computes it."""
+    if q == 1.0:
+        return math.inf
+    if q <= 1.0 - _EXP_M2:
+        y = q - 0.5
+        y2 = y * y
+        return (y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))) * _S2PI
+    x = math.sqrt(-2.0 * math.log(1.0 - q))
+    z = 1.0 / x
+    p, r = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
+    return x - math.log(x) / x - z * _polevl(z, p) / _polevl(z, r)
 
 
 @dataclass
@@ -151,10 +198,15 @@ def fit_mle(d: ObservedDesign, w_hat: float = 1.0, var_w_hat: float = 0.0,
     # beta2_hat = sum_i h_i y_i, so var = sum_i h_i^2 e_i^2 with the n/(n-3) factor
     h_resid = (X @ xtx_inv[2]) * resid
     var_hc1 = float(h_resid @ h_resid) * n / (n - 3)
-    # the quantile functions behind scipy.stats' t.ppf and norm.ppf: importing
-    # scipy.stats would take more than half of every process's start-up
+    # the quantiles behind scipy.stats' norm.ppf and t.ppf. The normal one is
+    # _ndtri, so that no default run imports scipy, which took about half of a
+    # process's start-up; only the t one imports scipy.special, here
     q = 0.5 + level / 2.0
-    crit = float(special.stdtrit(n - 3, q) if use_t else special.ndtri(q))
+    if use_t:
+        from scipy import special
+        crit = float(special.stdtrit(n - 3, q))
+    else:
+        crit = _ndtri(q)
     b2 = beta[2]
     lo, hi = b2 - crit * se[2], b2 + crit * se[2]
     corrected = b2 / w_hat

@@ -22,7 +22,7 @@ from .errors import ValidationError
 # bound on an edge list's vertex count: its CSR offsets take 8 bytes per vertex
 MAX_VERTICES = 10**7
 # bound on a G(n, p) draw's expected edge count n(n-1)/2 * p: its CSR indices
-# take 16 bytes per edge, 1.6 GB at the bound, and the draw peaks at about 40
+# take 16 bytes per edge, 1.6 GB at the bound, and the draw peaks at about 32
 # bytes per edge, the CSR included (tracemalloc, N=10^4 at p = 1%)
 MAX_EDGES = 10**8
 # edges formatted per write in write_edge_list: about 58 bytes each while formatted
@@ -64,27 +64,35 @@ def _row_positions(offsets: np.ndarray, rows: np.ndarray) -> tuple:
     return pos, bounds
 
 
-def _csr(n: int, a: np.ndarray, b: np.ndarray) -> Graph:
-    """CSR graph of the edges (a[e], b[e]), each edge listed once.
+def _edge_keys(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Both orientations of the edges (a[e], b[e]), each edge listed once,
+    keyed as src * n + dst: the input of _csr.
 
-    Both orientations are keyed as src * n + dst; sorting the keys groups
-    them by source with every row's neighbors ascending. The keys sort as
-    uint32, which is faster than int64, when n < 2**16: the largest value
-    computed is the last row bound n * n, which fits 32 bits only below
-    2**16 (at n = 2**16 it wraps to 0), so the bound is strict.
+    The keys are uint32, which sorts faster than int64, when n < 2**16:
+    the largest value _csr computes is the last row bound n * n, which
+    fits 32 bits only below 2**16 (at n = 2**16 it wraps to 0), so the
+    bound is strict.
     """
     key_type = np.uint32 if n < 2**16 else np.int64
     a, b = a.astype(key_type, copy=False), b.astype(key_type, copy=False)
-    # both orientations are written into one buffer, and the casts die before the sort
     keys = np.empty(2 * a.size, dtype=key_type)
     forward, backward = keys[:a.size], keys[a.size:]
     np.multiply(a, n, out=forward)
     forward += b
     np.multiply(b, n, out=backward)
     backward += a
-    del a, b
+    return keys
+
+
+def _csr(n: int, keys: np.ndarray) -> Graph:
+    """CSR graph of _edge_keys' keys, which it sorts and overwrites in place.
+
+    Sorting the keys groups them by source with every row's neighbors
+    ascending. A caller drops the endpoint arrays before this call, so
+    that the sort, where a draw peaks, holds only the keys.
+    """
     keys.sort()
-    row_starts = np.arange(n + 1, dtype=key_type) * n
+    row_starts = np.arange(n + 1, dtype=keys.dtype) * n
     offsets = np.searchsorted(keys, row_starts)
     # a key less its row's start is the neighbor (subtracting is cheaper than % n)
     keys -= np.repeat(row_starts[:-1], np.diff(offsets))
@@ -116,7 +124,7 @@ def from_edges(n: int, edges: np.ndarray) -> Graph:
     keys.sort()
     if np.any(keys[1:] == keys[:-1]):
         raise ValidationError("duplicate edge in edge list")
-    return _csr(n, a, b)
+    return _csr(n, _edge_keys(n, a, b))
 
 
 def _pair_index_to_edges(idx: np.ndarray, n: int) -> tuple:
@@ -187,9 +195,11 @@ def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
         # inf out of the int64 cast and the sum from wrapping at tiny p, and is
         # exact in float64 since m_total + 1 < 2**53
         np.minimum(skips, m_total + 1, out=skips)
-        cand = np.cumsum(skips, dtype=np.int64)
-        # a draw peaks at the sum of the arrays still bound, so each dies once read
+        # a draw peaks at the sum of the arrays still bound, so each dies once
+        # read; cumsum(skips, dtype=np.int64) would hold a third, its cast copy
+        cand = skips.astype(np.int64, copy=False)
         del skips
+        np.cumsum(cand, out=cand)
         cand += current
         current = int(cand[-1])
         # the skips are positive, so the pair indices come out ascending and
@@ -199,9 +209,11 @@ def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
     # one batch usually ends the scan, and concatenating would copy it
     idx = hits[1] if len(hits) == 2 else np.concatenate(hits)
     del hits
-    pairs = _pair_index_to_edges(idx, n)
+    i, j = _pair_index_to_edges(idx, n)
     del idx
-    return _csr(n, *pairs)
+    keys = _edge_keys(n, i, j)
+    del i, j
+    return _csr(n, keys)
 
 
 def degrees(g: Graph) -> np.ndarray:

@@ -20,6 +20,8 @@ from netpeer.errors import ValidationError
 from netpeer.model import ModelParams
 from netpeer.montecarlo import draw_sample, populate
 
+from oracles import critical_value
+
 
 def run(args):
     return main([str(a) for a in args])
@@ -499,15 +501,35 @@ def mutate_config(text: str, ops) -> bytes:
     return b"\n".join(lines) + b"\n"
 
 
-def test_no_module_imports_scipy_stats():
-    # in a fresh interpreter: this one has scipy.stats from tests/oracles.py
-    code = ("import sys, netpeer.cli, netpeer.montecarlo, netpeer.identification; "
-            "print('scipy.stats' in sys.modules)")
+def test_no_module_imports_scipy_stats(tmp_path):
+    # in a fresh interpreter, as this one has scipy from tests/oracles.py: an
+    # mc run and a default fit load no scipy module; fit --use-t loads its t quantile
+    code = """if True:
+        import sys
+        from netpeer.cli import main
+        out = sys.argv[1]
+        assert main(["mc", "--n-pop", "150", "--density", "0.06", "--fraction", "0.5",
+                     "--reps", "4", "--out", out + "/mc"]) == 0
+        assert main(["simulate", "--n", "40", "--p", "0.15", "--f", "0.5", "--seed", "3",
+                     "--out", out]) == 0
+        fit = ["fit", "--sample", out + "/sample.csv", "--edges", out + "/sample.edges"]
+        assert main([*fit, "--out", out + "/z"]) == 0
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+        assert main([*fit, "--use-t", "--out", out + "/t"]) == 0
+        print("scipy.special" in sys.modules)
+    """
     src = os.path.dirname(os.path.dirname(netpeer.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True, timeout=120)
-    assert done.stdout.strip() == "False"
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "True"]
+    # both critical values are scipy.stats' quantiles, the t one at n_used - 3 df
+    for sub, use_t in (("z", False), ("t", True)):
+        fit = strict_json(tmp_path / sub / "fit.json")
+        c = critical_value(0.95, fit["n_used"] - 3 if use_t else None)
+        b, se = fit["beta_hat"][2], fit["se"][2]
+        assert fit["ci_naive"] == [b - c * se, b + c * se]
 
 
 def test_only_montecarlo_names_a_stream():
@@ -611,6 +633,25 @@ class TestMcCommand:
         assert calls == []
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: cannot write {tmp_path / taken}: Is a directory"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("fractions, full", [
+        ("0.2", "results.csv"), ("0.2,0.8", "records_cell1.csv"),
+    ])
+    def test_full_disk_exits_2_before_any_replication(
+            self, tmp_path, capsys, monkeypatch, fractions, full):
+        # /dev/full opens like any file; only a flushed write fails
+        def never(*args, **kw):
+            raise AssertionError("a replication ran")
+        monkeypatch.setattr(montecarlo, "run_reps", never)
+        (tmp_path / full).symlink_to("/dev/full")
+        assert run([
+            "mc", "--n-pop", 1000, "--density", 0.01, "--fraction", fractions,
+            "--reps", 200, "--save-records", "--out", tmp_path,
+        ]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: cannot write to output directory {tmp_path}: "
+                       f"{os.strerror(errno.ENOSPC)}"]
 
     def test_zero_beta2_rows_leave_relative_bias_empty(self, tmp_path):
         # a null peer effect is a cell like any other; only its relative
@@ -837,6 +878,32 @@ class TestExtremeSettings:
         elif argv[0] != "mc":  # nothing written but the settings
             assert os.listdir(tmp_path) == ["run_config.txt"]
 
+
+    # this level rounds q = 0.5 + level / 2 to 1.0, whose normal quantile is inf
+    TOP_LEVEL = 0.9999999999999999
+
+    def test_fit_at_top_level_exits_3(self, tmp_path, capsys, simulated):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["fit", "--sample", simulated / "sample.csv",
+                        "--edges", simulated / "sample.edges",
+                        "--level", self.TOP_LEVEL, "--out", tmp_path]) == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: fit.json: non-finite result")
+        assert os.listdir(tmp_path) == ["run_config.txt"]
+
+    def test_mc_at_top_level_covers_every_replication(self, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["mc", "--n-pop", 200, "--density", 0.05, "--fraction", 0.5,
+                        "--reps", 3, "--level", self.TOP_LEVEL, "--out", tmp_path]) == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        with open(tmp_path / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["estimator"], r["coverage"]) for r in rows] == [
+            ("naive", "1"), ("corrected", "1")]
 
 TOKENS = ("", "nan", "inf", "-1", "0", "1", "2.5", "abc", "1e3", "99999999999999999999",
           "#", "0,1")

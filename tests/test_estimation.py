@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import special
 
 from netpeer.errors import RankDeficiencyError, ValidationError
 from netpeer.estimation import (
     ObservedDesign,
+    _ndtri,
     build_observed_design,
     diagnostics,
     fit_corrected,
@@ -147,6 +151,34 @@ class TestFitMle:
                            (fit_mle(d, level=level, use_t=True), critical_value(level, n - 3))):
                 b, se = fit.beta_hat[2], fit.se[2]
                 assert fit.ci_naive == (b - c * se, b + c * se)
+
+
+class TestNdtri:
+    """The z critical value's quantile is Cephes ndtri, bit for bit scipy's."""
+
+    def test_equals_scipy_on_a_dense_grid(self):
+        tail_switch = 1.0 - math.exp(-2.0)  # central rational function up to here
+        q = np.concatenate([
+            0.5 + np.linspace(0.0, 1.0, 100_001) / 2.0,  # q = 0.5 and q = 1.0 included
+            0.5 + np.random.default_rng(0).random(50_000) / 2.0,
+            1.0 - np.geomspace(1e-16, 0.5, 20_000),  # levels close to 1
+            # floats in [0.5, 1) are 2**-53 apart: the 601 nearest the switch, and
+            # every one from 1 - 256 ulps to 1, where z = sqrt(-2 log(1 - q))
+            # crosses 8 (at 1 - q = exp(-32), about 114 ulps below 1)
+            tail_switch + np.arange(-300, 301) * 2.0**-53,
+            1.0 - np.arange(257) * 2.0**-53,
+        ])
+        q = q[(q >= 0.5) & (q <= 1.0)]
+        z = np.sqrt(-2.0 * np.log1p(-q[q < 1.0]))
+        assert (q <= tail_switch).any() and (q > tail_switch).any()
+        assert ((z >= 2.0) & (z < 8.0)).any() and (z >= 8.0).any()
+        got = np.array([_ndtri(float(v)) for v in q])
+        assert got.tobytes() == special.ndtri(q).tobytes()
+
+    def test_one_is_infinite(self):
+        # level 0.9999999999999999 rounds q to exactly 1.0
+        assert 0.5 + 0.9999999999999999 / 2.0 == 1.0
+        assert _ndtri(1.0) == special.ndtri(1.0) == math.inf
 
 
 class TestApplyCorrection:

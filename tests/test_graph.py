@@ -167,8 +167,9 @@ class TestCsrKeyWidth:
         # the corner pairs give the largest keys and the last row's neighbors
         edges = np.unique(np.vstack([g.edge_array(), [[0, n - 1], [n - 2, n - 1]]]), axis=0)
         want_indices, want_offsets = csr_int64(n, edges)
-        # _csr takes either orientation of an edge
-        for got in (graphmod._csr(n, edges[:, 1], edges[:, 0]), from_edges(n, edges)):
+        # _edge_keys takes either orientation of an edge
+        keys = graphmod._edge_keys(n, edges[:, 1], edges[:, 0])
+        for got in (graphmod._csr(n, keys), from_edges(n, edges)):
             for array, want in ((got.indices, want_indices), (got.offsets, want_offsets)):
                 assert array.dtype == want.dtype == np.int64
                 assert array.tobytes() == want.tobytes()
@@ -201,14 +202,29 @@ def traced_peak(fn):
 
 class TestMemoryBound:
     """The N=10^4 draw and subgraph hold no dead arrays. Holding them peaked
-    at 36.0 MiB for the draw and 22.2 MiB for the f=0.8 subgraph; without
-    them the peaks are 19.2 and 16.1 MiB, and each bound sits between."""
+    at 36.0 MiB for the draw and 22.2 MiB for the f=0.8 subgraph. Without
+    them the subgraph peaks at 16.1 MiB, and the draw at 19.2 MiB while the
+    int64 endpoints lived through the CSR sort, 15.3 MiB once they die
+    before it; each bound sits between."""
 
     def test_draw_peak(self):
         # the TestSamplerPinned draw: 499,680 edges, a 7.6 MiB CSR
         g, peak = traced_peak(lambda: generate_er(10_000, 0.01, np.random.default_rng(8)))
         assert g.n_edges() == 499680
-        assert peak < 24.0
+        assert peak < 17.0
+
+    def test_skip_scan_peak(self, monkeypatch):
+        # the scan holds a batch of skips and their sums, 4.6 MiB each here;
+        # cumsum(skips, dtype=np.int64) held a third, its cast copy: 13.7 MiB
+        scan = []
+        real = graphmod._pair_index_to_edges
+
+        def after_scan(idx, n):
+            scan.append(tracemalloc.get_traced_memory()[1] / 2**20)
+            return real(idx, n)
+        monkeypatch.setattr(graphmod, "_pair_index_to_edges", after_scan)
+        traced_peak(lambda: generate_er(10_000, 0.01, np.random.default_rng(8)))
+        assert len(scan) == 1 and scan[0] < 11.0
 
     def test_induced_subgraph_peak(self):
         g = generate_er(10_000, 0.01, np.random.default_rng(8))
