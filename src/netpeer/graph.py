@@ -66,7 +66,7 @@ def _row_positions(offsets: np.ndarray, rows: np.ndarray) -> tuple:
 
 def _edge_keys(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Both orientations of the edges (a[e], b[e]), each edge listed once,
-    keyed as src * n + dst: the input of _csr.
+    keyed as src * n + dst: once sorted, the input of _csr.
 
     The keys are uint32, which sorts faster than int64, when n < 2**16:
     the largest value _csr computes is the last row bound n * n, which
@@ -85,13 +85,12 @@ def _edge_keys(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _csr(n: int, keys: np.ndarray) -> Graph:
-    """CSR graph of _edge_keys' keys, which it sorts and overwrites in place.
+    """CSR graph of _edge_keys' keys, which the caller has sorted; overwrites them.
 
-    Sorting the keys groups them by source with every row's neighbors
-    ascending. A caller drops the endpoint arrays before this call, so
-    that the sort, where a draw peaks, holds only the keys.
+    Sorted keys are grouped by source with every row's neighbors ascending.
+    A caller drops the endpoint arrays before its sort, so that the sort,
+    where a draw peaks, holds only the keys.
     """
-    keys.sort()
     row_starts = np.arange(n + 1, dtype=keys.dtype) * n
     offsets = np.searchsorted(keys, row_starts)
     # a key less its row's start is the neighbor (subtracting is cheaper than % n)
@@ -108,7 +107,11 @@ def _vertex_count(n) -> int:
 
 
 def from_edges(n: int, edges: np.ndarray) -> Graph:
-    """Build a Graph from an edge array, rejecting self-loops and duplicates."""
+    """Build a Graph from an edge array, rejecting self-loops and duplicates.
+
+    Each edge gives both orientations' keys, so a pair listed twice, in
+    either orientation, is two equal adjacent keys once sorted.
+    """
     n = _vertex_count(n)
     if n < 0:
         raise ValidationError("vertex count must be nonnegative")
@@ -119,12 +122,11 @@ def from_edges(n: int, edges: np.ndarray) -> Graph:
             raise ValidationError("edge endpoint out of range")
         if np.any(a == b):
             raise ValidationError("self-loop in edge list")
-    # one key per unordered pair: a duplicate makes two equal keys adjacent once sorted
-    keys = np.minimum(a, b) * n + np.maximum(a, b)
+    keys = _edge_keys(n, a, b)
     keys.sort()
     if np.any(keys[1:] == keys[:-1]):
         raise ValidationError("duplicate edge in edge list")
-    return _csr(n, _edge_keys(n, a, b))
+    return _csr(n, keys)
 
 
 def _pair_index_to_edges(idx: np.ndarray, n: int) -> tuple:
@@ -213,6 +215,7 @@ def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
     del idx
     keys = _edge_keys(n, i, j)
     del i, j
+    keys.sort()
     return _csr(n, keys)
 
 

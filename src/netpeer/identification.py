@@ -68,27 +68,21 @@ def is_compatible(candidate: CompletionCandidate, observed: RecruitmentSample) -
 
 
 def check_attached(x_u1, x_u2) -> None:
-    """Attached covariate values, each given or None: both or neither, finite, distinct."""
-    if (x_u1 is None) != (x_u2 is None):
-        raise ValidationError("give both x_u1 and x_u2, or neither")
-    if not all(x is None or np.isfinite(x) for x in (x_u1, x_u2)):
+    """Attached covariate values: finite (None is not) and distinct."""
+    if not all(x is not None and np.isfinite(x) for x in (x_u1, x_u2)):
         raise ValidationError("attached covariate values must be finite")
-    if x_u1 is not None and x_u1 == x_u2:
+    if x_u1 == x_u2:
         raise ValidationError("attached covariate values must differ")
 
 
-def build_swap_pair(
-    observed: RecruitmentSample, j: int, l: int, x_u1=None, x_u2=None
-) -> WitnessPair:
+def build_swap_pair(observed: RecruitmentSample, j: int, l: int, x_u1, x_u2) -> WitnessPair:
     """Attach two synthetic unsampled units to recruited units j and l, both ways.
 
     Candidate a carries edges (j, u1) and (l, u2); candidate b swaps
     them. Both are compatible with the observed data by construction.
     j and l are local (within-sample) indices and must have reported
-    degree strictly above their observed degree. Give both attached
-    covariate values or neither; neither means the observed mean plus/minus
-    one observed standard deviation (or 1.0 when degenerate), and raises
-    ComputationError unless those are two distinct finite floats.
+    degree strictly above their observed degree; x_u1 and x_u2 are the
+    attached units' covariate values.
     """
     n = observed.n
     if observed.x_obs is None:
@@ -97,15 +91,6 @@ def build_swap_pair(
         raise ValidationError("witness units must be distinct")
     if not (0 <= j < n and 0 <= l < n):
         raise ValidationError("witness unit index out of range")
-    if x_u1 is None and x_u2 is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            center, spread = float(observed.x_obs.mean()), float(observed.x_obs.std()) or 1.0
-        x_u1, x_u2 = center + spread, center - spread
-        if not (np.isfinite([x_u1, x_u2]).all() and x_u1 != x_u2):
-            raise ComputationError(
-                f"default attached values {x_u1:g} and {x_u2:g} (the covariate mean "
-                "plus/minus one sd) are not two distinct finite floats"
-            )
     check_attached(x_u1, x_u2)
     for v in (j, l):
         if observed.reported_degrees[v] <= observed.observed_degrees[v]:
@@ -170,7 +155,9 @@ def find_witness(observed: RecruitmentSample):
     """First recruited pair (by index) with attachment slack and distinct degrees.
 
     Returns a WitnessPair, or None when no such pair exists. The attached
-    covariate values are `build_swap_pair`'s defaults.
+    covariate values are the observed mean plus/minus one observed standard
+    deviation (or 1.0 when degenerate); ComputationError unless those are
+    two distinct finite floats.
     """
     slack = np.flatnonzero(observed.reported_degrees > observed.observed_degrees)
     # the first such pair in index order is slack[0] and the first slack unit
@@ -179,4 +166,14 @@ def find_witness(observed: RecruitmentSample):
     differ = np.flatnonzero(d != d[:1])
     if differ.size == 0:
         return None
-    return build_swap_pair(observed, int(slack[0]), int(slack[differ[0]]))
+    if observed.x_obs is None:
+        raise ValidationError("sample carries no covariates to attach a witness to")
+    with np.errstate(over="ignore", invalid="ignore"):
+        center, spread = float(observed.x_obs.mean()), float(observed.x_obs.std()) or 1.0
+    x_u1, x_u2 = center + spread, center - spread
+    if not (np.isfinite([x_u1, x_u2]).all() and x_u1 != x_u2):
+        raise ComputationError(
+            f"default attached values {x_u1:g} and {x_u2:g} (the covariate mean "
+            "plus/minus one sd) are not two distinct finite floats"
+        )
+    return build_swap_pair(observed, int(slack[0]), int(slack[differ[0]]), x_u1, x_u2)

@@ -168,7 +168,7 @@ class TestCsrKeyWidth:
         edges = np.unique(np.vstack([g.edge_array(), [[0, n - 1], [n - 2, n - 1]]]), axis=0)
         want_indices, want_offsets = csr_int64(n, edges)
         # _edge_keys takes either orientation of an edge
-        keys = graphmod._edge_keys(n, edges[:, 1], edges[:, 0])
+        keys = np.sort(graphmod._edge_keys(n, edges[:, 1], edges[:, 0]))
         for got in (graphmod._csr(n, keys), from_edges(n, edges)):
             for array, want in ((got.indices, want_indices), (got.offsets, want_offsets)):
                 assert array.dtype == want.dtype == np.int64
@@ -472,6 +472,18 @@ class TestFromEdges:
         # the checks run in order: range, then self-loop, then duplicate
         (3, [(2, 2), (0, 1), (0, 1)], "self-loop"),
         (3, [(0, 1), (0, 1), (1, 1), (0, 5)], "endpoint"),
+        # and so they do with int64 keys
+        (2**16, [(0, 1), (65535, 65535), (1, 0), (0, 65536)], "endpoint"),
+        (2**16, [(0, 1), (65535, 65535), (1, 0)], "self-loop"),
+        (2**16, [(0, 1), (65534, 65535), (1, 0)], "duplicate"),
+    ] + [
+        # at both key widths, uint32 then int64: a pair repeated, repeated in
+        # the other orientation, and the largest pair repeated
+        (n, edges, "duplicate") for n in (2**16 - 1, 2**16) for edges in (
+            [(0, 1), (5, 9), (0, 1)],
+            [(0, 1), (5, 9), (1, 0)],
+            [(n - 2, n - 1), (0, 1), (n - 2, n - 1)],
+        )
     ])
     def test_matches_unique_oracle(self, n, edges, verdict):
         message = edge_list_error(n, edges)

@@ -144,16 +144,17 @@ class TestBuildSwapPair:
             build_swap_pair(s, 0, 1, 2.0, 2.0)
         with pytest.raises(ValidationError):
             build_swap_pair(s, 0, 0, 1.0, 2.0)
-        with pytest.raises(ValidationError, match="give both x_u1 and x_u2, or neither"):
-            build_swap_pair(s, 0, 1, 2.0, None)
+        # a missing value is not finite
+        for x_u1, x_u2 in [(2.0, None), (None, 2.0), (None, None)]:
+            with pytest.raises(ValidationError, match="attached covariate values must be finite"):
+                build_swap_pair(s, 0, 1, x_u1, x_u2)
 
     def test_default_attached_values(self):
         s = hand_sample()
         center, spread = s.x_obs.mean(), s.x_obs.std()
-        pair = build_swap_pair(s, 0, 1)
-        assert (pair.x_u1, pair.x_u2) == (center + spread, center - spread)
         found = find_witness(s)
-        assert (found.x_u1, found.x_u2) == (pair.x_u1, pair.x_u2)
+        assert (found.j, found.l) == (0, 1)
+        assert (found.x_u1, found.x_u2) == (center + spread, center - spread)
 
     @pytest.mark.parametrize("x_obs", [
         [1e200, -1e200, 3e200, 0.0],  # the sd overflows float64
@@ -161,8 +162,6 @@ class TestBuildSwapPair:
     ])
     def test_default_values_that_overflow_or_collapse(self, x_obs):
         s = dataclasses.replace(hand_sample(), x_obs=np.array(x_obs))
-        with pytest.raises(ComputationError, match="default attached values"):
-            build_swap_pair(s, 0, 1)
         with pytest.raises(ComputationError, match="default attached values"):
             find_witness(s)
         # values that are given are a usage error, not a computation failure
