@@ -41,8 +41,7 @@ def _comma_list(item):
 
 _REQUIRED = object()  # the default of a setting that has none
 
-# per-subcommand settings: key -> (parser, default); an optional setting's
-# default is None (unset)
+# per-subcommand settings: key -> (parser, default)
 _SCHEMAS = {
     "generate": {
         "n": (int, _REQUIRED),
@@ -52,7 +51,7 @@ _SCHEMAS = {
     },
     "sample": {
         "graph": (str, _REQUIRED),
-        "data": (str, None),
+        "data": (str, _REQUIRED),
         "f": (float, _REQUIRED),
         "seed": (int, 0),
     },
@@ -118,7 +117,7 @@ def _resolve(command: str, config_path: str | None, flags: dict) -> tuple:
     """(text, values) of every setting, flags over the config file.
 
     Each given text is parsed once. An empty or absent text means the
-    default, whose text is empty for an unset optional setting (None).
+    default.
     """
     given = _read_config(command, config_path) if config_path else {}
     given.update((k, t) for k, t in flags.items() if t is not None)
@@ -129,7 +128,7 @@ def _resolve(command: str, config_path: str | None, flags: dict) -> tuple:
             values[key] = parse(raw) if raw else default
         except (KeyError, ValueError):  # how a parser rejects its text
             raise ValidationError(f"{key}: invalid value {raw!r}") from None
-        text[key] = raw or ("" if default is None else str(default))
+        text[key] = raw or str(default)
     missing = [k for k, v in values.items() if v is _REQUIRED]
     if missing:
         raise ValidationError(f"missing required setting(s): {', '.join(missing)}")
@@ -185,7 +184,7 @@ def _cmd_generate(v: dict, out: str) -> None:
 
 def _cmd_sample(v: dict, out: str) -> None:
     g = graphmod.read_edge_list(v["graph"])
-    x, y = (None, None) if v["data"] is None else model.read_unit_csv(v["data"])
+    x, y = model.read_unit_csv(v["data"])
     n = sampling.sample_size(g.n_vertices, v["f"])
     s = montecarlo.draw_sample((v["seed"],), g, n, x, y)
     sampling.write_sample_csv(s, os.path.join(out, "sample.csv"))

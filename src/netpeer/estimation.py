@@ -132,8 +132,6 @@ class FitResult:
 
 def build_observed_design(s: RecruitmentSample) -> ObservedDesign:
     """Assemble (1, x_j, x*_j) rows over sampled units with d^R_j > 0."""
-    if s.x_obs is None or s.y_obs is None:
-        raise ValidationError("sample carries no unit data to fit")
     retained = np.flatnonzero(s.observed_degrees > 0)
     dropped = s.n - retained.size
     if retained.size < 4:

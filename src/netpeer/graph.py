@@ -98,12 +98,15 @@ def _csr(n: int, keys: np.ndarray) -> Graph:
     return Graph(n, keys.astype(np.int64, copy=False), offsets)
 
 
-def _vertex_count(n) -> int:
-    """n as a Python int: a numpy integer would change the dtype of _csr's keys."""
+def check_integer(value, what: str) -> int:
+    """value as a Python int; a float, which int() would truncate, is a ValidationError.
+
+    A numpy integer is converted too: it would change the dtype of _csr's keys.
+    """
     try:
-        return operator.index(n)
+        return operator.index(value)
     except TypeError:
-        raise ValidationError(f"vertex count must be an integer, not {n!r}") from None
+        raise ValidationError(f"{what} must be an integer, not {value!r}") from None
 
 
 def from_edges(n: int, edges: np.ndarray) -> Graph:
@@ -112,7 +115,7 @@ def from_edges(n: int, edges: np.ndarray) -> Graph:
     Each edge gives both orientations' keys, so a pair listed twice, in
     either orientation, is two equal adjacent keys once sorted.
     """
-    n = _vertex_count(n)
+    n = check_integer(n, "vertex count")
     if n < 0:
         raise ValidationError("vertex count must be nonnegative")
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -150,7 +153,7 @@ def check_er_size(n: int, p: float) -> tuple:
     Raises ValidationError, before anything is allocated, for a request
     out of range or above MAX_VERTICES or MAX_EDGES.
     """
-    n = _vertex_count(n)
+    n = check_integer(n, "vertex count")
     if not 0 <= n <= MAX_VERTICES:
         raise ValidationError(f"n must be in [0, {MAX_VERTICES}]")
     if not 0.0 <= p <= 1.0:
@@ -265,12 +268,12 @@ def write_edge_list(g: Graph, path, tags=()) -> None:
             fh.write(("%d,%d\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 
-def read_table(path, dtypes, converters=None) -> tuple:
+def read_table(path, dtypes) -> tuple:
     """One np.loadtxt call: (first line, one array per dtype for the rows after it).
 
     Blank lines and `#` comments are skipped. An unreadable file, a malformed
-    field, a wrong column count or a non-finite float in a column without a
-    converter raises ValidationError naming the path.
+    field, a wrong column count or a non-finite float raises ValidationError
+    naming the path.
     """
     dtype = [(f"c{i}", t) for i, t in enumerate(dtypes)]
     try:
@@ -281,15 +284,13 @@ def read_table(path, dtypes, converters=None) -> tuple:
             # older numpy parses "0.5" in an integer column as a float and truncates
             # it with only a DeprecationWarning; as an error it is loadtxt's ValueError
             warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
-            table = np.loadtxt(fh, dtype=dtype, delimiter=",",
-                               converters=converters, ndmin=1)
+            table = np.loadtxt(fh, dtype=dtype, delimiter=",", ndmin=1)
     except (OSError, ValueError) as exc:
         raise ValidationError(f"{path}: {exc}") from None
     columns = [np.ascontiguousarray(table[name]) for name, _ in dtype]
     for i, col in enumerate(columns):
-        if col.dtype.kind == "f" and i not in (converters or ()):
-            if not np.isfinite(col).all():
-                raise ValidationError(f"{path}: non-finite value in column {i + 1}")
+        if col.dtype.kind == "f" and not np.isfinite(col).all():
+            raise ValidationError(f"{path}: non-finite value in column {i + 1}")
     return first, columns
 
 

@@ -85,8 +85,6 @@ def build_swap_pair(observed: RecruitmentSample, j: int, l: int, x_u1, x_u2) -> 
     attached units' covariate values.
     """
     n = observed.n
-    if observed.x_obs is None:
-        raise ValidationError("sample carries no covariates to attach a witness to")
     if j == l:
         raise ValidationError("witness units must be distinct")
     if not (0 <= j < n and 0 <= l < n):
@@ -166,8 +164,6 @@ def find_witness(observed: RecruitmentSample):
     differ = np.flatnonzero(d != d[:1])
     if differ.size == 0:
         return None
-    if observed.x_obs is None:
-        raise ValidationError("sample carries no covariates to attach a witness to")
     with np.errstate(over="ignore", invalid="ignore"):
         center, spread = float(observed.x_obs.mean()), float(observed.x_obs.std()) or 1.0
     x_u1, x_u2 = center + spread, center - spread

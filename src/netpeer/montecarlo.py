@@ -92,7 +92,7 @@ def populate(prefix, g, params: ModelParams):
     return x, model.simulate_outcomes(g, x, params, stream(prefix, STREAM_NOISE))
 
 
-def draw_sample(prefix, g, n, x=None, y=None) -> sampling.RecruitmentSample:
+def draw_sample(prefix, g, n, x, y) -> sampling.RecruitmentSample:
     """An RNS sample of n units of `g` with their data, from the sampling stream."""
     return sampling.rns_sample(g, n, stream(prefix, STREAM_SAMPLING), x, y)
 
@@ -111,6 +111,9 @@ class ExperimentCell:
     fixed_graph: bool = False
 
     def __post_init__(self):
+        # a float would pass the range checks; stream() would truncate a seed
+        for name in ("reps", "master_seed"):
+            object.__setattr__(self, name, graphmod.check_integer(getattr(self, name), name))
         if not 1 <= self.reps <= MAX_REPS:
             raise ValidationError(f"reps must be in [1, {MAX_REPS}]")
         if self.n_pop < 2:

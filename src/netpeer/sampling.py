@@ -33,8 +33,8 @@ class RecruitmentSample:
     g_r: Graph
     observed_degrees: np.ndarray
     reported_degrees: np.ndarray
-    x_obs: np.ndarray = None
-    y_obs: np.ndarray = None
+    x_obs: np.ndarray
+    y_obs: np.ndarray
 
     @property
     def n(self) -> int:
@@ -54,18 +54,15 @@ def check_sample_size(n: int, n_pop: int) -> None:
         raise ValidationError(f"sample size {n} out of range for {n_pop} vertices")
 
 
-def rns_sample(
-    g: Graph, n: int, rng: np.random.Generator, x=None, y=None
-) -> RecruitmentSample:
+def rns_sample(g: Graph, n: int, rng: np.random.Generator, x, y) -> RecruitmentSample:
     """RNS step 1, a uniform without-replacement draw of n units, then `recruit`."""
     check_sample_size(n, g.n_vertices)
-    for vec in (x, y):
-        if vec is not None and len(vec) != g.n_vertices:
-            raise ValidationError("unit-data vector length must equal n_vertices")
+    if not len(x) == len(y) == g.n_vertices:
+        raise ValidationError("unit-data vector length must equal n_vertices")
     return recruit(g, np.sort(rng.choice(g.n_vertices, size=n, replace=False)), x, y)
 
 
-def recruit(g: Graph, ids: np.ndarray, x=None, y=None) -> RecruitmentSample:
+def recruit(g: Graph, ids: np.ndarray, x, y) -> RecruitmentSample:
     """RNS step 2: the units `ids` (ascending) with every tie among them and their data."""
     g_r = graphmod.induced_subgraph(g, ids)
     return RecruitmentSample(
@@ -73,8 +70,8 @@ def recruit(g: Graph, ids: np.ndarray, x=None, y=None) -> RecruitmentSample:
         g_r=g_r,
         observed_degrees=graphmod.degrees(g_r),
         reported_degrees=graphmod.degrees(g)[ids],
-        x_obs=None if x is None else np.asarray(x, dtype=float)[ids],
-        y_obs=None if y is None else np.asarray(y, dtype=float)[ids],
+        x_obs=np.asarray(x, dtype=float)[ids],
+        y_obs=np.asarray(y, dtype=float)[ids],
     )
 
 
@@ -100,11 +97,9 @@ def scaling_factor(s: RecruitmentSample) -> tuple:
 
 def write_sample_csv(s: RecruitmentSample, path) -> None:
     """Sample export: `unit_id,d_true,d_obs,x,y` rows, one per sampled unit."""
-    x, y = ([""] * s.n if vec is None else map(repr, np.asarray(vec, dtype=float).tolist())
-            for vec in (s.x_obs, s.y_obs))
     rows = zip(s.sampled_ids.tolist(), s.reported_degrees.tolist(),
-               s.observed_degrees.tolist(), x, y)
-    lines = "".join(f"{j},{d_true},{d_obs},{xj},{yj}\n" for j, d_true, d_obs, xj, yj in rows)
+               s.observed_degrees.tolist(), s.x_obs.tolist(), s.y_obs.tolist())
+    lines = "".join(f"{j},{d_true},{d_obs},{xj!r},{yj!r}\n" for j, d_true, d_obs, xj, yj in rows)
     with open(path, "w") as fh:
         fh.write("unit_id,d_true,d_obs,x,y\n" + lines)
 
@@ -114,13 +109,10 @@ def read_sample_csv(path, g_r: Graph) -> RecruitmentSample:
 
     The rows must match g_r: one per vertex, unit ids nonnegative and
     strictly ascending, d_obs equal to the degrees in g_r and at most
-    d_true. The x and y columns are each entirely blank or NaN (a sample
-    without unit data) or entirely finite.
+    d_true. x and y are finite in every row.
     """
     header, (ids, d_true, d_obs, x, y) = graphmod.read_table(
-        path, (np.int64, np.int64, np.int64, float, float),
-        converters={i: lambda field: float(field.strip() or "nan") for i in (3, 4)},
-    )
+        path, (np.int64, np.int64, np.int64, float, float))
     if header != "unit_id,d_true,d_obs,x,y":
         raise ValidationError(f"{path}: unexpected sample CSV header {header!r}")
     if ids.size != g_r.n_vertices:
@@ -131,7 +123,4 @@ def read_sample_csv(path, g_r: Graph) -> RecruitmentSample:
         raise ValidationError(f"{path}: d_obs disagrees with the recruitment subgraph")
     if np.any(d_obs > d_true):
         raise ValidationError(f"{path}: d_obs exceeds d_true")
-    if not all(np.isnan(col).all() or np.isfinite(col).all() for col in (x, y)):
-        raise ValidationError(f"{path}: x and y must each be blank in every row or finite")
-    x, y = (None if np.isnan(col).all() else col for col in (x, y))
     return RecruitmentSample(ids, g_r, d_obs, d_true, x, y)

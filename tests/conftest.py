@@ -72,6 +72,7 @@ def w_hat_sweep():
     state right after the draw, so each f sees the draws it would see alone.
     """
     n_pop = 10_000
+    zeros = np.zeros(n_pop)  # unit data the scaling factor does not read
     vals = {f: [] for f in (0.2, 0.5, 0.8)}
     for seed in range(200):
         rng = np.random.default_rng((MASTER_SEED, seed))
@@ -79,6 +80,6 @@ def w_hat_sweep():
         after_draw = rng.bit_generator.state
         for f in vals:
             rng.bit_generator.state = after_draw
-            s = sampling.rns_sample(g, sampling.sample_size(n_pop, f), rng)
+            s = sampling.rns_sample(g, sampling.sample_size(n_pop, f), rng, zeros, zeros)
             vals[f].append(sampling.scaling_factor(s)[0])
     return {f: float(np.mean(v)) for f, v in vals.items()}

@@ -126,12 +126,12 @@ def edge_list_text(g, tags=()) -> str:
 
 
 def sample_csv_text(s) -> str:
-    """The sample CSV: its header, then one row per unit; x and y as float reprs or blank."""
+    """The sample CSV: its header, then one row per unit; x and y as float reprs."""
     lines = ["unit_id,d_true,d_obs,x,y\n"]
     for r in range(s.n):
-        x, y = ("" if v is None else repr(float(v[r])) for v in (s.x_obs, s.y_obs))
         lines.append(f"{int(s.sampled_ids[r])},{int(s.reported_degrees[r])},"
-                     f"{int(s.observed_degrees[r])},{x},{y}\n")
+                     f"{int(s.observed_degrees[r])},{float(s.x_obs[r])!r},"
+                     f"{float(s.y_obs[r])!r}\n")
     return "".join(lines)
 
 

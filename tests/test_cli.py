@@ -202,12 +202,18 @@ class TestSampleCommand:
         # f is the one size setting: it is required, and n_sample is no setting
         assert run(["generate", "--n", 50, "--p", 0.1, "--out", tmp_path]) == 0
         assert run(["sample", "--graph", tmp_path / "graph.edges",
-                    "--out", tmp_path / "a"]) == 2
+                    "--data", tmp_path / "population.csv", "--out", tmp_path / "a"]) == 2
         assert capsys.readouterr().err == "error: missing required setting(s): f\n"
         (tmp_path / "run.ini").write_text("[sample]\nn_sample = 10\nf = 0.2\n")
         assert run(["sample", "--graph", tmp_path / "graph.edges",
                     "--config", tmp_path / "run.ini", "--out", tmp_path / "b"]) == 2
         assert capsys.readouterr().err.startswith("error: unknown key 'n_sample'")
+
+    def test_requires_unit_data(self, tmp_path, capsys, simulated):
+        # a sample is of a population: its graph and its units' x and y
+        assert run(["sample", "--graph", simulated / "graph.edges", "--f", 0.5,
+                    "--out", tmp_path]) == 2
+        assert capsys.readouterr().err == "error: missing required setting(s): data\n"
 
 
 class TestConfigFile:
@@ -293,19 +299,20 @@ class TestConfigFile:
         cfg.write_text("[sample]\ngraph = run%1.edges\ndata = pop.csv\nf = 0.5\n\n"
                        "[mc]\nn_pop = 100, 200\ndensity = 0.1\nfraction = 0.5\n"
                        "fixed_graph = On\nsave_records = no\n", encoding="utf-8")
-        text, values = _resolve("sample", cfg, {"seed": "4", "data": ""})
-        # % is literal, an empty value leaves an optional setting unset
-        assert values == {"graph": "run%1.edges", "data": None, "f": 0.5, "seed": 4}
-        assert text == {"graph": "run%1.edges", "data": "", "f": "0.5", "seed": "4"}
+        text, values = _resolve("sample", cfg, {"f": "0.25", "seed": ""})
+        # % is literal, a flag overrides the file, an empty value means the default
+        assert values == {"graph": "run%1.edges", "data": "pop.csv", "f": 0.25, "seed": 0}
+        assert text == {"graph": "run%1.edges", "data": "pop.csv", "f": "0.25", "seed": "0"}
         _, values = _resolve("mc", cfg, {k: None for k in _SCHEMAS["mc"]})
         assert values["n_pop"] == [100, 200] and values["density"] == [0.1]
         assert values["fixed_graph"] is True and values["save_records"] is False
 
-    def test_unset_settings_echo_empty(self, tmp_path, simulated):
-        assert run(["sample", "--graph", simulated / "graph.edges", "--f", 0.5,
+    def test_unset_settings_echo_defaults(self, tmp_path, simulated):
+        assert run(["sample", "--graph", simulated / "graph.edges",
+                    "--data", simulated / "population.csv", "--f", 0.5,
                     "--out", tmp_path]) == 0
         lines = (tmp_path / "run_config.txt").read_text().splitlines()
-        assert {"data = ", "f = 0.5"} <= set(lines)
+        assert {f"data = {simulated / 'population.csv'}", "f = 0.5", "seed = 0"} <= set(lines)
 
 
 class TestSettingsBoundary:
@@ -443,12 +450,16 @@ class TestInputMismatch:
 
     @pytest.mark.parametrize("command", ["fit", "diagnostics"])
     def test_sample_without_unit_data(self, tmp_path, capsys, simulated, command):
-        assert run(["sample", "--graph", simulated / "graph.edges", "--f", 0.5,
-                    "--out", tmp_path]) == 0
-        self.assert_exits_2(capsys, [command, "--sample", tmp_path / "sample.csv",
-                                     "--edges", tmp_path / "sample.edges",
-                                     "--out", tmp_path / "out"],
-                            "sample carries no unit data to fit")
+        # the format without unit data left x or y blank or nan in every row;
+        # it is refused where the file is read, not by the fit
+        header, *rows = (simulated / "sample.csv").read_text().splitlines()
+        for col, value in ((3, ""), (4, "nan")):
+            path = tmp_path / f"sample{col}.csv"
+            path.write_text("\n".join([header, *map(set_field(col, value), rows)]) + "\n")
+            assert run([command, "--sample", path, "--edges", simulated / "sample.edges",
+                        "--out", tmp_path / "out"]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
 
     def test_population_of_another_size(self, tmp_path, capsys, simulated):
         assert run(["generate", "--n", 50, "--p", 0.1, "--out", tmp_path]) == 0
@@ -461,7 +472,7 @@ class TestInputMismatch:
 # one valid config per subcommand; the mutations below break it line by line
 CONFIGS = {
     "generate": "[generate]\nn = 60\np = 0.1\nseed = 1\nallow_disconnected = no\n",
-    "sample": "[sample]\ngraph = g.edges\ndata =\nf = 0.5\nseed = 2\n",
+    "sample": "[sample]\ngraph = g.edges\ndata = pop.csv\nf = 0.5\nseed = 2\n",
     "simulate": "[simulate]\nn = 60\np = 0.1\nf = 0.5\nbeta2 = 1.5\nseed = 9\n",
     "fit": "[fit]\nsample = s.csv\nedges = s.edges\nlevel = 0.9\nuse_t = true\n",
     "mc": "[mc]\nn_pop = 100,200\ndensity = 0.1\nfraction = 0.2, 0.5\nreps = 4\n"
@@ -576,7 +587,8 @@ def round_trip_argv(command, sim):
     return {
         "generate": [*instance, "--allow-disconnected"],
         "simulate": [*instance, "--f", 0.5, "--beta2", 2],
-        "sample": ["--graph", sim / "graph.edges", "--f", 0.3, "--seed", 2],
+        "sample": ["--graph", sim / "graph.edges", "--data", sim / "population.csv",
+                   "--f", 0.3, "--seed", 2],
         "fit": ["--sample", sim / "sample.csv", "--edges", sim / "sample.edges",
                 "--use-t", "--level", 0.9],
         "mc": ["--n-pop", "100,120", "--density", 0.1, "--fraction", 0.5, "--reps", 3,

@@ -168,13 +168,6 @@ class TestBuildSwapPair:
         with pytest.raises(ValidationError):
             build_swap_pair(s, 0, 1, np.inf, 1.0)
 
-    def test_rejects_sample_without_covariates(self):
-        s = dataclasses.replace(hand_sample(), x_obs=None)
-        with pytest.raises(ValidationError, match="no covariates"):
-            build_swap_pair(s, 0, 1, 5.0, -5.0)
-        with pytest.raises(ValidationError, match="no covariates"):
-            find_witness(s)
-
 
 class TestCandidateMeans:
     def test_matches_loop_oracle(self):

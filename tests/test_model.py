@@ -173,7 +173,7 @@ class TestFullVsInducedLikelihood:
             rng = np.random.default_rng(seed)
             g = connected_er(80, 0.08, rng)
             x = gen_covariates(80, 3.0, 1.5, rng)
-            s = rns_sample(g, 25, rng, x)
+            s = rns_sample(g, 25, rng, x, np.zeros(80))  # no outcome is read
             p = population_induced(g, s)
             full = conditional_means(g, x, PARAMS)[s.sampled_ids]
             on_induced = conditional_means(p.g_p, x[p.origin], PARAMS)[: s.n]

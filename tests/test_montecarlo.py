@@ -594,6 +594,16 @@ class TestCellValidation:
         with pytest.raises(ValidationError, match="must be an integer"):
             small_cell(n_pop=1000.0)
 
+    def test_float_reps(self):
+        # 2.0 is in range, and range(2.0) would fail in run_cell
+        with pytest.raises(ValidationError, match="reps must be an integer"):
+            small_cell(reps=2.0)
+
+    def test_float_seed(self):
+        # stream() would truncate 1.5 and run seed 1's streams
+        with pytest.raises(ValidationError, match="master_seed must be an integer"):
+            small_cell(master_seed=1.5)
+
     def test_sample_below_four(self):
         # round(0.2 * 10) = 2 units: no replication could fit three coefficients
         with pytest.raises(ValidationError, match="sample size"):

@@ -17,6 +17,12 @@ from netpeer.sampling import (
 )
 
 
+def zeros(g):
+    """Unit data (x, y) for a test that reads only the sample's graph."""
+    z = np.zeros(g.n_vertices)
+    return z, z
+
+
 class TestSampleSize:
     def test_round_half_up(self):
         assert sample_size(10, 0.25) == 3
@@ -33,7 +39,7 @@ class TestSampleSize:
 class TestRnsSample:
     def test_census_recovers_graph(self):
         g = generate_er(60, 0.1, np.random.default_rng(0))
-        s = rns_sample(g, 60, np.random.default_rng(1))
+        s = rns_sample(g, 60, np.random.default_rng(1), *zeros(g))
         assert np.array_equal(s.observed_degrees, s.reported_degrees)
         assert np.array_equal(s.g_r.indices, g.indices)
         assert np.array_equal(s.g_r.offsets, g.offsets)
@@ -50,21 +56,21 @@ class TestRnsSample:
 
     def test_single_unit(self):
         g = generate_er(10, 0.5, np.random.default_rng(0))
-        s = rns_sample(g, 1, np.random.default_rng(1))
+        s = rns_sample(g, 1, np.random.default_rng(1), *zeros(g))
         assert s.n == 1
         assert list(s.observed_degrees) == [0]
 
     def test_out_of_range(self):
         g = generate_er(10, 0.5, np.random.default_rng(0))
         with pytest.raises(ValidationError):
-            rns_sample(g, 0, np.random.default_rng(1))
+            rns_sample(g, 0, np.random.default_rng(1), *zeros(g))
         with pytest.raises(ValidationError):
-            rns_sample(g, 11, np.random.default_rng(1))
+            rns_sample(g, 11, np.random.default_rng(1), *zeros(g))
 
     def test_deterministic(self):
         g = generate_er(50, 0.2, np.random.default_rng(0))
-        a = rns_sample(g, 10, np.random.default_rng(9))
-        b = rns_sample(g, 10, np.random.default_rng(9))
+        a = rns_sample(g, 10, np.random.default_rng(9), *zeros(g))
+        b = rns_sample(g, 10, np.random.default_rng(9), *zeros(g))
         assert np.array_equal(a.sampled_ids, b.sampled_ids)
 
     def test_degree_ratio_tracks_fraction(self):
@@ -73,7 +79,7 @@ class TestRnsSample:
         for seed in range(200):
             rng = np.random.default_rng(seed)
             g = generate_er(1000, 0.01, rng)
-            s = rns_sample(g, 200, rng)
+            s = rns_sample(g, 200, rng, *zeros(g))
             pos = s.reported_degrees > 0
             ratios.append(
                 np.mean(s.observed_degrees[pos] / s.reported_degrees[pos])
@@ -103,17 +109,16 @@ class TestRnsSample:
 class TestPopulationInduced:
     def test_census_has_no_boundary(self):
         g = generate_er(40, 0.15, np.random.default_rng(0))
-        s = rns_sample(g, 40, np.random.default_rng(1))
+        s = rns_sample(g, 40, np.random.default_rng(1), *zeros(g))
         p = population_induced(g, s)
         assert p.u == 0
         assert p.g_p.n_edges() == g.n_edges()
 
     def test_star_leaf_sample(self):
         g = star(5)
-        s = rns_sample(from_edges(5, []), 1, np.random.default_rng(0))
         # force a specific leaf: build the sample by hand via rns on g until leaf
         for seed in range(50):
-            s = rns_sample(g, 1, np.random.default_rng(seed))
+            s = rns_sample(g, 1, np.random.default_rng(seed), *zeros(g))
             if s.sampled_ids[0] != 0:
                 break
         assert s.sampled_ids[0] != 0
@@ -125,9 +130,9 @@ class TestPopulationInduced:
         # two sampled units, one shared outside neighbor, one outside-outside
         # edge that must NOT appear
         g = from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
-        s = rns_sample(g, 2, np.random.default_rng(0))
+        s = rns_sample(g, 2, np.random.default_rng(0), *zeros(g))
         # rebuild with a fixed choice instead of luck
-        s = recruit(g, np.array([0, 1]))
+        s = recruit(g, np.array([0, 1]), *zeros(g))
         p = population_induced(g, s)
         assert list(p.boundary_ids) == [2]
         # edges: (0,1) recruited, plus (0,2) and (1,2); never (2,3)
@@ -139,7 +144,7 @@ class TestPopulationInduced:
 
     def test_nesting_invariant(self):
         g = generate_er(50, 0.1, np.random.default_rng(5))
-        s = rns_sample(g, 12, np.random.default_rng(6))
+        s = rns_sample(g, 12, np.random.default_rng(6), *zeros(g))
         p = population_induced(g, s)
         # V_R subset V_P subset V; E_R subset E_P subset E
         assert s.n <= p.g_p.n_vertices <= g.n_vertices
@@ -164,7 +169,7 @@ class TestScalingFactor:
 
     def test_census_is_one(self):
         g = generate_er(40, 0.2, np.random.default_rng(0))
-        s = rns_sample(g, 40, np.random.default_rng(1))
+        s = rns_sample(g, 40, np.random.default_rng(1), *zeros(g))
         assert scaling_factor(s)[0] == 1.0
 
     def test_hand_arithmetic(self):
@@ -204,7 +209,7 @@ class TestScalingFactorVariance:
 
     def test_census_is_zero(self):
         g = generate_er(40, 0.2, np.random.default_rng(0))
-        s = rns_sample(g, 40, np.random.default_rng(1))
+        s = rns_sample(g, 40, np.random.default_rng(1), *zeros(g))
         assert scaling_factor(s)[1] == 0.0
 
     def test_hand_arithmetic(self):
@@ -242,46 +247,21 @@ class TestSampleCsv:
 
     def test_header(self, tmp_path):
         g = generate_er(10, 0.3, np.random.default_rng(0))
-        s = rns_sample(g, 4, np.random.default_rng(1))
+        s = rns_sample(g, 4, np.random.default_rng(1), *zeros(g))
         p = tmp_path / "sample.csv"
         write_sample_csv(s, p)
         assert p.read_text().splitlines()[0] == "unit_id,d_true,d_obs,x,y"
 
-    def test_round_trip_without_unit_data(self, tmp_path):
-        g = generate_er(30, 0.15, np.random.default_rng(0))
-        s = rns_sample(g, 10, np.random.default_rng(3))
-        p = tmp_path / "sample.csv"
-        write_sample_csv(s, p)
-        back = read_sample_csv(p, s.g_r)
-        assert back.x_obs is None and back.y_obs is None
-        assert np.array_equal(back.sampled_ids, s.sampled_ids)
-        assert np.array_equal(back.reported_degrees, s.reported_degrees)
-        assert np.array_equal(back.observed_degrees, s.observed_degrees)
-
-    @pytest.mark.parametrize("unit_data", [True, False])
-    def test_bytes_equal_oracle(self, tmp_path, unit_data):
+    def test_bytes_equal_oracle(self, tmp_path):
         g = generate_er(200, 0.04, np.random.default_rng(0))
         rng = np.random.default_rng(1)
         x = rng.normal(3, 1.5, 200) * 10.0 ** rng.integers(-20, 20, 200)
-        xy = (x, rng.normal(0, 1, 200)) if unit_data else ()
-        s = rns_sample(g, 120, np.random.default_rng(3), *xy)
-        if unit_data:
-            # a negative zero and the extremes exercise the float formatting
-            s.x_obs[:3] = [-0.0, 1e300, 5e-324]
+        s = rns_sample(g, 120, np.random.default_rng(3), x, rng.normal(0, 1, 200))
+        # a negative zero and the extremes exercise the float formatting
+        s.x_obs[:3] = [-0.0, 1e300, 5e-324]
         p = tmp_path / "sample.csv"
         write_sample_csv(s, p)
         assert p.read_bytes() == sample_csv_text(s).encode()
-
-    def test_nan_in_every_row_is_no_unit_data(self, tmp_path):
-        g = generate_er(30, 0.15, np.random.default_rng(0))
-        x = np.random.default_rng(1).normal(3, 1.5, 30)
-        s = rns_sample(g, 10, np.random.default_rng(3), x, x + 1.0)
-        p = tmp_path / "sample.csv"
-        write_sample_csv(s, p)
-        header, *rows = p.read_text().splitlines()
-        p.write_text("\n".join([header, *(_set(r, 3, "nan") for r in rows)]) + "\n")
-        back = read_sample_csv(p, s.g_r)
-        assert back.x_obs is None and np.array_equal(back.y_obs, s.y_obs)
 
 
 def _set(row, col, value):
@@ -314,10 +294,12 @@ class TestSampleCsvRejects:
                           for i, r in enumerate(rows)],
             "exceeds",
         ),
-        "one blank x": (lambda rows: [_set(rows[0], 3, ""), *rows[1:]], "every row"),
-        "one blank y": (lambda rows: [*rows[:-1], _set(rows[-1], 4, "")], "every row"),
-        "nan x": (lambda rows: [_set(rows[0], 3, "nan"), *rows[1:]], "every row"),
-        "inf y": (lambda rows: [_set(rows[0], 4, "-inf"), *rows[1:]], "every row"),
+        "one blank x": (lambda rows: [_set(rows[0], 3, ""), *rows[1:]], "could not convert"),
+        "one blank y": (lambda rows: [*rows[:-1], _set(rows[-1], 4, "")], "could not convert"),
+        "nan x": (lambda rows: [_set(rows[0], 3, "nan"), *rows[1:]],
+                  "non-finite value in column 4"),
+        "inf y": (lambda rows: [_set(rows[0], 4, "-inf"), *rows[1:]],
+                  "non-finite value in column 5"),
         "non-integer id": (lambda rows: [_set(rows[0], 0, "0.5"), *rows[1:]],
                            "could not convert"),
         "short row": (lambda rows: [rows[0].rsplit(",", 1)[0], *rows[1:]], "columns"),
