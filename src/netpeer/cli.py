@@ -185,6 +185,9 @@ def _cmd_generate(v: dict, out: str) -> None:
 def _cmd_sample(v: dict, out: str) -> None:
     g = graphmod.read_edge_list(v["graph"])
     x, y = model.read_unit_csv(v["data"])
+    if x.size != g.n_vertices:
+        raise ValidationError(
+            f"{v['data']} has {x.size} units but {v['graph']} has {g.n_vertices} vertices")
     n = sampling.sample_size(g.n_vertices, v["f"])
     s = montecarlo.draw_sample((v["seed"],), g, n, x, y)
     sampling.write_sample_csv(s, os.path.join(out, "sample.csv"))

@@ -132,16 +132,14 @@ class FitResult:
 
 def build_observed_design(s: RecruitmentSample) -> ObservedDesign:
     """Assemble (1, x_j, x*_j) rows over sampled units with d^R_j > 0."""
-    retained = np.flatnonzero(s.observed_degrees > 0)
-    dropped = s.n - retained.size
+    retained = (s.observed_degrees > 0).nonzero()[0]
     if retained.size < 4:
-        raise RankDeficiencyError(
-            f"only {retained.size} retained rows (need at least 4)"
-        )
-    sums = graphmod.neighbor_sums(s.g_r, s.x_obs)
-    x_star = sums[retained] / s.observed_degrees[retained]
-    X = np.column_stack([np.ones(retained.size), s.x_obs[retained], x_star])
-    return ObservedDesign(X=X, y=s.y_obs[retained], dropped_count=int(dropped))
+        raise RankDeficiencyError(f"only {retained.size} retained rows (need at least 4)")
+    X = np.empty((retained.size, 3))
+    X[:, 0] = 1.0
+    X[:, 1] = s.x_obs[retained]
+    X[:, 2] = graphmod.neighbor_sums(s.g_r, s.x_obs)[retained] / s.observed_degrees[retained]
+    return ObservedDesign(X=X, y=s.y_obs[retained], dropped_count=s.n - retained.size)
 
 
 def _collinear_detail(X: np.ndarray) -> str:
@@ -186,13 +184,13 @@ def fit_mle(d: ObservedDesign, w_hat: float = 1.0, var_w_hat: float = 0.0,
     if rank < 3:
         raise RankDeficiencyError(_collinear_detail(X))
     x_star = d.x_star
-    sxx = float(np.sum((x_star - x_star.mean()) ** 2))
+    sxx = float(((x_star - x_star.mean()) ** 2).sum())
     if sxx <= 0:
         raise RankDeficiencyError("zero variance in the peer regressor")
     resid = y - X @ beta
     sigma2 = float(resid @ resid) / (n - 3)
     xtx_inv = np.linalg.inv(X.T @ X)
-    se = np.sqrt(sigma2 * np.diag(xtx_inv))
+    se = np.sqrt(sigma2 * xtx_inv.diagonal())
     # beta2_hat = sum_i h_i y_i, so var = sum_i h_i^2 e_i^2 with the n/(n-3) factor
     h_resid = (X @ xtx_inv[2]) * resid
     var_hc1 = float(h_resid @ h_resid) * n / (n - 3)

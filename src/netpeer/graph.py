@@ -50,7 +50,7 @@ class Graph:
 def _row_ids(offsets: np.ndarray) -> np.ndarray:
     """Row (vertex) of every entry of a CSR `indices` array."""
     n = offsets.size - 1
-    return np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+    return np.arange(n, dtype=np.int64).repeat(offsets[1:] - offsets[:-1])
 
 
 def _row_positions(offsets: np.ndarray, rows: np.ndarray) -> tuple:
@@ -58,8 +58,8 @@ def _row_positions(offsets: np.ndarray, rows: np.ndarray) -> tuple:
     offsets (length rows.size + 1) of those rows within the concatenation."""
     starts = offsets[rows]
     bounds = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(offsets[rows + 1] - starts, out=bounds[1:])
-    pos = np.repeat(starts - bounds[:-1], np.diff(bounds))
+    (offsets[rows + 1] - starts).cumsum(out=bounds[1:])
+    pos = (starts - bounds[:-1]).repeat(bounds[1:] - bounds[:-1])
     pos += np.arange(bounds[-1], dtype=np.int64)
     return pos, bounds
 
@@ -92,9 +92,9 @@ def _csr(n: int, keys: np.ndarray) -> Graph:
     where a draw peaks, holds only the keys.
     """
     row_starts = np.arange(n + 1, dtype=keys.dtype) * n
-    offsets = np.searchsorted(keys, row_starts)
+    offsets = keys.searchsorted(row_starts)
     # a key less its row's start is the neighbor (subtracting is cheaper than % n)
-    keys -= np.repeat(row_starts[:-1], np.diff(offsets))
+    keys -= row_starts[:-1].repeat(offsets[1:] - offsets[:-1])
     return Graph(n, keys.astype(np.int64, copy=False), offsets)
 
 
@@ -138,13 +138,14 @@ def _pair_index_to_edges(idx: np.ndarray, n: int) -> tuple:
 
     Pairs are enumerated lexicographically: row i covers pairs (i, i+1..n-1).
     """
-    rows = np.arange(n - 1, dtype=np.int64)
+    rows = np.arange(n, dtype=np.int64)
     starts = rows * n - rows * (rows + 1) // 2
-    counts = np.diff(np.searchsorted(idx, starts), append=idx.size)
+    bounds = idx.searchsorted(starts)  # starts[n - 1] = n*(n-1)/2 exceeds every index
+    counts = bounds[1:] - bounds[:-1]
     # pair starts[i] + t is (i, i + 1 + t), so j = idx - (starts[i] - i - 1)
-    j = np.repeat(starts - rows - 1, counts)
+    j = (starts[:-1] - rows[:-1] - 1).repeat(counts)
     np.subtract(idx, j, out=j)
-    return np.repeat(rows, counts), j
+    return rows[:-1].repeat(counts), j
 
 
 def check_er_size(n: int, p: float) -> tuple:
@@ -204,7 +205,7 @@ def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
         # read; cumsum(skips, dtype=np.int64) would hold a third, its cast copy
         cand = skips.astype(np.int64, copy=False)
         del skips
-        np.cumsum(cand, out=cand)
+        cand.cumsum(out=cand)
         cand += current
         current = int(cand[-1])
         # the skips are positive, so the pair indices come out ascending and
@@ -224,14 +225,14 @@ def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
 
 def degrees(g: Graph) -> np.ndarray:
     """Degree of every vertex, as an int array of length n_vertices."""
-    return np.diff(g.offsets)
+    return g.offsets[1:] - g.offsets[:-1]
 
 
 def neighbor_sums(g: Graph, values: np.ndarray) -> np.ndarray:
     """Sum of `values` over each vertex's neighbors; 0.0 for an isolated vertex."""
     sums = np.zeros(g.n_vertices)
     # CSR rows are grouped by vertex, so a segmented sum over the nonempty rows works
-    nonempty = np.flatnonzero(np.diff(g.offsets) > 0)
+    nonempty = (g.offsets[1:] > g.offsets[:-1]).nonzero()[0]
     sums[nonempty] = np.add.reduceat(values[g.indices], g.offsets[nonempty])
     return sums
 
@@ -244,16 +245,17 @@ def induced_subgraph(g: Graph, members) -> Graph:
     # dedupe and sort through a mask: cheaper than np.unique's hash and sort
     member_mask = np.zeros(g.n_vertices, dtype=bool)
     member_mask[members] = True
-    members = np.flatnonzero(member_mask)
-    mapping = np.full(g.n_vertices, -1, dtype=np.int64)
+    members = member_mask.nonzero()[0]
+    mapping = np.empty(g.n_vertices, dtype=np.int64)
+    mapping.fill(-1)
     mapping[members] = np.arange(members.size, dtype=np.int64)
     pos, bounds = _row_positions(g.offsets, members)
     # mapping is increasing on members, so the kept rows stay sorted
     new = g.indices[pos]
     del pos  # dead after the first gather; the second would hold it too
     new = mapping[new]
-    kept = np.flatnonzero(new >= 0)
-    return Graph(int(members.size), new[kept], np.searchsorted(kept, bounds))
+    kept = (new >= 0).nonzero()[0]
+    return Graph(int(members.size), new[kept], kept.searchsorted(bounds))
 
 
 def write_edge_list(g: Graph, path, tags=()) -> None:

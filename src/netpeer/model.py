@@ -48,8 +48,8 @@ def neighbor_mean_vector(g: Graph, x: np.ndarray) -> np.ndarray:
 
     Raises IsolatedVertexError if any vertex has degree zero.
     """
-    degs = np.diff(g.offsets)
-    if np.any(degs == 0):
+    degs = graphmod.degrees(g)
+    if (degs == 0).any():
         raise IsolatedVertexError(int(np.argmax(degs == 0)))
     return graphmod.neighbor_sums(g, np.asarray(x, dtype=float)) / degs
 

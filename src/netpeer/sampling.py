@@ -59,7 +59,9 @@ def rns_sample(g: Graph, n: int, rng: np.random.Generator, x, y) -> RecruitmentS
     check_sample_size(n, g.n_vertices)
     if not len(x) == len(y) == g.n_vertices:
         raise ValidationError("unit-data vector length must equal n_vertices")
-    return recruit(g, np.sort(rng.choice(g.n_vertices, size=n, replace=False)), x, y)
+    ids = rng.choice(g.n_vertices, size=n, replace=False)
+    ids.sort()
+    return recruit(g, ids, x, y)
 
 
 def recruit(g: Graph, ids: np.ndarray, x, y) -> RecruitmentSample:

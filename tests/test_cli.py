@@ -179,6 +179,22 @@ class TestPinnedOutputs:
         assert run(["identify-demo", *instance, "--out", tmp_path / "id"]) == 0
         assert digests(tmp_path, self.REPORT_DIGESTS) == self.REPORT_DIGESTS
 
+    MC_DIGESTS = {
+        "results.csv": "15ed4ca08e01e0f93c453e44c4079d224d4b75d5f49029756a320d11af0170fb",
+        "records_cell0.csv": "c72b88ab9aaf0af22b857569d600a7c676a92eb60a70f702fd8eeb74effbe573",
+        "records_cell1.csv": "8e2066334f419d05a13fc505544da3874e95bd89b793aeccf8bb8a58c56bb33b",
+        "records_cell2.csv": "9dc5854ce38eef745b8a8731ccc5bb04cbb3e065c619a848ff89306de5fb50c0",
+        "records_cell3.csv": "06a17a3fa9240e4418f32ae7f4a22bfd9dc0c52d9d4f393d52c515b67d7ce504",
+    }
+
+    def test_mc_grid_digests(self, tmp_path):
+        # 160 reps over four cells through the worker pool; the records hold
+        # ci_corrected_wald, which no other pin covers over many reps
+        assert run(["mc", "--n-pop", "300,1000", "--density", 0.03, "--fraction", "0.2,0.8",
+                    "--reps", 40, "--seed", 5, "--workers", 2, "--save-records",
+                    "--out", tmp_path]) == 0
+        assert digests(tmp_path, self.MC_DIGESTS) == self.MC_DIGESTS
+
 
 class TestSampleCommand:
     def test_sample_from_generated_graph(self, tmp_path):
@@ -463,10 +479,10 @@ class TestInputMismatch:
 
     def test_population_of_another_size(self, tmp_path, capsys, simulated):
         assert run(["generate", "--n", 50, "--p", 0.1, "--out", tmp_path]) == 0
-        self.assert_exits_2(capsys, ["sample", "--graph", tmp_path / "graph.edges",
-                                     "--data", simulated / "population.csv", "--f", 0.5,
+        graph, data = tmp_path / "graph.edges", simulated / "population.csv"
+        self.assert_exits_2(capsys, ["sample", "--graph", graph, "--data", data, "--f", 0.5,
                                      "--out", tmp_path / "out"],
-                            "unit-data vector length must equal n_vertices")
+                            f"{data} has 40 units but {graph} has 50 vertices")
 
 
 # one valid config per subcommand; the mutations below break it line by line

@@ -209,6 +209,39 @@ class TestRunReplication:
         )
 
 
+    def test_hot_path_calls_no_numpy_python_wrapper(self):
+        # each of these is a Python frame and a dispatcher call on top of the
+        # ndarray method or slice that does the work; an N=10^3 rep is about
+        # half fixed per-call cost, so the per-rep path uses the method forms
+        denied_anywhere = {"diff", "flatnonzero", "column_stack", "diag"}
+        denied_fromnumeric = {"repeat", "searchsorted", "cumsum", "sort"}
+        # full and prod are not denied: Generator.choice calls them from
+        # compiled code, so the hook sees them called by rns_sample
+        calls = set()
+
+        def hook(frame, event, arg):
+            caller = frame.f_back
+            if event == "call" and caller and caller.f_globals["__name__"].startswith("netpeer"):
+                calls.add((caller.f_code.co_name, frame.f_globals.get("__name__", ""),
+                           frame.f_code.co_name))
+
+        cell = small_cell(n_pop=1000, density=0.01, fraction=0.2)
+        sys.setprofile(hook)
+        try:
+            rec = run_replication(cell, 0)
+        finally:
+            sys.setprofile(None)
+        assert rec.ok
+        # the hook attributes a numpy Python function to its netpeer caller
+        assert any(caller == "fit_mle" and name == "lstsq" for caller, _, name in calls)
+        wrappers = sorted(
+            (caller, f"{module}.{name}") for caller, module, name in calls
+            if module.startswith("numpy") and (
+                name in denied_anywhere
+                or (module.endswith(".fromnumeric") and name in denied_fromnumeric)))
+        assert wrappers == []
+
+
 class TestRunCell:
     def test_worker_invariance(self):
         cell = small_cell()
