@@ -159,12 +159,11 @@ def _instance(v: dict):
     # before the graph draw; a bad n is reported as the graph's, not the sample's
     params = _model_params(v)
     graphmod.check_er_size(v["n"], v["p"])
-    n = sampling.sample_size(v["n"], v["f"])
-    sampling.check_sample_size(n, v["n"])
+    sampling.check_sample_size(sampling.sample_size(v["n"], v["f"]), v["n"])
     prefix = (v["seed"],)
     g = montecarlo.draw_graph(prefix, v["n"], v["p"])
     x, y = montecarlo.populate(prefix, g, params)
-    return params, g, x, y, montecarlo.draw_sample(prefix, g, n, x, y)
+    return params, g, x, y, montecarlo.draw_sample(prefix, g, v["f"], x, y)
 
 
 def _write_json(out: str, name: str, report: dict) -> None:
@@ -188,8 +187,7 @@ def _cmd_sample(v: dict, out: str) -> None:
     if x.size != g.n_vertices:
         raise ValidationError(
             f"{v['data']} has {x.size} units but {v['graph']} has {g.n_vertices} vertices")
-    n = sampling.sample_size(g.n_vertices, v["f"])
-    s = montecarlo.draw_sample((v["seed"],), g, n, x, y)
+    s = montecarlo.draw_sample((v["seed"],), g, v["f"], x, y)
     sampling.write_sample_csv(s, os.path.join(out, "sample.csv"))
     graphmod.write_edge_list(s.g_r, os.path.join(out, "sample.edges"), tags=("sample",))
 

@@ -233,11 +233,11 @@ def diagnostics(s: RecruitmentSample) -> dict:
     """Empirical checks of the regularity conditions behind the correction.
 
     Reports the covariate variance statistic, the observed/true
-    degree-ratio summary with the scaling factor, and the dropped-unit
-    count of the design built from `s`. A statistic too large for
-    float64 comes out as inf or nan, without a warning.
+    degree-ratio summary with the scaling factor, and the count of
+    isolated units the fit drops; only a sample without a tie fails. A
+    statistic too large for float64 is inf or nan, without a warning.
     """
-    d = build_observed_design(s)
+    w_hat = samplingmod.scaling_factor(s)[0]
     pos = s.reported_degrees > 0
     ratios = s.observed_degrees[pos] / s.reported_degrees[pos]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -249,7 +249,7 @@ def diagnostics(s: RecruitmentSample) -> dict:
         "degree_ratio_min": float(ratios.min()),
         "degree_ratio_mean": float(ratios.mean()),
         "degree_ratio_max": float(ratios.max()),
-        "w_hat": samplingmod.scaling_factor(s)[0],
-        "dropped_count": d.dropped_count,
+        "w_hat": w_hat,
+        "dropped_count": int((s.observed_degrees == 0).sum()),
         "n_sampled": s.n,
     }

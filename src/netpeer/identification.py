@@ -67,14 +67,6 @@ def is_compatible(candidate: CompletionCandidate, observed: RecruitmentSample) -
     )
 
 
-def check_attached(x_u1, x_u2) -> None:
-    """Attached covariate values: finite (None is not) and distinct."""
-    if not all(x is not None and np.isfinite(x) for x in (x_u1, x_u2)):
-        raise ValidationError("attached covariate values must be finite")
-    if x_u1 == x_u2:
-        raise ValidationError("attached covariate values must differ")
-
-
 def build_swap_pair(observed: RecruitmentSample, j: int, l: int, x_u1, x_u2) -> WitnessPair:
     """Attach two synthetic unsampled units to recruited units j and l, both ways.
 
@@ -82,14 +74,17 @@ def build_swap_pair(observed: RecruitmentSample, j: int, l: int, x_u1, x_u2) -> 
     them. Both are compatible with the observed data by construction.
     j and l are local (within-sample) indices and must have reported
     degree strictly above their observed degree; x_u1 and x_u2 are the
-    attached units' covariate values.
+    attached units' covariate values, finite (None is not) and distinct.
     """
     n = observed.n
     if j == l:
         raise ValidationError("witness units must be distinct")
     if not (0 <= j < n and 0 <= l < n):
         raise ValidationError("witness unit index out of range")
-    check_attached(x_u1, x_u2)
+    if not all(x is not None and np.isfinite(x) for x in (x_u1, x_u2)):
+        raise ValidationError("attached covariate values must be finite")
+    if x_u1 == x_u2:
+        raise ValidationError("attached covariate values must differ")
     for v in (j, l):
         if observed.reported_degrees[v] <= observed.observed_degrees[v]:
             raise NoSlackError(v)

@@ -92,8 +92,9 @@ def populate(prefix, g, params: ModelParams):
     return x, model.simulate_outcomes(g, x, params, stream(prefix, STREAM_NOISE))
 
 
-def draw_sample(prefix, g, n, x, y) -> sampling.RecruitmentSample:
-    """An RNS sample of n units of `g` with their data, from the sampling stream."""
+def draw_sample(prefix, g, fraction, x, y) -> sampling.RecruitmentSample:
+    """An RNS sample of round(fraction * N) units of `g`, with their data, from its stream."""
+    n = sampling.sample_size(g.n_vertices, fraction)
     return sampling.rns_sample(g, n, stream(prefix, STREAM_SAMPLING), x, y)
 
 
@@ -116,8 +117,6 @@ class ExperimentCell:
             object.__setattr__(self, name, graphmod.check_integer(getattr(self, name), name))
         if not 1 <= self.reps <= MAX_REPS:
             raise ValidationError(f"reps must be in [1, {MAX_REPS}]")
-        if self.n_pop < 2:
-            raise ValidationError("population size must be >= 2")
         if not 0.0 < self.density < 1.0:
             raise ValidationError("edge density must be in (0, 1)")
         # a numpy integer count is kept as the equal Python int
@@ -168,8 +167,7 @@ def run_replication(cell: ExperimentCell, rep_index: int, graph=None) -> RepReco
     try:
         prefix = (cell.master_seed, rep_index)
         g = graph if graph is not None else draw_graph(prefix, cell.n_pop, cell.density)
-        s = draw_sample(prefix, g, sampling.sample_size(g.n_vertices, cell.fraction),
-                        *populate(prefix, g, cell.params))
+        s = draw_sample(prefix, g, cell.fraction, *populate(prefix, g, cell.params))
         fit = estimation.fit_corrected(s, level=cell.level)
     except ComputationError as exc:
         return RepRecord(rep_index=rep_index, ok=False, error=str(exc))

@@ -99,7 +99,7 @@ class TestSimulateAndFit:
         # rebuild the same instance in process: the CLI's seed prefix is (seed,)
         g = montecarlo.draw_graph((11,), 300, 0.04)
         x, y = populate((11,), g, ModelParams(0.0, 1.0, 1.5, 1.0))
-        s = draw_sample((11,), g, 120, x, y)
+        s = draw_sample((11,), g, 0.4, x, y)
         design = estimation.build_observed_design(s)
         fit = estimation.fit_mle(design, sampling.scaling_factor(s)[0])
         assert out["beta2_corrected"] == pytest.approx(fit.beta2_corrected, abs=1e-12)
@@ -774,6 +774,35 @@ class TestDiagnostics:
         assert rep["n_sampled"] == 80
         assert not rep["degenerate_covariate"]
         assert rep["degree_ratio_min"] <= rep["degree_ratio_mean"] <= rep["degree_ratio_max"]
+
+    @staticmethod
+    def four_unit_sample(root, tie):
+        """Four sampled units of true degree 5, with one observed tie, (0, 1), or none."""
+        (root / "sample.edges").write_text("# vertices=4\n# sample\n" + "0,1\n" * tie)
+        d_obs = (1, 1, 0, 0) if tie else (0, 0, 0, 0)
+        (root / "sample.csv").write_text("unit_id,d_true,d_obs,x,y\n" + "".join(
+            f"{u},5,{d},{x},{x + 0.5}\n" for u, d, x in zip((3, 7, 12, 40), d_obs, (1, 2, 4, 8))))
+        return ["--sample", root / "sample.csv", "--edges", root / "sample.edges"]
+
+    def test_sample_too_sparse_to_fit(self, tmp_path, capsys):
+        # one observed tie: two units the fit drops, two rows it cannot fit
+        files = self.four_unit_sample(tmp_path, tie=True)
+        assert run(["diagnostics", *files, "--out", tmp_path / "diag"]) == 0
+        rep = strict_json(tmp_path / "diag" / "diagnostics.json")
+        assert (rep["dropped_count"], rep["w_hat"], rep["n_sampled"]) == (2, 0.2, 4)
+        assert (rep["degree_ratio_min"], rep["degree_ratio_max"]) == (0.0, 0.2)
+        capsys.readouterr()
+        assert run(["fit", *files, "--out", tmp_path / "fit"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: rank-deficient design: only 2 retained rows (need at least 4)"]
+        assert not (tmp_path / "fit" / "fit.json").exists()
+
+    def test_sample_without_a_tie_exits_3(self, tmp_path, capsys):
+        files = self.four_unit_sample(tmp_path, tie=False)
+        assert run(["diagnostics", *files, "--out", tmp_path]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: every sampled unit is isolated in the recruitment graph"]
+        assert not (tmp_path / "diagnostics.json").exists()
 
 
 INPUTS = ("graph.edges", "population.csv", "sample.csv", "sample.edges")

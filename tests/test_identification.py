@@ -49,7 +49,7 @@ def hand_sample():
 def identify_demo_sample():
     """The sample identify-demo draws at its defaults: seed 0, N=50, p=0.1, f=0.4."""
     g = draw_graph((0,), 50, 0.1)
-    return draw_sample((0,), g, 20, *populate((0,), g, ModelParams()))
+    return draw_sample((0,), g, 0.4, *populate((0,), g, ModelParams()))
 
 
 class TestIsCompatible:

@@ -175,8 +175,7 @@ class TestRunReplication:
             for i in (0, 5):
                 prefix = (cell.master_seed, i)
                 g = draw_graph(prefix, cell.n_pop, cell.density)
-                n = round(cell.fraction * cell.n_pop)
-                s = draw_sample(prefix, g, n, *populate(prefix, g, cell.params))
+                s = draw_sample(prefix, g, cell.fraction, *populate(prefix, g, cell.params))
                 fit = estimation.fit_corrected(s, level=cell.level)
                 assert run_replication(cell, i) == RepRecord(
                     rep_index=i,
@@ -195,7 +194,7 @@ class TestRunReplication:
         # any graph, not only an Erdos-Renyi draw; N is its vertex count
         for g in (draw_graph((3, 1), 200, 0.05), star(50)):
             x, y = populate((3, 1), g, params)
-            s = draw_sample((3, 1), g, round(0.3 * g.n_vertices), x, y)
+            s = draw_sample((3, 1), g, 0.3, x, y)
             rng = stream((3, 1), montecarlo.STREAM_COVARIATES)
             assert np.array_equal(x, model.gen_covariates(g.n_vertices, -1.0, 0.5, rng))
             assert np.array_equal(s.x_obs, x[s.sampled_ids])
@@ -626,6 +625,13 @@ class TestCellValidation:
     def test_float_population_size(self):
         with pytest.raises(ValidationError, match="must be an integer"):
             small_cell(n_pop=1000.0)
+
+    def test_population_too_small_or_fractional(self):
+        # the fit's floor of 4 sampled units is the population's floor too
+        with pytest.raises(ValidationError, match="sample size below 4"):
+            small_cell(n_pop=1)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            small_cell(n_pop=1.5)
 
     def test_float_reps(self):
         # 2.0 is in range, and range(2.0) would fail in run_cell
