@@ -53,55 +53,44 @@ def _row_ids(offsets: np.ndarray) -> np.ndarray:
     return np.arange(n, dtype=np.int64).repeat(offsets[1:] - offsets[:-1])
 
 
-def _row_positions(offsets: np.ndarray, rows: np.ndarray) -> tuple:
-    """Positions in `indices` of the listed rows, concatenated, and the
-    offsets (length rows.size + 1) of those rows within the concatenation."""
-    starts = offsets[rows]
-    bounds = np.zeros(rows.size + 1, dtype=np.int64)
-    (offsets[rows + 1] - starts).cumsum(out=bounds[1:])
-    pos = (starts - bounds[:-1]).repeat(bounds[1:] - bounds[:-1])
-    pos += np.arange(bounds[-1], dtype=np.int64)
-    return pos, bounds
-
-
-def _edge_keys(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Both orientations of the edges (a[e], b[e]), each edge listed once,
-    keyed as src * n + dst: once sorted, the input of _csr.
+def _edge_keys(n: int, a: np.ndarray, b: np.ndarray) -> tuple:
+    """(keys, bits): both orientations of the edges (a[e], b[e]), each edge
+    listed once, keyed as src << bits | dst with bits the bit length of
+    n - 1; once sorted, the input of _csr.
 
     The keys are uint32, which sorts faster than int64, when n < 2**16:
-    the largest value _csr computes is the last row bound n * n, which
-    fits 32 bits only below 2**16 (at n = 2**16 it wraps to 0), so the
-    bound is strict.
+    the largest value _csr computes is the last row bound n << bits, which
+    fits 32 bits only below 2**16 (at n = 2**16 it wraps to 0).
     """
     key_type = np.uint32 if n < 2**16 else np.int64
+    bits = max(1, (n - 1).bit_length())
     a, b = a.astype(key_type, copy=False), b.astype(key_type, copy=False)
     keys = np.empty(2 * a.size, dtype=key_type)
     forward, backward = keys[:a.size], keys[a.size:]
-    np.multiply(a, n, out=forward)
-    forward += b
-    np.multiply(b, n, out=backward)
-    backward += a
-    return keys
+    np.left_shift(a, bits, out=forward)
+    forward |= b
+    np.left_shift(b, bits, out=backward)
+    backward |= a
+    return keys, bits
 
 
-def _csr(n: int, keys: np.ndarray) -> Graph:
+def _csr(n: int, keys: np.ndarray, bits: int) -> Graph:
     """CSR graph of _edge_keys' keys, which the caller has sorted; overwrites them.
 
     Sorted keys are grouped by source with every row's neighbors ascending.
     A caller drops the endpoint arrays before its sort, so that the sort,
     where a draw peaks, holds only the keys.
     """
-    row_starts = np.arange(n + 1, dtype=keys.dtype) * n
-    offsets = keys.searchsorted(row_starts)
-    # a key less its row's start is the neighbor (subtracting is cheaper than % n)
-    keys -= row_starts[:-1].repeat(offsets[1:] - offsets[:-1])
+    offsets = keys.searchsorted(np.arange(n + 1, dtype=keys.dtype) << bits)
+    # a key's low bits are its neighbor
+    keys &= (1 << bits) - 1
     return Graph(n, keys.astype(np.int64, copy=False), offsets)
 
 
 def check_integer(value, what: str) -> int:
     """value as a Python int; a float, which int() would truncate, is a ValidationError.
 
-    A numpy integer is converted too: it would change the dtype of _csr's keys.
+    A numpy integer is converted too: _edge_keys takes a Python int's bit length.
     """
     try:
         return operator.index(value)
@@ -125,11 +114,11 @@ def from_edges(n: int, edges: np.ndarray) -> Graph:
             raise ValidationError("edge endpoint out of range")
         if np.any(a == b):
             raise ValidationError("self-loop in edge list")
-    keys = _edge_keys(n, a, b)
+    keys, bits = _edge_keys(n, a, b)
     keys.sort()
     if np.any(keys[1:] == keys[:-1]):
         raise ValidationError("duplicate edge in edge list")
-    return _csr(n, keys)
+    return _csr(n, keys, bits)
 
 
 def _pair_index_to_edges(idx: np.ndarray, n: int) -> tuple:
@@ -205,8 +194,9 @@ def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
         # read; cumsum(skips, dtype=np.int64) would hold a third, its cast copy
         cand = skips.astype(np.int64, copy=False)
         del skips
+        # the running offset rides on the first skip into the sums
+        cand[0] += current
         cand.cumsum(out=cand)
-        cand += current
         current = int(cand[-1])
         # the skips are positive, so the pair indices come out ascending and
         # the hits are a prefix, kept as a view
@@ -217,10 +207,10 @@ def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
     del hits
     i, j = _pair_index_to_edges(idx, n)
     del idx
-    keys = _edge_keys(n, i, j)
+    keys, bits = _edge_keys(n, i, j)
     del i, j
     keys.sort()
-    return _csr(n, keys)
+    return _csr(n, keys, bits)
 
 
 def degrees(g: Graph) -> np.ndarray:
@@ -246,16 +236,20 @@ def induced_subgraph(g: Graph, members) -> Graph:
     member_mask = np.zeros(g.n_vertices, dtype=bool)
     member_mask[members] = True
     members = member_mask.nonzero()[0]
+    # the relabel reads only members' entries
     mapping = np.empty(g.n_vertices, dtype=np.int64)
-    mapping.fill(-1)
     mapping[members] = np.arange(members.size, dtype=np.int64)
-    pos, bounds = _row_positions(g.offsets, members)
+    deg = degrees(g)
+    # the member rows, concatenated, then the entries whose neighbor is a member
+    sub = g.indices[member_mask.repeat(deg)]
+    bounds = np.zeros(members.size + 1, dtype=np.int64)
+    deg[members].cumsum(out=bounds[1:])
+    kept = member_mask[sub].nonzero()[0]
+    sub = sub[kept]
+    offsets = kept.searchsorted(bounds)
+    del kept  # dead before the relabel, whose result it would sit beside
     # mapping is increasing on members, so the kept rows stay sorted
-    new = g.indices[pos]
-    del pos  # dead after the first gather; the second would hold it too
-    new = mapping[new]
-    kept = (new >= 0).nonzero()[0]
-    return Graph(int(members.size), new[kept], kept.searchsorted(bounds))
+    return Graph(int(members.size), mapping[sub], offsets)
 
 
 def write_edge_list(g: Graph, path, tags=()) -> None:

@@ -157,22 +157,62 @@ class TestGenerateEr:
             generate_er(n, p, np.random.default_rng(0))
 
 
-class TestCsrKeyWidth:
-    """Keys sort as uint32 below n = 2**16 and as int64 from there on."""
+def corner_edges(n):
+    """The edges of a sparse G(n, p) draw plus the corner pairs (0, n-1) and
+    (n-2, n-1), unique and ascending: the corners give the largest keys and
+    the last row's neighbors. A single vertex has no pair."""
+    g = generate_er(n, 2e-6, np.random.default_rng(n))
+    validate_graph(g)
+    corners = [[0, n - 1], [n - 2, n - 1]] if n > 1 else np.empty((0, 2), dtype=np.int64)
+    return np.unique(np.vstack([g.edge_array(), corners]), axis=0)
 
-    @pytest.mark.parametrize("n", [2**16 - 1, 2**16])
+
+class TestCsrKeyWidth:
+    """Keys src << bits | dst sort as uint32 below n = 2**16 and as int64
+    from there on; bits grows by one past each power of two. At n = 2**16
+    the keys fit 32 bits but the last row bound n << 16 does not."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 1023, 1024, 1025, 2**16 - 1, 2**16, 2**16 + 1])
     def test_matches_int64_oracle(self, n):
-        g = generate_er(n, 2e-6, np.random.default_rng(n))
-        validate_graph(g)
-        # the corner pairs give the largest keys and the last row's neighbors
-        edges = np.unique(np.vstack([g.edge_array(), [[0, n - 1], [n - 2, n - 1]]]), axis=0)
+        edges = corner_edges(n)
         want_indices, want_offsets = csr_int64(n, edges)
         # _edge_keys takes either orientation of an edge
-        keys = np.sort(graphmod._edge_keys(n, edges[:, 1], edges[:, 0]))
-        for got in (graphmod._csr(n, keys), from_edges(n, edges)):
+        keys, bits = graphmod._edge_keys(n, edges[:, 1], edges[:, 0])
+        keys.sort()
+        for got in (graphmod._csr(n, keys, bits), from_edges(n, edges)):
             for array, want in ((got.indices, want_indices), (got.offsets, want_offsets)):
                 assert array.dtype == want.dtype == np.int64
                 assert array.tobytes() == want.tobytes()
+
+
+class TestCsrBytesPinned:
+    """The CSR arrays are pinned byte for byte, indices then offsets, as
+    drawn, as re-read and as induced: every record and pinned file rests on
+    them."""
+
+    @staticmethod
+    def digest(g):
+        return hashlib.sha256(g.indices.tobytes() + g.offsets.tobytes()).hexdigest()
+
+    def test_generate_er_and_induced_subgraph(self):
+        g = generate_er(10_000, 0.01, np.random.default_rng(8))
+        assert self.digest(g) == "c109f043456ff241c37acd0d370eb06de3f079352d1368007a60f2e7d079a1f0"
+        for k, want in (
+            (2000, "acce8be1cf519afdee27f268a54d3207a85f08859e921f214983d4faea7fe3e2"),
+            (8000, "9f738d3a77232a6cbfc03b6b07a19bc746bd2c69a0be8d406fb3e6334c57a257"),
+        ):
+            members = np.sort(np.random.default_rng(1).choice(10_000, k, replace=False))
+            assert self.digest(induced_subgraph(g, members)) == want
+
+    @pytest.mark.parametrize("n,m,want", [
+        (2**16 - 1, 4232, "f4aaae4f676ea6a88962345141dbbc3492ce4ec4c966f4528db086d4aeae0fe0"),
+        (2**16, 4392, "eb302477f03cf009dcfa0d184d703ef332cb77cef1d9659a6295be16d109c8d9"),
+        (2**16 + 1, 4332, "61110e4493ad91b2717eb54beb9d4454725b280ed993fbf42368db004c986daf"),
+    ])
+    def test_from_edges(self, n, m, want):
+        edges = corner_edges(n)
+        assert len(edges) == m
+        assert self.digest(from_edges(n, edges[:, ::-1])) == want
 
 
 class TestPairIndexToEdges:
@@ -203,9 +243,12 @@ def traced_peak(fn):
 class TestMemoryBound:
     """The N=10^4 draw and subgraph hold no dead arrays. Holding them peaked
     at 36.0 MiB for the draw and 22.2 MiB for the f=0.8 subgraph. Without
-    them the subgraph peaks at 16.1 MiB, and the draw at 19.2 MiB while the
-    int64 endpoints lived through the CSR sort, 15.3 MiB once they die
-    before it; each bound sits between."""
+    them the draw peaked at 19.2 MiB while the int64 endpoints lived
+    through the CSR sort, and at 15.25 MiB once they died before it. With
+    packed keys it still peaks at 15.25 MiB, in _edge_keys, where the
+    endpoints, their key-type casts and the keys are live. The row-mask
+    subgraph peaks at 16.14 MiB (16.12 through row positions) where it
+    filters the member rows' entries; each bound sits above its peak."""
 
     def test_draw_peak(self):
         # the TestSamplerPinned draw: 499,680 edges, a 7.6 MiB CSR
@@ -304,6 +347,26 @@ class TestInducedSubgraph:
         got = induced_subgraph(g, members)
         assert same_csr(got, want)
         assert got.indices.dtype == got.offsets.dtype == np.int64
+
+    @pytest.mark.parametrize("members", [
+        [65_536, 3, 70_000, 0, 65_535, 12_345],  # unsorted
+        [7, 65_536, 7, 70_000, 65_536, 0, 0],  # repeated
+        [],  # empty
+    ])
+    def test_member_lists_past_uint32_keys(self, members):
+        n = 2**16 + 5_000
+        edges = corner_edges(n)
+        # join the listed vertices to one another, so that some edges survive
+        listed = np.unique(np.asarray(members, dtype=np.int64))
+        extra = np.array(list(itertools.combinations(listed, 2)), dtype=np.int64).reshape(-1, 2)
+        edges = np.unique(np.vstack([edges, extra]), axis=0)
+        g = from_edges(n, edges)
+        kept = edges[np.isin(edges, listed).all(axis=1)]
+        want = from_edges(listed.size, np.searchsorted(listed, kept))
+        got = induced_subgraph(g, members)
+        assert same_csr(got, want)
+        assert got.indices.dtype == got.offsets.dtype == np.int64
+        assert got.indices.size // 2 >= len(extra)
 
 
 class TestEdgeListIO:
