@@ -13,7 +13,6 @@ from .errors import (
     ComputationError,
     ConnectivityError,
     IsolatedVertexError,
-    NoSlackError,
     RankDeficiencyError,
     ValidationError,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "Graph",
     "IsolatedVertexError",
     "ModelParams",
-    "NoSlackError",
     "RankDeficiencyError",
     "RecruitmentSample",
     "ValidationError",

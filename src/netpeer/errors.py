@@ -48,17 +48,6 @@ class RankDeficiencyError(ComputationError):
         super().__init__(f"rank-deficient design: {detail}")
 
 
-class NoSlackError(ComputationError):
-    """A recruited unit has no unobserved neighbor to attach a witness to."""
-
-    def __init__(self, vertex: int):
-        self.vertex = vertex
-        super().__init__(
-            f"unit {vertex} has equal reported and observed degrees; "
-            "no unsampled neighbor can be attached"
-        )
-
-
 class AllRepsFailedError(ComputationError):
     """Every replication in a Monte Carlo cell failed."""
 

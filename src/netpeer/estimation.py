@@ -168,16 +168,13 @@ def fit_mle(d: ObservedDesign, w_hat: float = 1.0, var_w_hat: float = 0.0,
     sigma2 / (w^2 * sum (x* - mean)^2) and a Wald interval whose
     delta-method variance is var_hc1 / w^2 + beta2_naive^2 * var_w_hat / w^4
     (var_hc1: the HC1 sandwich variance of beta2_naive).
-    `sampling.scaling_factor` gives the pair (w_hat, var_w_hat); a zero
-    var_w_hat treats w_hat as known. The
-    defaults are a census's exact values and leave the estimate uncorrected.
+    Only `level` is checked. The caller, `fit_corrected`, passes
+    `sampling.scaling_factor`'s pair, a finite w_hat in (0, 1] and a finite
+    var_w_hat >= 0; a zero var_w_hat treats w_hat as known. The defaults
+    are a census's exact values and leave the estimate uncorrected.
     """
     if not 0.0 < level < 1.0:
         raise ValidationError("confidence level must be in (0, 1)")
-    if not w_hat > 0:
-        raise ValidationError("scaling factor must be positive")
-    if not var_w_hat >= 0:
-        raise ValidationError("scaling-factor variance must be non-negative")
     X, y = d.X, d.y
     n = d.n_used
     beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph as graphmod
-from .errors import ComputationError, IsolatedVertexError, NoSlackError, ValidationError
+from .errors import ComputationError, IsolatedVertexError
 from .graph import Graph
 from .model import ModelParams, log_likelihood
 from .sampling import RecruitmentSample
@@ -72,22 +72,11 @@ def build_swap_pair(observed: RecruitmentSample, j: int, l: int, x_u1, x_u2) -> 
 
     Candidate a carries edges (j, u1) and (l, u2); candidate b swaps
     them. Both are compatible with the observed data by construction.
-    j and l are local (within-sample) indices and must have reported
-    degree strictly above their observed degree; x_u1 and x_u2 are the
-    attached units' covariate values, finite (None is not) and distinct.
+    j and l are local (within-sample) indices. The caller, `find_witness`,
+    guarantees the rest: j < l, both units have reported degree strictly
+    above their observed degree, and x_u1 and x_u2 are distinct finite floats.
     """
     n = observed.n
-    if j == l:
-        raise ValidationError("witness units must be distinct")
-    if not (0 <= j < n and 0 <= l < n):
-        raise ValidationError("witness unit index out of range")
-    if not all(x is not None and np.isfinite(x) for x in (x_u1, x_u2)):
-        raise ValidationError("attached covariate values must be finite")
-    if x_u1 == x_u2:
-        raise ValidationError("attached covariate values must differ")
-    for v in (j, l):
-        if observed.reported_degrees[v] <= observed.observed_degrees[v]:
-            raise NoSlackError(v)
     u1, u2 = n, n + 1
     base = observed.g_r.edge_array()
     x_tilde = np.concatenate([observed.x_obs, [x_u1, x_u2]])

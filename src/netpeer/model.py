@@ -101,13 +101,14 @@ def read_unit_csv(path):
 
 
 def log_likelihood(means, y, sigma2_eps: float) -> float:
-    """Gaussian log-likelihood of outcomes y around per-unit means."""
-    if not sigma2_eps > 0:
-        raise ValidationError("sigma2_eps must be positive")
+    """Gaussian log-likelihood of outcomes y around per-unit means.
+
+    The caller, `identification.log_likelihoods`, passes one mean per
+    outcome (`candidate_means` gives one per sampled unit) and the
+    sigma2_eps of a `ModelParams`, which is positive.
+    """
     means = np.asarray(means, dtype=float)
     y = np.asarray(y, dtype=float)
-    if means.shape != y.shape:
-        raise ValidationError("means and outcomes must have equal length")
     n = y.size
     rss = float(np.sum((y - means) ** 2))
     return -0.5 * n * math.log(2.0 * math.pi * sigma2_eps) - rss / (2.0 * sigma2_eps)

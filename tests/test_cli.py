@@ -950,6 +950,23 @@ class TestExtremeSettings:
         assert len(err) == 1 and err[0].startswith("error: fit.json: non-finite result")
         assert os.listdir(tmp_path) == ["run_config.txt"]
 
+    def test_fit_at_top_reported_degree(self, tmp_path, capsys, simulated):
+        # d_true at int64's maximum gives the smallest w_hat a sample file can:
+        # fit takes it from scaling_factor as given, and its report stays finite
+        lines = (simulated / "sample.csv").read_text().splitlines()
+        rows = [r.split(",") for r in lines[1:]]
+        top = "".join(",".join([r[0], str(2**63 - 1), *r[2:]]) + "\n" for r in rows)
+        (tmp_path / "sample.csv").write_text(lines[0] + "\n" + top)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["fit", "--sample", tmp_path / "sample.csv",
+                        "--edges", simulated / "sample.edges", "--out", tmp_path]) == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        fit = strict_json(tmp_path / "fit.json")
+        assert 0.0 < fit["w_hat"] < 1e-18
+        assert abs(fit["beta2_corrected"]) > 1e17
+
     def test_mc_at_top_level_covers_every_replication(self, tmp_path, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -1,7 +1,11 @@
+import math
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netpeer import graph as graphmod
 from netpeer.errors import AllIsolatedSampleError, ValidationError
@@ -202,6 +206,28 @@ class TestScalingFactor:
             reported_degrees=np.array([4, 9, 5]),
         )
         assert scaling_factor(s)[0] == pytest.approx((0.25 + 0.2) / (0.5 + 1.0), abs=1e-15)
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(st.data())
+    def test_accepted_files_give_a_pair_fit_mle_can_take(self, data):
+        # fit_mle takes (w_hat, var_w_hat) as given: on any sample file that
+        # read_sample_csv accepts with a tie in it, w_hat is in (0, 1] and the
+        # variance is finite and nonnegative, for d_true up to int64's maximum
+        n = data.draw(st.integers(2, 8), label="n")
+        pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True),
+                          label="edges")
+        g_r = from_edges(n, edges)
+        d_obs = graphmod.degrees(g_r).tolist()
+        d_true = [data.draw(st.integers(d, 2**63 - 1), label=f"d_true[{r}]")
+                  for r, d in enumerate(d_obs)]
+        rows = "".join(f"{r},{dt},{do},1.0,0.0\n" for r, (dt, do) in enumerate(zip(d_true, d_obs)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "sample.csv"
+            path.write_text("unit_id,d_true,d_obs,x,y\n" + rows)
+            w_hat, var_w_hat = scaling_factor(read_sample_csv(path, g_r))
+        assert math.isfinite(w_hat) and 0.0 < w_hat <= 1.0
+        assert math.isfinite(var_w_hat) and var_w_hat >= 0.0
 
 
 class TestScalingFactorVariance:
