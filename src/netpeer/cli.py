@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands: generate, sample, simulate, fit, mc, identify-demo,
-diagnostics. Settings come from an INI-style config file (one section
-per subcommand) with command-line flags taking precedence; one parser per
-setting reads the text from either. Every run writes the resolved text
-next to its outputs as run_config.txt, a config file for the same run.
+Subcommands: sample, simulate, fit, mc, identify-demo, diagnostics.
+Settings come from an INI-style config file (one section per subcommand)
+with command-line flags taking precedence; one parser per setting reads
+the text from either. Every run writes the resolved text next to its
+outputs as run_config.txt, a config file for the same run.
 
 Exit codes: 0 success, 2 validation error, 3 computational error.
 """
@@ -43,12 +43,6 @@ _REQUIRED = object()  # the default of a setting that has none
 
 # per-subcommand settings: key -> (parser, default)
 _SCHEMAS = {
-    "generate": {
-        "n": (int, _REQUIRED),
-        "p": (float, _REQUIRED),
-        "seed": (int, 0),
-        "allow_disconnected": (_boolean, False),
-    },
     "sample": {
         "graph": (str, _REQUIRED),
         "data": (str, _REQUIRED),
@@ -176,11 +170,6 @@ def _write_json(out: str, name: str, report: dict) -> None:
         fh.write(text + "\n")
 
 
-def _cmd_generate(v: dict, out: str) -> None:
-    g = montecarlo.draw_graph((v["seed"],), v["n"], v["p"], v["allow_disconnected"])
-    graphmod.write_edge_list(g, os.path.join(out, "graph.edges"))
-
-
 def _cmd_sample(v: dict, out: str) -> None:
     g = graphmod.read_edge_list(v["graph"])
     x, y = model.read_unit_csv(v["data"])
@@ -279,9 +268,8 @@ def _cmd_diagnostics(v: dict, out: str) -> None:
 
 
 _HANDLERS = {
-    "generate": _cmd_generate, "sample": _cmd_sample, "simulate": _cmd_simulate,
-    "fit": _cmd_fit, "mc": _cmd_mc, "identify-demo": _cmd_identify_demo,
-    "diagnostics": _cmd_diagnostics,
+    "sample": _cmd_sample, "simulate": _cmd_simulate, "fit": _cmd_fit, "mc": _cmd_mc,
+    "identify-demo": _cmd_identify_demo, "diagnostics": _cmd_diagnostics,
 }
 
 

@@ -45,24 +45,23 @@ def stream(prefix, purpose: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([*map(int, prefix), purpose]))
 
 
-def draw_graph(prefix, n, p, allow_disconnected=False):
+def draw_graph(prefix, n, p):
     """G(n, p) from the graph stream: the first draw with no isolated vertex.
 
     The model's peer term is a neighbor mean, so every unit needs a
-    neighbor; the empty graph (n = 0) has no unit to lack one. With
-    `allow_disconnected` the first draw is kept as it is. Raises
+    neighbor; the empty graph (n = 0) has no unit to lack one. Raises
     ConnectivityError when each of the MAX_ATTEMPTS draws has an
     isolated vertex, or at once when `_success_bound` says that every
     attempt together succeeds with a chance below HOPELESS.
     """
     n, expected = graphmod.check_er_size(n, p)
-    if not allow_disconnected and MAX_ATTEMPTS * _success_bound(n, expected) < HOPELESS:
+    if MAX_ATTEMPTS * _success_bound(n, expected) < HOPELESS:
         raise ConnectivityError(MAX_ATTEMPTS, n, p, expected)
     rng = stream(prefix, STREAM_GRAPH)
     for _ in range(MAX_ATTEMPTS):
         g = graphmod.generate_er(n, p, rng)
         # .all() is vacuously true on n = 0, where .min() would raise
-        if allow_disconnected or graphmod.degrees(g).all():
+        if graphmod.degrees(g).all():
             return g
         # a rejected graph would otherwise stay bound through the next draw's peak
         del g
@@ -315,7 +314,11 @@ def write_grid_csv(results, path) -> None:
 
 
 def write_records_csv(records, path) -> None:
-    """Optional per-replication dump so metrics can be recomputed offline."""
+    """Optional per-replication dump so metrics can be recomputed offline.
+
+    csv writes a float as str(), its repr, which reads back as the same
+    float: `summarize` on the records read back gives the same report.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([
@@ -327,6 +330,6 @@ def write_records_csv(records, path) -> None:
             if r.ok:
                 values = (r.beta2_naive, r.beta2_corrected, *r.ci_naive,
                           *r.ci_corrected, r.w_hat, *r.ci_corrected_wald)
-                writer.writerow([r.rep_index, 1, *(f"{v:.10g}" for v in values), ""])
+                writer.writerow([r.rep_index, 1, *values, ""])
             else:
                 writer.writerow([r.rep_index, 0, *[""] * 9, r.error])

@@ -53,12 +53,17 @@ first `graph.generate_er` draw that reachable_oracle calls connected: the
 tests draw their graphs with it, and it is the full-connectivity rule that
 `montecarlo.draw_graph`'s isolated-vertex rule is checked against.
 
+read_records_csv(path) reads a `montecarlo.write_records_csv` file back into
+its RepRecords, in row order; the file has no column for `var_corrected`,
+which stays nan.
+
 population_induced(g, s) extends a sample's recruitment subgraph with the
 unsampled neighbors of the sampled units, the completion whose likelihood
 equals the full graph's: it finds the edges with array code and builds the
 graph with `graph.from_edges`.
 """
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -68,6 +73,7 @@ from scipy import stats
 from netpeer.errors import ComputationError, IsolatedVertexError, ValidationError
 from netpeer.graph import Graph, from_edges, generate_er
 from netpeer.identification import log_likelihoods
+from netpeer.montecarlo import RepRecord
 
 # binomial tail mass left out of the degree range
 _TAIL = 1e-16
@@ -294,6 +300,27 @@ def connected_er(n: int, p: float, rng, max_attempts: int = 1000) -> Graph:
         if reachable_oracle(g):
             return g
     raise ComputationError(f"no connected graph in {max_attempts} attempts (n={n}, p={p})")
+
+
+def read_records_csv(path) -> list:
+    """The RepRecords of a records CSV; a failed replication keeps its error text."""
+    def pair(row, name):
+        return float(row[name + "_lo"]), float(row[name + "_hi"])
+
+    with open(path, newline="") as fh:
+        return [
+            RepRecord(
+                rep_index=int(row["rep"]), ok=True,
+                beta2_naive=float(row["beta2_naive"]),
+                beta2_corrected=float(row["beta2_corrected"]),
+                ci_naive=pair(row, "ci_naive"),
+                ci_corrected=pair(row, "ci_corrected"),
+                ci_corrected_wald=pair(row, "ci_corrected_wald"),
+                w_hat=float(row["w_hat"]),
+            ) if row["ok"] == "1" else
+            RepRecord(rep_index=int(row["rep"]), ok=False, error=row["error"])
+            for row in csv.DictReader(fh)
+        ]
 
 
 @dataclass

@@ -14,13 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import netpeer
-from netpeer import estimation, graph as graphmod, model, montecarlo, sampling
+from netpeer import estimation, graph as graphmod, montecarlo, sampling
 from netpeer.cli import _SCHEMAS, _resolve, main
 from netpeer.errors import ValidationError
 from netpeer.model import ModelParams
-from netpeer.montecarlo import draw_sample, populate
+from netpeer.montecarlo import ExperimentCell, draw_sample, populate
 
-from oracles import critical_value
+from oracles import critical_value, read_records_csv
 
 
 def run(args):
@@ -38,49 +38,30 @@ def digests(root, names):
     return {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in names}
 
 
-class TestGenerate:
-    def test_deterministic_output(self, tmp_path):
-        a = tmp_path / "a"
-        b = tmp_path / "b"
-        assert run(["generate", "--n", 80, "--p", 0.08, "--seed", 5, "--out", a]) == 0
-        assert run(["generate", "--n", 80, "--p", 0.08, "--seed", 5, "--out", b]) == 0
-        assert (a / "graph.edges").read_bytes() == (b / "graph.edges").read_bytes()
+class TestSimulateGraph:
+    """simulate's graph.edges is montecarlo.draw_graph((seed,), n, p), as written."""
 
-    def test_roundtrip_readable(self, tmp_path):
-        assert run(["generate", "--n", 60, "--p", 0.1, "--seed", 1, "--out", tmp_path]) == 0
-        g = graphmod.read_edge_list(tmp_path / "graph.edges")
-        assert g.n_vertices == 60
+    def test_deterministic_output(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert run(["simulate", "--n", 80, "--p", 0.08, "--f", 0.5, "--seed", 5,
+                        "--out", out]) == 0
+        graphmod.write_edge_list(montecarlo.draw_graph((5,), 80, 0.08), tmp_path / "drawn")
+        assert (a / "graph.edges").read_bytes() == (b / "graph.edges").read_bytes() == \
+            (tmp_path / "drawn").read_bytes()
+        g = graphmod.read_edge_list(a / "graph.edges")
+        assert g.n_vertices == 80
         assert graphmod.degrees(g).all()
 
-    def test_bad_p_exits_2(self, tmp_path):
-        assert run(["generate", "--n", 60, "--p", 1.5, "--out", tmp_path]) == 2
-
-    def test_allow_disconnected_keeps_the_first_draw(self, tmp_path):
-        assert run(["generate", "--n", 100, "--p", 0.01, "--allow-disconnected",
-                    "--out", tmp_path]) == 0
-        g = graphmod.read_edge_list(tmp_path / "graph.edges")
-        first = graphmod.generate_er(100, 0.01, montecarlo.stream((0,), montecarlo.STREAM_GRAPH))
-        assert g.edge_array().tolist() == first.edge_array().tolist()
-        assert not graphmod.degrees(g).all()
-
     def test_connectivity_exhaustion_exits_3(self, tmp_path, capsys, monkeypatch):
-        # p so small that every draw on 100 vertices has an isolated vertex
+        # 14.85 edges expected on 100 vertices, 50 needed: each of the three
+        # draws is made, and each has an isolated vertex
         monkeypatch.setattr(montecarlo, "MAX_ATTEMPTS", 3)
-        code = run(["generate", "--n", 100, "--p", 0.0001, "--out", tmp_path])
+        code = run(["simulate", "--n", 100, "--p", 0.003, "--f", 0.5, "--out", tmp_path])
         assert code == 3
-        assert "no graph without an isolated vertex in 3 attempts" in capsys.readouterr().err
-
-    def test_empty_graph_exits_0(self, tmp_path):
-        # no vertex, so none is isolated
-        assert run(["generate", "--n", 0, "--p", 0.5, "--out", tmp_path]) == 0
-        assert (tmp_path / "graph.edges").read_text() == "# vertices=0\n"
-
-    def test_single_vertex_exits_3(self, tmp_path):
-        # its one vertex is isolated in every draw; kept only on request
-        assert run(["generate", "--n", 1, "--p", 0.5, "--out", tmp_path / "a"]) == 3
-        assert run(["generate", "--n", 1, "--p", 0.5, "--allow-disconnected",
-                    "--out", tmp_path / "b"]) == 0
-        assert (tmp_path / "b" / "graph.edges").read_text() == "# vertices=1\n"
+        err = capsys.readouterr().err
+        assert "no graph without an isolated vertex in 3 attempts" in err
+        assert "so none was drawn" not in err
 
 
 class TestSimulateAndFit:
@@ -181,47 +162,56 @@ class TestPinnedOutputs:
 
     MC_DIGESTS = {
         "results.csv": "15ed4ca08e01e0f93c453e44c4079d224d4b75d5f49029756a320d11af0170fb",
-        "records_cell0.csv": "c72b88ab9aaf0af22b857569d600a7c676a92eb60a70f702fd8eeb74effbe573",
-        "records_cell1.csv": "8e2066334f419d05a13fc505544da3874e95bd89b793aeccf8bb8a58c56bb33b",
-        "records_cell2.csv": "9dc5854ce38eef745b8a8731ccc5bb04cbb3e065c619a848ff89306de5fb50c0",
-        "records_cell3.csv": "06a17a3fa9240e4418f32ae7f4a22bfd9dc0c52d9d4f393d52c515b67d7ce504",
+        "records_cell0.csv": "d971995e88084c72b4b0912925112a42c8671329cc9105503fe6b92291b3b9ac",
+        "records_cell1.csv": "32012ae9b224d6199343d08b4ac9c899ad3f3572f94aceed30ca89bdaefcd8e9",
+        "records_cell2.csv": "adf525f23db4220d43147b6e422e40ea9e59d4ccf65ccba57d95438b3f7b087d",
+        "records_cell3.csv": "631257d99a3049048e84b28f145685894379bc0bc2965c0167d684acaffc7ee7",
     }
 
-    def test_mc_grid_digests(self, tmp_path):
-        # 160 reps over four cells through the worker pool; the records hold
-        # ci_corrected_wald, which no other pin covers over many reps
+    @pytest.fixture(scope="class")
+    def mc_grid(self, tmp_path_factory):
+        """The output directory of a four-cell grid with its records."""
+        out = tmp_path_factory.mktemp("mc")
         assert run(["mc", "--n-pop", "300,1000", "--density", 0.03, "--fraction", "0.2,0.8",
                     "--reps", 40, "--seed", 5, "--workers", 2, "--save-records",
-                    "--out", tmp_path]) == 0
-        assert digests(tmp_path, self.MC_DIGESTS) == self.MC_DIGESTS
+                    "--out", out]) == 0
+        return out
+
+    def test_mc_grid_digests(self, mc_grid):
+        # 160 reps over four cells through the worker pool; the records hold
+        # ci_corrected_wald, which no other pin covers over many reps
+        assert digests(mc_grid, self.MC_DIGESTS) == self.MC_DIGESTS
+
+    def test_records_rebuild_results_csv(self, tmp_path, mc_grid):
+        # the records hold every float a cell's metrics are computed from
+        cells = [ExperimentCell(n_pop=n, density=0.03, fraction=f, params=ModelParams(),
+                                reps=40, master_seed=5)
+                 for n in (300, 1000) for f in (0.2, 0.8)]
+        results = [(cell, montecarlo.summarize(
+            cell, read_records_csv(mc_grid / f"records_cell{idx}.csv")))
+            for idx, cell in enumerate(cells)]
+        montecarlo.write_grid_csv(results, tmp_path / "results.csv")
+        assert (tmp_path / "results.csv").read_bytes() == (mc_grid / "results.csv").read_bytes()
 
 
 class TestSampleCommand:
-    def test_sample_from_generated_graph(self, tmp_path):
-        assert run(["generate", "--n", 100, "--p", 0.07, "--seed", 3,
-                    "--out", tmp_path]) == 0
-        rng = np.random.default_rng(0)
-        x = model.gen_covariates(100, 3.0, 1.5, rng)
-        g = graphmod.read_edge_list(tmp_path / "graph.edges")
-        y = model.simulate_outcomes(g, x, ModelParams(0.0, 1.0, 1.5, 1.0), rng)
-        model.write_unit_csv(x, y, tmp_path / "population.csv")
+    def test_sample_from_generated_graph(self, tmp_path, simulated):
         assert run([
-            "sample", "--graph", tmp_path / "graph.edges",
-            "--data", tmp_path / "population.csv",
+            "sample", "--graph", simulated / "graph.edges",
+            "--data", simulated / "population.csv",
             "--f", 0.3, "--seed", 4, "--out", tmp_path,
         ]) == 0
         g_r = graphmod.read_edge_list(tmp_path / "sample.edges")
         s = sampling.read_sample_csv(tmp_path / "sample.csv", g_r)
-        assert s.n == 30
+        assert s.n == 12
 
-    def test_requires_exactly_one_size_setting(self, tmp_path, capsys):
+    def test_requires_exactly_one_size_setting(self, tmp_path, capsys, simulated):
         # f is the one size setting: it is required, and n_sample is no setting
-        assert run(["generate", "--n", 50, "--p", 0.1, "--out", tmp_path]) == 0
-        assert run(["sample", "--graph", tmp_path / "graph.edges",
-                    "--data", tmp_path / "population.csv", "--out", tmp_path / "a"]) == 2
+        assert run(["sample", "--graph", simulated / "graph.edges",
+                    "--data", simulated / "population.csv", "--out", tmp_path / "a"]) == 2
         assert capsys.readouterr().err == "error: missing required setting(s): f\n"
         (tmp_path / "run.ini").write_text("[sample]\nn_sample = 10\nf = 0.2\n")
-        assert run(["sample", "--graph", tmp_path / "graph.edges",
+        assert run(["sample", "--graph", simulated / "graph.edges",
                     "--config", tmp_path / "run.ini", "--out", tmp_path / "b"]) == 2
         assert capsys.readouterr().err.startswith("error: unknown key 'n_sample'")
 
@@ -235,22 +225,22 @@ class TestSampleCommand:
 class TestConfigFile:
     def test_config_supplies_settings(self, tmp_path):
         cfg = tmp_path / "run.ini"
-        cfg.write_text("[generate]\nn = 70\np = 0.09\nseed = 8\n")
-        assert run(["generate", "--config", cfg, "--out", tmp_path]) == 0
+        cfg.write_text("[simulate]\nn = 70\np = 0.09\nf = 0.5\nseed = 8\n")
+        assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 0
         g = graphmod.read_edge_list(tmp_path / "graph.edges")
         assert g.n_vertices == 70
 
     def test_cli_overrides_config(self, tmp_path):
         cfg = tmp_path / "run.ini"
-        cfg.write_text("[generate]\nn = 70\np = 0.09\n")
-        assert run(["generate", "--config", cfg, "--n", 40, "--out", tmp_path]) == 0
+        cfg.write_text("[simulate]\nn = 70\np = 0.09\nf = 0.5\n")
+        assert run(["simulate", "--config", cfg, "--n", 40, "--out", tmp_path]) == 0
         g = graphmod.read_edge_list(tmp_path / "graph.edges")
         assert g.n_vertices == 40
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.ini"
-        cfg.write_text("[generate]\nn = 70\np = 0.09\nbogus = 1\n")
-        assert run(["generate", "--config", cfg, "--out", tmp_path]) == 2
+        cfg.write_text("[simulate]\nn = 70\np = 0.09\nf = 0.5\nbogus = 1\n")
+        assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 2
 
     @pytest.mark.parametrize("command, settings", [
         ("mc", "n_pop = 100\ndensity = 0.1\nfraction = 0.5\nreps = 2\n"),
@@ -271,7 +261,7 @@ class TestConfigFile:
         assert not (tmp_path / "a").exists()
 
     @pytest.mark.parametrize("command, key", [
-        ("generate", "max_attempts"), ("simulate", "max_attempts"), ("sample", "n_sample"),
+        ("simulate", "max_attempts"), ("sample", "n_sample"),
         ("identify-demo", "j"), ("identify-demo", "l"),
         ("identify-demo", "x_u1"), ("identify-demo", "x_u2"),
     ])
@@ -279,7 +269,7 @@ class TestConfigFile:
         # the redraw budget is montecarlo.MAX_ATTEMPTS, f is the one sample size
         # and identify-demo reports the first witness; a run_config.txt written
         # while a setting existed names it with its default, or empty
-        settings = {"generate": "n = 40\np = 0.15\n", "simulate": "n = 40\np = 0.15\nf = 0.5\n",
+        settings = {"simulate": "n = 40\np = 0.15\nf = 0.5\n",
                     "sample": "graph = g.edges\nf = 0.5\n", "identify-demo": ""}[command]
         cfg = tmp_path / "run.ini"
         cfg.write_text(f"[{command}]\n{settings}{key} = \n")
@@ -293,22 +283,30 @@ class TestConfigFile:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
+    def test_generate_is_an_unknown_command(self, tmp_path, capsys):
+        # retired: simulate writes the same graph.edges at the same n, p and seed
+        with pytest.raises(SystemExit) as info:
+            run(["generate", "--n", 50, "--p", 0.1, "--out", tmp_path / "out"])
+        assert info.value.code == 2
+        assert "invalid choice: 'generate'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("default", ["seed = 5\n", "n_pop = 100\n"], ids=["seed", "n_pop"])
     def test_default_section_is_ignored(self, tmp_path, default):
         # configparser would otherwise merge [DEFAULT] into every section
         cfg = tmp_path / "run.ini"
-        cfg.write_text(f"[DEFAULT]\n{default}[generate]\nn = 70\np = 0.09\n")
-        assert run(["generate", "--config", cfg, "--out", tmp_path / "a"]) == 0
-        assert run(["generate", "--n", 70, "--p", 0.09, "--out", tmp_path / "b"]) == 0
+        cfg.write_text(f"[DEFAULT]\n{default}[simulate]\nn = 70\np = 0.09\nf = 0.5\n")
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "a"]) == 0
+        assert run(["simulate", "--n", 70, "--p", 0.09, "--f", 0.5, "--out", tmp_path / "b"]) == 0
         for name in ("graph.edges", "run_config.txt"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_missing_required_rejected(self, tmp_path):
-        assert run(["generate", "--n", 50, "--out", tmp_path]) == 2
+        assert run(["simulate", "--n", 50, "--f", 0.5, "--out", tmp_path]) == 2
 
     def test_missing_config_file_rejected(self, tmp_path):
-        assert run(["generate", "--config", tmp_path / "nope.ini",
-                    "--n", 50, "--p", 0.1, "--out", tmp_path]) == 2
+        assert run(["simulate", "--config", tmp_path / "nope.ini",
+                    "--n", 50, "--p", 0.1, "--f", 0.5, "--out", tmp_path]) == 2
 
     def test_text_rules(self, tmp_path):
         cfg = tmp_path / "run.ini"
@@ -341,7 +339,7 @@ class TestSettingsBoundary:
         "j without l": (["identify-demo"], b"[identify-demo]\nj = 3\n"),
         "l without j": (["identify-demo"], b"[identify-demo]\nl = 3\n"),
         "reps not an integer": (["mc", *MC], b"[mc]\nreps = abc\n"),
-        "n in float notation": (["generate", "--p", 0.5], b"[generate]\nn = 1e3\n"),
+        "n in float notation": (["simulate", "--p", 0.5, "--f", 0.5], b"[simulate]\nn = 1e3\n"),
         "percent sign": (["identify-demo"], b"[identify-demo]\nx_mean = 5%\n"),
         "repeated section": (["mc", *MC], b"[mc]\nreps = 2\n[mc]\nseed = 3\n"),
         "not UTF-8": (["mc", *MC], b"\xff\xfe[mc]\nreps = 2\n"),
@@ -349,10 +347,11 @@ class TestSettingsBoundary:
         "empty n_pop": (["mc", *MC, "--n-pop", ""], None),
         "empty list item": (["mc", *MC, "--n-pop", "100,"], None),
         "bad boolean": (["mc", *MC], b"[mc]\nfixed_graph = maybe\n"),
-        "n above MAX_VERTICES": (["generate", "--n", 10**12, "--p", 0.5], None),
+        "n above MAX_VERTICES": (["simulate", "--n", 10**12, "--p", 0.5, "--f", 0.5], None),
         "workers 0": (["mc", *MC, "--workers", 0], None),
         "workers -3": (["mc", *MC, "--workers", -3], None),
-        "expected edges above MAX_EDGES": (["generate", "--n", 10**7, "--p", 0.5], None),
+        "expected edges above MAX_EDGES": (["simulate", "--n", 10**7, "--p", 0.5, "--f", 0.5],
+                                           None),
         "reps above MAX_REPS": (["mc", *MC, "--reps", 10**20], None),
         "workers above MAX_WORKERS": (["mc", *MC, "--workers", 100_000], None),
         "mc n_pop 1": (["mc", *MC, "--n-pop", 1], None),
@@ -379,6 +378,8 @@ class TestSettingsBoundary:
         "simulate sample of 0 units": (["simulate", "--n", 1000, "--p", 0.01, "--f", 0.0001],
                                        None),
         "simulate n 1": (["simulate", "--n", 1, "--p", 0.5, "--f", 0.4], None),
+        "simulate n 0": (["simulate", "--n", 0, "--p", 0.5, "--f", 1], None),
+        "simulate p above 1": (["simulate", "--n", 60, "--p", 1.5, "--f", 0.5], None),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -424,7 +425,8 @@ class TestSettingsBoundary:
 
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
         (tmp_path / "taken").write_text("")
-        assert run(["generate", "--n", 10, "--p", 0.5, "--out", tmp_path / "taken"]) == 2
+        assert run(["simulate", "--n", 10, "--p", 0.5, "--f", 0.5,
+                    "--out", tmp_path / "taken"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: cannot create output directory")
 
@@ -478,7 +480,7 @@ class TestInputMismatch:
             assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
 
     def test_population_of_another_size(self, tmp_path, capsys, simulated):
-        assert run(["generate", "--n", 50, "--p", 0.1, "--out", tmp_path]) == 0
+        assert run(["simulate", "--n", 50, "--p", 0.1, "--f", 0.5, "--out", tmp_path]) == 0
         graph, data = tmp_path / "graph.edges", simulated / "population.csv"
         self.assert_exits_2(capsys, ["sample", "--graph", graph, "--data", data, "--f", 0.5,
                                      "--out", tmp_path / "out"],
@@ -487,7 +489,6 @@ class TestInputMismatch:
 
 # one valid config per subcommand; the mutations below break it line by line
 CONFIGS = {
-    "generate": "[generate]\nn = 60\np = 0.1\nseed = 1\nallow_disconnected = no\n",
     "sample": "[sample]\ngraph = g.edges\ndata = pop.csv\nf = 0.5\nseed = 2\n",
     "simulate": "[simulate]\nn = 60\np = 0.1\nf = 0.5\nbeta2 = 1.5\nseed = 9\n",
     "fit": "[fit]\nsample = s.csv\nedges = s.edges\nlevel = 0.9\nuse_t = true\n",
@@ -601,7 +602,6 @@ def simulated(tmp_path_factory):
 def round_trip_argv(command, sim):
     instance = ["--n", 40, "--p", 0.15, "--seed", 3]
     return {
-        "generate": [*instance, "--allow-disconnected"],
         "simulate": [*instance, "--f", 0.5, "--beta2", 2],
         "sample": ["--graph", sim / "graph.edges", "--data", sim / "population.csv",
                    "--f", 0.3, "--seed", 2],
@@ -877,7 +877,7 @@ class TestInputBoundary:
         assert all(target in line for line in err)
 
     @pytest.mark.parametrize("argv", [
-        ["generate", "--n", 10, "--p", 0.5, "--seed", -1],
+        ["simulate", "--n", 10, "--p", 0.5, "--f", 0.5, "--seed", -1],
         ["mc", "--n-pop", 100, "--density", 0.1, "--fraction", 0.5,
          "--reps", 2, "--seed", -3],
         # round(0.2 * 10) = 2 sampled units, fewer than the fit's 4
@@ -898,10 +898,8 @@ class TestExtremeSettings:
     """Accepted settings at their extremes exit 0 or 3, with no warning or traceback."""
 
     @pytest.mark.parametrize("argv,code,message", [
-        # a p too small to expect an edge draws the empty graph...
-        (["generate", "--n", 100, "--p", 1e-19, "--allow-disconnected"], 0, None),
-        (["generate", "--n", 100, "--p", 5e-324, "--allow-disconnected"], 0, None),
-        # ...whose isolated vertices fail every redraw
+        # a p too small to expect an edge would draw the empty graph, whose
+        # isolated vertices fail every redraw
         (["simulate", "--n", 100, "--p", 1e-19, "--f", 0.5], 3, "no graph without"),
         (["mc", "--n-pop", 100, "--density", 1e-19, "--fraction", 0.5, "--reps", 2],
          3, "all 2 replications failed"),
@@ -919,7 +917,7 @@ class TestExtremeSettings:
         # default attached values (mean +/- sd) that overflow or round to one float
         (["identify-demo", "--x-sd", 1e200], 3, "default attached values"),
         (["identify-demo", "--x-mean", 1e20, "--x-sd", 1], 3, "default attached values"),
-    ], ids=["generate-p1e-19", "generate-p5e-324", "simulate-p1e-19", "mc-p1e-19",
+    ], ids=["simulate-p1e-19", "mc-p1e-19",
             "simulate-beta2", "mc-beta2", "identify-demo-beta2", "mc-beta2-0",
             "mc-beta2-1e-320", "identify-demo-x-sd-1e200", "identify-demo-x-mean-1e20"])
     def test_exit_code(self, tmp_path, capsys, argv, code, message):
@@ -930,9 +928,7 @@ class TestExtremeSettings:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == (code != 0)
         assert all(line.startswith("error: ") and message in line for line in err)
-        if argv[0] == "generate":
-            assert (tmp_path / "graph.edges").read_text() == "# vertices=100\n"
-        elif argv[0] != "mc":  # nothing written but the settings
+        if argv[0] != "mc":  # nothing written but the settings
             assert os.listdir(tmp_path) == ["run_config.txt"]
 
 

@@ -516,8 +516,6 @@ class TestDrawGraph:
             draw_graph((0,), n, p)
         assert len(calls) == draws
         assert ("so none was drawn" in str(err.value)) == (draws == 0)
-        # kept as drawn on request, whatever the bound says
-        assert draw_graph((0,), n, p, allow_disconnected=True).n_vertices == n
 
     def test_drops_a_rejected_draw_before_the_next(self, monkeypatch):
         # a rejected graph still bound during the next draw adds its CSR to that
@@ -550,9 +548,9 @@ class TestDrawGraph:
         assert tail <= montecarlo._success_bound(n, pairs * p) < 1.0
 
 
-class TestAllowDisconnected:
-    """A given graph with an isolated vertex, such as the first draw that
-    `generate --allow-disconnected` keeps, fails its replication."""
+class TestGivenGraph:
+    """A graph passed to `run_replication(graph=...)` that has an isolated
+    vertex fails that replication."""
 
     # at N=200, p=3% and seed 42, 5 of the 12 first draws have an isolated vertex
     CELL = small_cell(density=0.03)
