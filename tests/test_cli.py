@@ -49,9 +49,20 @@ class TestSimulateGraph:
         graphmod.write_edge_list(montecarlo.draw_graph((5,), 80, 0.08), tmp_path / "drawn")
         assert (a / "graph.edges").read_bytes() == (b / "graph.edges").read_bytes() == \
             (tmp_path / "drawn").read_bytes()
-        g = graphmod.read_edge_list(a / "graph.edges")
-        assert g.n_vertices == 80
+
+    def test_roundtrip_readable(self, tmp_path):
+        assert run(["simulate", "--n", 60, "--p", 0.1, "--f", 0.5, "--seed", 1,
+                    "--out", tmp_path]) == 0
+        g = graphmod.read_edge_list(tmp_path / "graph.edges")
+        assert g.n_vertices == 60
         assert graphmod.degrees(g).all()
+
+    def test_single_vertex_exits_3(self, tmp_path, capsys):
+        # its one vertex is isolated in every draw, so the full budget fails
+        # before the first draw and no graph is written
+        assert run(["simulate", "--n", 1, "--p", 0.5, "--f", 1, "--out", tmp_path]) == 3
+        assert "so none was drawn" in capsys.readouterr().err
+        assert not (tmp_path / "graph.edges").exists()
 
     def test_connectivity_exhaustion_exits_3(self, tmp_path, capsys, monkeypatch):
         # 14.85 edges expected on 100 vertices, 50 needed: each of the three
