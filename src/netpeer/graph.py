@@ -22,8 +22,10 @@ from .errors import ValidationError
 # bound on an edge list's vertex count: its CSR offsets take 8 bytes per vertex
 MAX_VERTICES = 10**7
 # bound on a G(n, p) draw's expected edge count n(n-1)/2 * p: its CSR indices
-# take 16 bytes per edge, 1.6 GB at the bound, and the draw peaks at about 32
-# bytes per edge, the CSR included (tracemalloc, N=10^4 at p = 1%)
+# take 16 bytes per edge, 1.6 GB at the bound. The draw peaks at about 32 bytes
+# per edge, the CSR included, but an f=0.8 replication peaks higher, in the
+# induced subgraph beside the graph: about 42 bytes per edge (tracemalloc,
+# N=10^4 at p = 1%)
 MAX_EDGES = 10**8
 # edges formatted per write in write_edge_list: about 58 bytes each while formatted
 WRITE_CHUNK_EDGES = 2**16
@@ -245,11 +247,15 @@ def induced_subgraph(g: Graph, members) -> Graph:
     bounds = np.zeros(members.size + 1, dtype=np.int64)
     deg[members].cumsum(out=bounds[1:])
     kept = member_mask[sub].nonzero()[0]
-    sub = sub[kept]
     offsets = kept.searchsorted(bounds)
-    del kept  # dead before the relabel, whose result it would sit beside
+    # gather, then relabel, in kept's own buffer: entry i is read before it
+    # is written, and mode="clip" (every index is in range) skips the
+    # full-size copy of out that mode="raise" makes
+    sub.take(kept, out=kept, mode="clip")
+    del sub
     # mapping is increasing on members, so the kept rows stay sorted
-    return Graph(int(members.size), mapping[sub], offsets)
+    mapping.take(kept, out=kept, mode="clip")
+    return Graph(int(members.size), kept, offsets)
 
 
 def write_edge_list(g: Graph, path, tags=()) -> None:

@@ -31,6 +31,7 @@ from netpeer.graph import (
     read_edge_list,
     write_edge_list,
 )
+from netpeer.model import ModelParams
 from netpeer.montecarlo import STREAM_GRAPH, draw_graph, stream
 
 
@@ -247,8 +248,13 @@ class TestMemoryBound:
     through the CSR sort, and at 15.25 MiB once they died before it. With
     packed keys it still peaks at 15.25 MiB, in _edge_keys, where the
     endpoints, their key-type casts and the keys are live. The row-mask
-    subgraph peaks at 16.14 MiB (16.12 through row positions) where it
-    filters the member rows' entries; each bound sits above its peak."""
+    subgraph peaked at 16.14 MiB (16.12 through row positions) while it
+    gathered the kept entries into one new array and relabelled them into
+    another; gathering and relabelling in the kept positions' own buffer
+    brings it to 12.02 MiB. A whole f=0.8 replication, whose high-water
+    is what the process keeps resident, peaked with it: 24.04 MiB before,
+    19.93 after, against 15.91 at f=0.2, where the draw and populate set
+    the peak. Each bound sits above its peak."""
 
     def test_draw_peak(self):
         # the TestSamplerPinned draw: 499,680 edges, a 7.6 MiB CSR
@@ -274,7 +280,16 @@ class TestMemoryBound:
         members = np.sort(np.random.default_rng(0).choice(10_000, 8000, replace=False))
         sub, peak = traced_peak(lambda: induced_subgraph(g, members))
         assert sub.n_vertices == 8000
-        assert peak < 19.0
+        assert peak < 13.0
+
+    @pytest.mark.parametrize("f, bound", [(0.8, 21.0), (0.2, 17.0)])
+    def test_replication_peak(self, f, bound):
+        # the second of two reps, so that nothing made once per process counts
+        cell = montecarlo.ExperimentCell(10_000, 0.01, f, ModelParams(), reps=2, master_seed=5)
+        assert montecarlo.run_replication(cell, 0).ok
+        rec, peak = traced_peak(lambda: montecarlo.run_replication(cell, 1))
+        assert rec.ok
+        assert peak < bound
 
 
 class TestConnectedEr:
@@ -344,9 +359,13 @@ class TestInducedSubgraph:
         edges = g.edge_array()
         kept = edges[np.isin(edges, members).all(axis=1)]
         want = from_edges(members.size, np.searchsorted(members, kept))
+        before = g.indices.tobytes(), g.offsets.tobytes()
         got = induced_subgraph(g, members)
         assert same_csr(got, want)
         assert got.indices.dtype == got.offsets.dtype == np.int64
+        # the in-place gathers write only the function's own buffer
+        assert (g.indices.tobytes(), g.offsets.tobytes()) == before
+        assert not np.shares_memory(got.indices, g.indices)
 
     @pytest.mark.parametrize("members", [
         [65_536, 3, 70_000, 0, 65_535, 12_345],  # unsorted
