@@ -127,7 +127,7 @@ def _resolve(command: str, config_path: str | None, flags: dict) -> tuple:
     if missing:
         raise ValidationError(f"missing required setting(s): {', '.join(missing)}")
     if values.get("seed", 0) < 0:
-        raise ValidationError("seed must be >= 0")
+        raise ValidationError("seed must be nonnegative")
     return text, values
 
 

@@ -124,7 +124,7 @@ class ExperimentCell:
         if sampling.sample_size(self.n_pop, self.fraction) < 4:
             raise ValidationError("sample size below 4: the fit needs 4 units")
         if not 0.0 < self.level < 1.0:
-            raise ValidationError("CI level must be in (0, 1)")
+            raise ValidationError("confidence level must be in (0, 1)")
         if self.master_seed < 0:
             raise ValidationError("seed must be nonnegative")
 

@@ -17,10 +17,10 @@ are sampled with it. As N grows at fixed f, w tends to f from below.
 candidate_means_loop(candidate, observed, params) is the per-unit loop
 that `identification.candidate_means` replaced by a segmented sum,
 neighborhood_mean(g, x, j) the one-vertex mean that
-`model.neighbor_mean_vector` computes for all vertices at once, degree(g, j)
-one vertex's degree and validate_graph(g) the CSR invariants that every
-netpeer graph keeps: they read only the arrays of the netpeer objects they
-are given.
+`model.neighbor_mean_vector` computes for all vertices at once, neighbors(g, j)
+and degree(g, j) one vertex's sorted neighbors and degree, and
+validate_graph(g) the CSR invariants that every netpeer graph keeps: they
+read only the arrays of the netpeer objects they are given.
 
 critical_value(level, df) is the two-sided CI critical value from
 scipy.stats: the normal quantile, or the t quantile with df degrees of
@@ -45,7 +45,10 @@ star(n) is the star graph on n vertices with centre 0.
 er_one_geometric_call(n, p, rng) is G(n, p) by the geometric-skip scan
 that `graph.generate_er` runs in batches, from one `geometric` call long
 enough for any scan (every skip is at least 1), walked in Python over the
-pairs (i, j), i < j, in lexicographic order.
+pairs (i, j), i < j, in lexicographic order. er_geometric_batches(n, p, rng)
+is the list of batch sizes that the batched scan requests when each batch
+is drawn through `Generator.geometric`: the calls that must leave the
+generator where `graph.generate_er` leaves it.
 
 reachable_oracle(g) tells whether every vertex is reachable from vertex 0
 by a depth-first search over Python lists. connected_er(n, p, rng) is the

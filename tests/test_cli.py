@@ -217,14 +217,10 @@ class TestSampleCommand:
         assert s.n == 12
 
     def test_requires_exactly_one_size_setting(self, tmp_path, capsys, simulated):
-        # f is the one size setting: it is required, and n_sample is no setting
+        # f is the one size setting, and it is required
         assert run(["sample", "--graph", simulated / "graph.edges",
-                    "--data", simulated / "population.csv", "--out", tmp_path / "a"]) == 2
+                    "--data", simulated / "population.csv", "--out", tmp_path]) == 2
         assert capsys.readouterr().err == "error: missing required setting(s): f\n"
-        (tmp_path / "run.ini").write_text("[sample]\nn_sample = 10\nf = 0.2\n")
-        assert run(["sample", "--graph", simulated / "graph.edges",
-                    "--config", tmp_path / "run.ini", "--out", tmp_path / "b"]) == 2
-        assert capsys.readouterr().err.startswith("error: unknown key 'n_sample'")
 
     def test_requires_unit_data(self, tmp_path, capsys, simulated):
         # a sample is of a population: its graph and its units' x and y
@@ -253,34 +249,19 @@ class TestConfigFile:
         cfg.write_text("[simulate]\nn = 70\np = 0.09\nf = 0.5\nbogus = 1\n")
         assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 2
 
-    @pytest.mark.parametrize("command, settings", [
-        ("mc", "n_pop = 100\ndensity = 0.1\nfraction = 0.5\nreps = 2\n"),
-        ("simulate", "n = 40\np = 0.15\nf = 0.5\n"),
-    ], ids=["mc", "simulate"])
-    def test_allow_disconnected_is_unknown(self, tmp_path, capsys, command, settings):
-        # simulate and mc always redraw a graph with an isolated vertex; a
-        # run_config.txt written while they had the setting names it
-        cfg = tmp_path / "run.ini"
-        cfg.write_text(f"[{command}]\n{settings}allow_disconnected = no\n")
-        assert run([command, "--config", cfg, "--out", tmp_path / "a"]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: unknown key 'allow_disconnected'")
-        with pytest.raises(SystemExit) as info:
-            run([command, "--config", cfg, "--allow-disconnected", "--out", tmp_path / "b"])
-        assert info.value.code == 2
-        assert "unrecognized arguments: --allow-disconnected" in capsys.readouterr().err
-        assert not (tmp_path / "a").exists()
-
     @pytest.mark.parametrize("command, key", [
+        ("mc", "allow_disconnected"), ("simulate", "allow_disconnected"),
         ("simulate", "max_attempts"), ("sample", "n_sample"),
         ("identify-demo", "j"), ("identify-demo", "l"),
         ("identify-demo", "x_u1"), ("identify-demo", "x_u2"),
     ])
     def test_removed_setting_is_unknown(self, tmp_path, capsys, command, key):
-        # the redraw budget is montecarlo.MAX_ATTEMPTS, f is the one sample size
+        # simulate and mc always redraw a graph with an isolated vertex, the
+        # redraw budget is montecarlo.MAX_ATTEMPTS, f is the one sample size
         # and identify-demo reports the first witness; a run_config.txt written
         # while a setting existed names it with its default, or empty
-        settings = {"simulate": "n = 40\np = 0.15\nf = 0.5\n",
+        settings = {"mc": "n_pop = 100\ndensity = 0.1\nfraction = 0.5\nreps = 2\n",
+                    "simulate": "n = 40\np = 0.15\nf = 0.5\n",
                     "sample": "graph = g.edges\nf = 0.5\n", "identify-demo": ""}[command]
         cfg = tmp_path / "run.ini"
         cfg.write_text(f"[{command}]\n{settings}{key} = \n")
@@ -345,10 +326,6 @@ class TestSettingsBoundary:
 
     MC = ["--n-pop", 100, "--density", 0.1, "--fraction", 0.5]
     CASES = {
-        # the witness's units and attached values are no settings
-        "x_u1 not a number": (["identify-demo"], b"[identify-demo]\nx_u1 = abc\n"),
-        "j without l": (["identify-demo"], b"[identify-demo]\nj = 3\n"),
-        "l without j": (["identify-demo"], b"[identify-demo]\nl = 3\n"),
         "reps not an integer": (["mc", *MC], b"[mc]\nreps = abc\n"),
         "n in float notation": (["simulate", "--p", 0.5, "--f", 0.5], b"[simulate]\nn = 1e3\n"),
         "percent sign": (["identify-demo"], b"[identify-demo]\nx_mean = 5%\n"),
@@ -378,10 +355,6 @@ class TestSettingsBoundary:
                                  "--beta0=-inf"], None),
         "identify-demo x_sd 0": (["identify-demo", "--x-sd", 0], None),
         "identify-demo sigma2_eps nan": (["identify-demo"], b"[identify-demo]\nsigma2_eps = nan\n"),
-        "identify-demo x_u1 nan": (["identify-demo"],
-                                   b"[identify-demo]\nx_u1 = nan\nx_u2 = 1\n"),
-        "x_u1 without x_u2": (["identify-demo"], b"[identify-demo]\nx_u1 = 5\n"),
-        "x_u2 without x_u1": (["identify-demo"], b"[identify-demo]\nx_u2 = 5\n"),
         # f is checked before the population is drawn
         "simulate f above 1": (["simulate", "--n", 20000, "--p", 0.001, "--f", 1.5], None),
         "simulate f 0": (["simulate", "--n", 20000, "--p", 0.001, "--f", 0], None),
@@ -391,6 +364,13 @@ class TestSettingsBoundary:
         "simulate n 1": (["simulate", "--n", 1, "--p", 0.5, "--f", 0.4], None),
         "simulate n 0": (["simulate", "--n", 0, "--p", 0.5, "--f", 1], None),
         "simulate p above 1": (["simulate", "--n", 60, "--p", 1.5, "--f", 0.5], None),
+        "simulate seed -1": (["simulate", "--n", 10, "--p", 0.5, "--f", 0.5, "--seed", -1], None),
+        "mc seed -3": (["mc", *MC, "--reps", 2, "--seed", -3], None),
+        # round(0.2 * 10) = 2 sampled units, fewer than the fit's 4
+        "mc sample of 2 units": (["mc", "--n-pop", 10, "--density", 0.5, "--fraction", 0.2],
+                                 None),
+        # f is sample's one size setting, and it has no default
+        "sample without f": (["sample", "--graph", "graph.edges"], None),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -886,23 +866,6 @@ class TestInputBoundary:
         assert len(err) == expected.count(2)
         assert all(line.startswith("error: ") for line in err)
         assert all(target in line for line in err)
-
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--n", 10, "--p", 0.5, "--f", 0.5, "--seed", -1],
-        ["mc", "--n-pop", 100, "--density", 0.1, "--fraction", 0.5,
-         "--reps", 2, "--seed", -3],
-        # round(0.2 * 10) = 2 sampled units, fewer than the fit's 4
-        ["mc", "--n-pop", 10, "--density", 0.5, "--fraction", 0.2],
-        # f is sample's one size setting, and it has no default
-        ["sample", "--graph", "graph.edges"],
-    ])
-    def test_bad_setting_exits_2(self, tmp_path, capsys, argv):
-        assert run([*argv, "--out", tmp_path]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        # rejected before any graph draw or replication
-        assert not (tmp_path / "graph.edges").exists()
-        assert not (tmp_path / "results.csv").exists()
 
 
 class TestExtremeSettings:

@@ -181,7 +181,7 @@ class TestNdtri:
         assert _ndtri(1.0) == special.ndtri(1.0) == math.inf
 
 
-class TestApplyCorrection:
+class TestFitMleCorrection:
     """The w_hat correction that `fit_mle` applies to the naive fit."""
 
     def _fit(self, w=1.0, var_w=0.0):
