@@ -26,6 +26,7 @@ from .errors import RankDeficiencyError, ValidationError
 from .sampling import RecruitmentSample
 
 _COLUMNS = ("intercept", "own_x", "peer_mean")
+MIN_ROWS = 4  # the fewest retained rows the three-coefficient fit takes
 
 # Cephes ndtri (Moshier, Methods and Programs for Mathematical Functions,
 # 1989), the algorithm scipy.special.ndtri compiles: a rational function of
@@ -133,8 +134,8 @@ class FitResult:
 def build_observed_design(s: RecruitmentSample) -> ObservedDesign:
     """Assemble (1, x_j, x*_j) rows over sampled units with d^R_j > 0."""
     retained = (s.observed_degrees > 0).nonzero()[0]
-    if retained.size < 4:
-        raise RankDeficiencyError(f"only {retained.size} retained rows (need at least 4)")
+    if retained.size < MIN_ROWS:
+        raise RankDeficiencyError(f"only {retained.size} retained rows (need at least {MIN_ROWS})")
     X = np.empty((retained.size, 3))
     X[:, 0] = 1.0
     X[:, 1] = s.x_obs[retained]

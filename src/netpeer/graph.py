@@ -142,14 +142,14 @@ def _pair_index_to_edges(idx: np.ndarray, n: int) -> tuple:
 def check_er_size(n: int, p: float) -> tuple:
     """(n as a Python int, expected edge count) of a valid G(n, p) request.
 
-    Raises ValidationError, before anything is allocated, for a request
-    out of range or above MAX_VERTICES or MAX_EDGES.
+    Raises ValidationError, before anything is allocated, above MAX_VERTICES or
+    MAX_EDGES or at p outside (0, 1), where the peer mean is absent or linear in x.
     """
     n = check_integer(n, "vertex count")
     if not 0 <= n <= MAX_VERTICES:
         raise ValidationError(f"n must be in [0, {MAX_VERTICES}]")
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError("p must be in [0, 1]")
+    if not 0.0 < p < 1.0:
+        raise ValidationError("edge density must be in (0, 1)")
     expected = n * (n - 1) // 2 * p
     if expected > MAX_EDGES:
         raise ValidationError(
@@ -178,7 +178,7 @@ def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
     invert = p < 0.333333333333333333333333  # numpy's own switch point
     # math.log1p is libm's, as numpy's C is; the ufunc may take a SIMD kernel
     scale = -math.log1p(-p) if invert else None
-    while p > 0 and current < m_total - 1:
+    while current < m_total - 1:
         batch = max(256, int((m_total - current - 1) * p * 1.2) + 16)
         if invert:
             skips = rng.standard_exponential(batch)

@@ -116,13 +116,12 @@ class ExperimentCell:
             object.__setattr__(self, name, graphmod.check_integer(getattr(self, name), name))
         if not 1 <= self.reps <= MAX_REPS:
             raise ValidationError(f"reps must be in [1, {MAX_REPS}]")
-        if not 0.0 < self.density < 1.0:
-            raise ValidationError("edge density must be in (0, 1)")
         # a numpy integer count is kept as the equal Python int
         object.__setattr__(self, "n_pop", graphmod.check_er_size(self.n_pop, self.density)[0])
         # sample_size also rejects a fraction outside (0, 1]
-        if sampling.sample_size(self.n_pop, self.fraction) < 4:
-            raise ValidationError("sample size below 4: the fit needs 4 units")
+        rows = estimation.MIN_ROWS
+        if sampling.sample_size(self.n_pop, self.fraction) < rows:
+            raise ValidationError(f"sample size below {rows}: the fit needs {rows} units")
         if not 0.0 < self.level < 1.0:
             raise ValidationError("confidence level must be in (0, 1)")
         if self.master_seed < 0:

@@ -364,6 +364,12 @@ class TestSettingsBoundary:
         "simulate n 1": (["simulate", "--n", 1, "--p", 0.5, "--f", 0.4], None),
         "simulate n 0": (["simulate", "--n", 0, "--p", 0.5, "--f", 1], None),
         "simulate p above 1": (["simulate", "--n", 60, "--p", 1.5, "--f", 0.5], None),
+        # the peer mean needs a neighbor, and at p = 1 it is linear in the unit's own x
+        "simulate p 0": (["simulate", "--n", 60, "--p", 0, "--f", 0.5], None),
+        "simulate p 1": (["simulate", "--n", 60, "--p", 1, "--f", 0.5], None),
+        "identify-demo p 1": (["identify-demo", "--p", 1], None),
+        "mc density 0": (["mc", *MC, "--density", 0], None),
+        "mc density 1": (["mc", *MC, "--workers", 2, "--density", 1], None),
         "simulate seed -1": (["simulate", "--n", 10, "--p", 0.5, "--f", 0.5, "--seed", -1], None),
         "mc seed -3": (["mc", *MC, "--reps", 2, "--seed", -3], None),
         # round(0.2 * 10) = 2 sampled units, fewer than the fit's 4
@@ -372,6 +378,9 @@ class TestSettingsBoundary:
         # f is sample's one size setting, and it has no default
         "sample without f": (["sample", "--graph", "graph.edges"], None),
     }
+    # the cases whose error line is pinned: one density rule for every command
+    DENSITY = ("simulate p above 1", "simulate p 0", "simulate p 1", "identify-demo p 1",
+               "mc density 0", "mc density 1")
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_bad_setting_exits_2(self, tmp_path, capsys, monkeypatch, name):
@@ -396,6 +405,7 @@ class TestSettingsBoundary:
         assert run([*argv, "--out", out]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        assert name not in self.DENSITY or err == ["error: edge density must be in (0, 1)"]
         # nothing is drawn or written but the settings
         assert not out.exists() or [p.name for p in out.iterdir()] == ["run_config.txt"]
 

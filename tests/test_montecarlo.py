@@ -492,7 +492,7 @@ class TestDrawGraph:
     # below montecarlo.HOPELESS
     @pytest.mark.parametrize("n, p, attempts, draws", [
         (1, 0.5, 1000, 0),        # no edge can exist
-        (2, 0.0, 1000, 0),
+        (2, 5e-324, 1000, 0),     # the smallest positive p on the one pair
         (100, 1e-19, 1000, 0),
         (100, 5e-324, 1000, 0),
         (100, 1e-4, 3, 0),
@@ -580,10 +580,9 @@ class TestCellValidation:
             small_cell(params=ModelParams(**{field: value}))
 
     def test_bad_density(self):
-        with pytest.raises(ValidationError):
-            small_cell(density=0.0)
-        with pytest.raises(ValidationError):
-            small_cell(density=1.5)
+        for density in (0.0, 1.0, 1.5):
+            with pytest.raises(ValidationError, match=r"^edge density must be in \(0, 1\)$"):
+                small_cell(density=density)
 
     def test_bad_fraction(self):
         with pytest.raises(ValidationError):
