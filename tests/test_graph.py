@@ -135,11 +135,20 @@ class TestGenerateEr:
         b = generate_er(100, 0.05, np.random.default_rng(7))
         assert same_csr(a, b)
 
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_rejects_p_at_zero_and_one(self, p):
+        # p = 0 leaves the peer mean undefined, p = 1 makes it linear in own x;
+        # either is refused before the generator is touched
+        rng = RecordingRng(np.random.default_rng(0))
+        before = rng.rng.bit_generator.state
+        with pytest.raises(ValidationError, match=r"^edge density must be in \(0, 1\)$"):
+            generate_er(5, p, rng)
+        assert rng.sizes == []
+        assert rng.rng.bit_generator.state == before
+
     def test_rejects_bad_p(self):
-        # p = 0 leaves the peer mean undefined, p = 1 makes it linear in own x
-        for p in (0.0, 1.0, 1.5):
-            with pytest.raises(ValidationError, match=r"^edge density must be in \(0, 1\)$"):
-                generate_er(5, p, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match=r"^edge density must be in \(0, 1\)$"):
+            generate_er(5, 1.5, np.random.default_rng(0))
         with pytest.raises(ValidationError):
             generate_er(-1, 0.5, np.random.default_rng(0))
 
