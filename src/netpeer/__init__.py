@@ -11,8 +11,6 @@ from .errors import (
     AllIsolatedSampleError,
     AllRepsFailedError,
     ComputationError,
-    ConnectivityError,
-    IsolatedVertexError,
     RankDeficiencyError,
     ValidationError,
 )
@@ -26,10 +24,8 @@ __all__ = [
     "AllRepsFailedError",
     "CellReport",
     "ComputationError",
-    "ConnectivityError",
     "ExperimentCell",
     "Graph",
-    "IsolatedVertexError",
     "ModelParams",
     "RankDeficiencyError",
     "RecruitmentSample",

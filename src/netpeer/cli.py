@@ -213,10 +213,9 @@ def _cmd_mc(v: dict, out: str) -> None:
     if v["save_records"]:
         for idx in range(len(cells)):
             montecarlo.write_records_csv([], os.path.join(out, f"records_cell{idx}.csv"))
-    # a cell that cannot be computed (every replication failed, or no fixed
-    # graph without an isolated vertex) does not stop the grid: the completed
-    # cells are written, the records of a cell whose every replication failed
-    # too, and the failures reported together
+    # a cell that cannot be computed (every replication failed, say) does not
+    # stop the grid: the completed cells are written, the records of a cell
+    # whose every replication failed too, and the failures reported together
     results, failed = [], []
     for idx, cell in enumerate(cells):
         try:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph as graphmod
-from .errors import ComputationError, IsolatedVertexError
+from .errors import ComputationError
 from .graph import Graph
 from .model import ModelParams, log_likelihood
 from .sampling import RecruitmentSample
@@ -106,13 +106,12 @@ def candidate_means(
     """Per-sampled-unit conditional means under a candidate completion.
 
     The peer term divides the sum over the candidate's neighbors by the
-    unit's *reported* (true) degree.
+    unit's *reported* (true) degree; at a reported degree of 0 it is 0.
     """
     d = observed.reported_degrees
-    if np.any(d == 0):
-        raise IsolatedVertexError(int(np.argmax(d == 0)))
     sums = graphmod.neighbor_sums(candidate.g_p, candidate.x_tilde)[:observed.n]
-    return params.beta0 + params.beta1 * observed.x_obs + params.beta2 * sums / d
+    peer = np.divide(sums, d, out=np.zeros(observed.n), where=d > 0)
+    return params.beta0 + params.beta1 * observed.x_obs + params.beta2 * peer
 
 
 def mean_sum_gap(pair: WitnessPair, params: ModelParams) -> float:

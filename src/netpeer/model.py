@@ -4,6 +4,9 @@ A unit's outcome is a linear function of its own covariate and the mean
 covariate over its neighbors, plus Gaussian noise:
 
     y_j = beta0 + beta1 * x_j + beta2 * mean(x over neighbors of j) + eps_j
+
+An isolated unit has no neighbor, and its peer term is 0: y_j = beta0 +
+beta1 * x_j + eps_j, a zero row of the row-normalised interaction matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph as graphmod
-from .errors import ComputationError, IsolatedVertexError, ValidationError
+from .errors import ComputationError, ValidationError
 from .graph import Graph
 
 
@@ -44,14 +47,10 @@ def gen_covariates(n: int, mean: float, sd: float, rng: np.random.Generator) -> 
 
 
 def neighbor_mean_vector(g: Graph, x: np.ndarray) -> np.ndarray:
-    """Mean covariate over each vertex's neighborhood, vectorized.
-
-    Raises IsolatedVertexError if any vertex has degree zero.
-    """
+    """Mean covariate over each vertex's neighborhood, vectorized; 0.0 at an isolated vertex."""
     degs = graphmod.degrees(g)
-    if (degs == 0).any():
-        raise IsolatedVertexError(int(np.argmax(degs == 0)))
-    return graphmod.neighbor_sums(g, np.asarray(x, dtype=float)) / degs
+    sums = graphmod.neighbor_sums(g, np.asarray(x, dtype=float))
+    return np.divide(sums, degs, out=np.zeros(g.n_vertices), where=degs > 0)
 
 
 def conditional_means(g: Graph, x, params: ModelParams) -> np.ndarray:
@@ -66,7 +65,7 @@ def conditional_means(g: Graph, x, params: ModelParams) -> np.ndarray:
 def simulate_outcomes(
     g: Graph, x, params: ModelParams, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw outcomes from the peer-effects model on a graph with no isolated vertex.
+    """Draw outcomes from the peer-effects model; an isolated unit's peer term is 0.
 
     Raises ComputationError when an outcome is not finite in float64."""
     noise = rng.normal(0.0, math.sqrt(params.sigma2_eps), size=g.n_vertices)

@@ -1,10 +1,10 @@
 """Seeded simulate -> sample -> fit pipeline and the replication engine.
 
-`draw_graph` draws a random graph in which every unit has a neighbor;
-`populate` simulates covariates and outcomes on any graph it is given;
-`draw_sample` takes an RNS sample of it; `estimation.fit_corrected` then
-fits the model on the incomplete data and applies the scaling-factor
-correction. The CLI and the Monte Carlo engine share all four. Every
+`draw_graph` draws a G(N, p) graph, in which a unit may be isolated;
+`populate` simulates covariates and outcomes on any graph it is given,
+an isolated unit's peer term being 0; `draw_sample` takes an RNS
+sample of it; `estimation.fit_corrected` then fits the model on the
+incomplete data and applies the scaling-factor correction. The CLI and the Monte Carlo engine share all four. Every
 random draw comes from its own stream SeedSequence([*prefix, purpose]),
 and only this module names a purpose: the engine passes the prefix
 (master_seed, rep_index), the CLI (seed,), so results are bit-identical
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import math
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -25,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import estimation, graph as graphmod, model, sampling
-from .errors import AllRepsFailedError, ComputationError, ConnectivityError, ValidationError
+from .errors import AllRepsFailedError, ComputationError, ValidationError
 from .model import ModelParams
 
 # stream purposes, fixed forever for reproducibility
@@ -35,9 +34,6 @@ STREAM_GRAPH, STREAM_COVARIATES, STREAM_NOISE, STREAM_SAMPLING = range(4)
 MAX_REPS = 10**6
 # a fixed bound, not the host's CPU count, so a run's settings stay valid elsewhere
 MAX_WORKERS = 256
-MAX_ATTEMPTS = 1000  # the redraw budget: graph draws before draw_graph gives up
-# below this bound on the chance that any attempt succeeds, draw_graph fails before drawing
-HOPELESS = 1e-12
 
 
 def stream(prefix, purpose: int) -> np.random.Generator:
@@ -46,42 +42,8 @@ def stream(prefix, purpose: int) -> np.random.Generator:
 
 
 def draw_graph(prefix, n, p):
-    """G(n, p) from the graph stream: the first draw with no isolated vertex.
-
-    The model's peer term is a neighbor mean, so every unit needs a
-    neighbor; the empty graph (n = 0) has no unit to lack one. Raises
-    ConnectivityError when each of the MAX_ATTEMPTS draws has an
-    isolated vertex, or at once when `_success_bound` says that every
-    attempt together succeeds with a chance below HOPELESS.
-    """
-    n, expected = graphmod.check_er_size(n, p)
-    if MAX_ATTEMPTS * _success_bound(n, expected) < HOPELESS:
-        raise ConnectivityError(MAX_ATTEMPTS, n, p, expected)
-    rng = stream(prefix, STREAM_GRAPH)
-    for _ in range(MAX_ATTEMPTS):
-        g = graphmod.generate_er(n, p, rng)
-        # .all() is vacuously true on n = 0, where .min() would raise
-        if graphmod.degrees(g).all():
-            return g
-        # a rejected graph would otherwise stay bound through the next draw's peak
-        del g
-    raise ConnectivityError(MAX_ATTEMPTS, n, p)
-
-
-def _success_bound(n, mu) -> float:
-    """An upper bound on the chance that a G(n, p) draw has no isolated vertex.
-
-    Such a graph has at least k = ceil(n/2) edges, and the edge count is
-    Binomial(n(n-1)/2, p) with mean mu. For k > mu, Chernoff's bound gives
-    P(edges >= k) <= exp(k - mu) * (mu / k)^k; otherwise the bound is 1.
-    """
-    k = -(-n // 2)
-    if k <= mu:
-        return 1.0
-    if mu == 0:
-        return 0.0
-    # in logs: mu / k underflows at the smallest p
-    return math.exp(k - mu + k * (math.log(mu) - math.log(k)))
+    """G(n, p) from the graph stream, as drawn: a unit may have no neighbor."""
+    return graphmod.generate_er(n, p, stream(prefix, STREAM_GRAPH))
 
 
 def populate(prefix, g, params: ModelParams):

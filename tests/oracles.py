@@ -17,7 +17,8 @@ are sampled with it. As N grows at fixed f, w tends to f from below.
 candidate_means_loop(candidate, observed, params) is the per-unit loop
 that `identification.candidate_means` replaced by a segmented sum,
 neighborhood_mean(g, x, j) the one-vertex mean that
-`model.neighbor_mean_vector` computes for all vertices at once, neighbors(g, j)
+`model.neighbor_mean_vector` computes for all vertices at once; both give
+a unit of degree 0 a peer term of 0. neighbors(g, j)
 and degree(g, j) one vertex's sorted neighbors and degree, and
 validate_graph(g) the CSR invariants that every netpeer graph keeps: they
 read only the arrays of the netpeer objects they are given.
@@ -53,8 +54,8 @@ generator where `graph.generate_er` leaves it.
 reachable_oracle(g) tells whether every vertex is reachable from vertex 0
 by a depth-first search over Python lists. connected_er(n, p, rng) is the
 first `graph.generate_er` draw that reachable_oracle calls connected: the
-tests draw their graphs with it, and it is the full-connectivity rule that
-`montecarlo.draw_graph`'s isolated-vertex rule is checked against.
+tests draw their graphs with it where a test needs every unit to have a
+neighbor.
 
 read_records_csv(path) reads a `montecarlo.write_records_csv` file back into
 its RepRecords, in row order; the file has no column for `var_corrected`,
@@ -73,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from netpeer.errors import ComputationError, IsolatedVertexError, ValidationError
+from netpeer.errors import ComputationError, ValidationError
 from netpeer.graph import Graph, from_edges, generate_er
 from netpeer.identification import log_likelihoods
 from netpeer.montecarlo import RepRecord
@@ -220,13 +221,15 @@ def candidate_means_loop(candidate, observed, params) -> np.ndarray:
     """Per-sampled-unit conditional means under a completion, one unit at a time.
 
     The peer term sums x_tilde over the unit's neighbors in the candidate
-    graph (row r of its CSR arrays) and divides by the reported degree.
+    graph (row r of its CSR arrays) and divides by the reported degree; at
+    a reported degree of 0 it is 0.
     """
     g = candidate.g_p
     means = np.empty(observed.n)
     for r in range(observed.n):
         nbrs = g.indices[g.offsets[r]:g.offsets[r + 1]]
-        peer = float(candidate.x_tilde[nbrs].sum()) / observed.reported_degrees[r]
+        d = int(observed.reported_degrees[r])
+        peer = float(candidate.x_tilde[nbrs].sum()) / d if d else 0.0
         means[r] = params.beta0 + params.beta1 * observed.x_obs[r] + params.beta2 * peer
     return means
 
@@ -237,10 +240,10 @@ def neighbors(g, j: int) -> np.ndarray:
 
 
 def neighborhood_mean(g, x, j: int) -> float:
-    """(1/d_j) * sum of x over the neighbors of j; undefined for isolated j."""
+    """(1/d_j) * sum of x over the neighbors of j; 0.0 for isolated j."""
     nbrs = g.indices[g.offsets[j]:g.offsets[j + 1]]
     if nbrs.size == 0:
-        raise IsolatedVertexError(j)
+        return 0.0
     return float(np.asarray(x, dtype=float)[nbrs].mean())
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import netpeer
-from netpeer import estimation, graph as graphmod, montecarlo, sampling
+from netpeer import estimation, graph as graphmod, model, montecarlo, sampling
 from netpeer.cli import _SCHEMAS, _resolve, main
 from netpeer.errors import ValidationError
 from netpeer.model import ModelParams
@@ -55,24 +55,26 @@ class TestSimulateGraph:
                     "--out", tmp_path]) == 0
         g = graphmod.read_edge_list(tmp_path / "graph.edges")
         assert g.n_vertices == 60
-        assert graphmod.degrees(g).all()
 
-    def test_single_vertex_exits_3(self, tmp_path, capsys):
-        # its one vertex is isolated in every draw, so the full budget fails
-        # before the first draw and no graph is written
-        assert run(["simulate", "--n", 1, "--p", 0.5, "--f", 1, "--out", tmp_path]) == 3
-        assert "so none was drawn" in capsys.readouterr().err
-        assert not (tmp_path / "graph.edges").exists()
+    def test_single_vertex_exits_0(self, tmp_path, capsys):
+        # its one vertex is isolated: a graph with no edge, and a unit with no peer term
+        assert run(["simulate", "--n", 1, "--p", 0.5, "--f", 1, "--out", tmp_path]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "graph.edges").read_text() == "# vertices=1\n"
+        x, y = model.read_unit_csv(tmp_path / "population.csv")
+        noise = montecarlo.stream((0,), montecarlo.STREAM_NOISE).normal(0.0, 1.0, size=1)
+        assert y.tolist() == [0.0 + 1.0 * x[0] + noise[0]]
 
-    def test_connectivity_exhaustion_exits_3(self, tmp_path, capsys, monkeypatch):
-        # 14.85 edges expected on 100 vertices, 50 needed: each of the three
-        # draws is made, and each has an isolated vertex
-        monkeypatch.setattr(montecarlo, "MAX_ATTEMPTS", 3)
+    def test_isolated_vertices_are_written(self, tmp_path, capsys):
+        # 14.85 edges expected on 100 vertices: the first draw, most of whose
+        # vertices are isolated, is written as drawn
         code = run(["simulate", "--n", 100, "--p", 0.003, "--f", 0.5, "--out", tmp_path])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "no graph without an isolated vertex in 3 attempts" in err
-        assert "so none was drawn" not in err
+        assert code == 0 and capsys.readouterr().err == ""
+        graphmod.write_edge_list(montecarlo.draw_graph((0,), 100, 0.003), tmp_path / "drawn")
+        assert (tmp_path / "graph.edges").read_bytes() == (tmp_path / "drawn").read_bytes()
+        s = sampling.read_sample_csv(tmp_path / "sample.csv",
+                                     graphmod.read_edge_list(tmp_path / "sample.edges"))
+        assert (s.reported_degrees == 0).sum() > s.n // 2
 
 
 class TestSimulateAndFit:
@@ -112,12 +114,13 @@ class TestSimulateAndFit:
         assert out["w_hat"] == pytest.approx(1.0, abs=1e-12)
         assert out["beta2_corrected"] == pytest.approx(out["beta_hat"][2], rel=1e-12)
 
-    def test_one_unit_sample_passes_the_boundary(self, tmp_path, capsys, monkeypatch):
-        # round(1 * 1) = 1 unit; the one vertex is isolated in every draw
-        monkeypatch.setattr(montecarlo, "MAX_ATTEMPTS", 3)
+    def test_one_unit_sample_passes_the_boundary(self, tmp_path, capsys):
+        # round(1 * 1) = 1 unit, isolated, is the whole sample
         argv = ["simulate", "--n", 1, "--p", 0.5, "--f", 1]
-        assert run([*argv, "--out", tmp_path]) == 3
-        assert "no graph without an isolated vertex in 3 attempts" in capsys.readouterr().err
+        assert run([*argv, "--out", tmp_path]) == 0
+        assert capsys.readouterr().err == ""
+        rows = (tmp_path / "sample.csv").read_text().splitlines()
+        assert [r.split(",")[:3] for r in rows[1:]] == [["0", "0", "0"]]
 
     def test_run_config_echo(self, tmp_path):
         assert run([
@@ -256,8 +259,8 @@ class TestConfigFile:
         ("identify-demo", "x_u1"), ("identify-demo", "x_u2"),
     ])
     def test_removed_setting_is_unknown(self, tmp_path, capsys, command, key):
-        # simulate and mc always redraw a graph with an isolated vertex, the
-        # redraw budget is montecarlo.MAX_ATTEMPTS, f is the one sample size
+        # simulate and mc keep the first G(N, p) draw, so no graph is redrawn
+        # and there is no redraw budget, f is the one sample size
         # and identify-demo reports the first witness; a run_config.txt written
         # while a setting existed names it with its default, or empty
         settings = {"mc": "n_pop = 100\ndensity = 0.1\nfraction = 0.5\nreps = 2\n",
@@ -706,18 +709,19 @@ class TestMcCommand:
                 }
 
     def test_failed_cell_does_not_stop_grid(self, tmp_path, capsys):
-        # at N=300, p=1% every draw has an isolated vertex, so every rep of that cell fails
+        # at N=1000, p=10^-6 about half an edge is expected, so no sample of
+        # 200 units has the 4 tied units a fit needs and every rep of that cell fails
         assert run([
-            "mc", "--n-pop", "300,1000", "--density", "0.01", "--fraction", "0.2",
+            "mc", "--n-pop", "1000", "--density", "1e-6,0.01", "--fraction", "0.2",
             "--reps", 4, "--seed", 5, "--save-records", "--out", tmp_path,
         ]) == 3
         rows = (tmp_path / "results.csv").read_text().splitlines()[1:]
         assert [r.split(",")[:2] for r in rows] == [["1000", "0.01"]] * 2
-        assert "N=300, p=0.01, f=0.2" in capsys.readouterr().err
+        assert "N=1000, p=1e-06, f=0.2: all 4 replications failed" in capsys.readouterr().err
         # the failed cell's records still say why each replication failed
         failed = (tmp_path / "records_cell0.csv").read_text().splitlines()[1:]
         assert [r.split(",", 2)[:2] for r in failed] == [[str(i), "0"] for i in range(4)]
-        assert all("no graph without an isolated vertex" in r for r in failed)
+        assert all("rank-deficient design: only" in r for r in failed)
         done = (tmp_path / "records_cell1.csv").read_text().splitlines()[1:]
         assert len(done) == 4 and all(r.split(",")[1] == "1" for r in done)
 
@@ -882,9 +886,9 @@ class TestExtremeSettings:
     """Accepted settings at their extremes exit 0 or 3, with no warning or traceback."""
 
     @pytest.mark.parametrize("argv,code,message", [
-        # a p too small to expect an edge would draw the empty graph, whose
-        # isolated vertices fail every redraw
-        (["simulate", "--n", 100, "--p", 1e-19, "--f", 0.5], 3, "no graph without"),
+        # a p too small to expect an edge draws the empty graph: simulate writes
+        # it, and every mc replication fails in the fit, its sample having no tie
+        (["simulate", "--n", 100, "--p", 1e-19, "--f", 0.5], 0, None),
         (["mc", "--n-pop", 100, "--density", 1e-19, "--fraction", 0.5, "--reps", 2],
          3, "all 2 replications failed"),
         # outcomes that overflow float64
@@ -912,7 +916,7 @@ class TestExtremeSettings:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == (code != 0)
         assert all(line.startswith("error: ") and message in line for line in err)
-        if argv[0] != "mc":  # nothing written but the settings
+        if code and argv[0] != "mc":  # nothing written but the settings
             assert os.listdir(tmp_path) == ["run_config.txt"]
 
 

@@ -20,7 +20,7 @@ from oracles import (
     star,
     validate_graph,
 )
-from netpeer.errors import ConnectivityError, ValidationError
+from netpeer.errors import ValidationError
 from netpeer.graph import (
     Graph,
     degrees,
@@ -300,19 +300,15 @@ class TestMemoryBound:
 
 
 class TestConnectedEr:
-    """`montecarlo.draw_graph` redraws G(n, p) until no vertex is isolated."""
+    """`oracles.connected_er` redraws G(n, p) until the graph is connected."""
 
     def test_returns_connected(self):
-        # the same graph as the first connected draw on the same stream
+        # montecarlo.draw_graph keeps the first draw of the graph stream; at
+        # this seed it is connected, so connected_er keeps the same draw
         g = draw_graph((3,), 50, 0.15)
+        assert same_csr(g, generate_er(50, 0.15, stream((3,), STREAM_GRAPH)))
         assert same_csr(g, connected_er(50, 0.15, stream((3,), STREAM_GRAPH)))
         assert degrees(g).all() and reachable_oracle(g)
-
-    def test_exhausted_attempts(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "MAX_ATTEMPTS", 3)
-        with pytest.raises(ConnectivityError, match="without an isolated vertex") as err:
-            draw_graph((0,), 100, 0.001)
-        assert err.value.attempts == 3
 
 
 class TestDegrees:

@@ -6,7 +6,7 @@ import pytest
 from oracles import (
     candidate_means_loop, connected_er, find_witness_loop, likelihood_gap, population_induced,
 )
-from netpeer.errors import ComputationError, IsolatedVertexError
+from netpeer.errors import ComputationError
 from netpeer.graph import degrees, from_edges
 from netpeer.identification import (
     CompletionCandidate,
@@ -161,17 +161,20 @@ class TestCandidateMeans:
             checked += 1
         assert checked >= 5
 
-    def test_isolated_unit_rejected(self):
+    def test_isolated_unit_has_no_peer_term(self):
         # hand_sample's graph plus vertex 6, isolated in the population and sampled
         g = from_edges(
             7, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 5), (1, 4), (2, 4)]
         )
         s = recruit(g, np.array([0, 1, 2, 3, 6]),
                     x=[1.0, -0.5, 2.0, 0.25, 0.0, 0.0, 3.0], y=np.zeros(7))
+        assert s.reported_degrees[4] == 0
+        params = ModelParams(0.5, 2.0, 1.5, 1.0)
         pair = build_swap_pair(s, 0, 1, 5.0, 4.0)
-        with pytest.raises(IsolatedVertexError) as info:
-            candidate_means(pair.a, s, PARAMS)
-        assert info.value.vertex == 4
+        for cand in (pair.a, pair.b):
+            got = candidate_means(cand, s, params)
+            assert got[4] == 0.5 + 2.0 * 3.0
+            assert got.tolist() == candidate_means_loop(cand, s, params).tolist()
 
 
 class TestMeanSumGap:

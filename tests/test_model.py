@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from netpeer.errors import ComputationError, IsolatedVertexError, ValidationError
+from netpeer.errors import ComputationError, ValidationError
 from netpeer.graph import from_edges, generate_er
 from netpeer.model import (
     ModelParams,
@@ -81,19 +81,21 @@ class TestNeighborhoodMean:
         means = neighbor_mean_vector(g, x)
         assert np.allclose(means, 7.5)
 
-    def test_isolated_vertex_error(self):
+    def test_isolated_vertex_mean_is_zero(self):
+        # vertex 2 has no neighbor: a zero row of the row-normalised interaction matrix
         g = from_edges(3, [(0, 1)])
-        with pytest.raises(IsolatedVertexError):
-            neighborhood_mean(g, [1.0, 2.0, 3.0], 2)
-        with pytest.raises(IsolatedVertexError):
-            neighbor_mean_vector(g, np.ones(3))
+        assert neighborhood_mean(g, [1.0, 2.0, 3.0], 2) == 0.0
+        assert neighbor_mean_vector(g, np.array([1.0, 2.0, 3.0])).tolist() == [2.0, 1.0, 0.0]
 
     def test_vector_matches_scalar(self):
-        g = connected_er(40, 0.15, np.random.default_rng(2))
-        x = np.random.default_rng(3).normal(size=40)
-        means = neighbor_mean_vector(g, x)
-        for j in range(40):
-            assert means[j] == pytest.approx(neighborhood_mean(g, x, j), abs=1e-12)
+        # at N=40, p=2% about 18 of the 40 vertices are isolated
+        for g in (connected_er(40, 0.15, np.random.default_rng(2)),
+                  generate_er(40, 0.02, np.random.default_rng(6))):
+            x = np.random.default_rng(3).normal(size=40)
+            means = neighbor_mean_vector(g, x)
+            for j in range(40):
+                assert means[j] == pytest.approx(neighborhood_mean(g, x, j), abs=1e-12)
+        assert (g.offsets[1:] == g.offsets[:-1]).sum() > 10
 
     def test_affine_shift(self):
         g = connected_er(25, 0.2, np.random.default_rng(4))
@@ -126,6 +128,16 @@ class TestOutcomes:
         ])
         assert abs(draws.mean() - 2.5) < 0.1
         assert abs(draws.var() - 4.0) / 4.0 < 0.1
+
+    def test_isolated_unit_has_no_peer_term(self):
+        # unit 2 is isolated: y_2 = beta0 + beta1 * x_2 + eps_2, bit for bit
+        g = from_edges(3, [(0, 1)])
+        x = np.array([1.0, 2.0, 3.25])
+        params = ModelParams(0.5, 2.0, -1.5, 2.0)
+        y = simulate_outcomes(g, x, params, np.random.default_rng(8))
+        eps = np.random.default_rng(8).normal(0.0, math.sqrt(2.0), size=3)
+        assert y[2] == 0.5 + 2.0 * 3.25 + eps[2]
+        assert y[0] == 0.5 + 2.0 * 1.0 + -1.5 * 2.0 + eps[0]
 
     def test_overflowing_outcomes_raise(self):
         # finite settings whose peer term is not representable in float64;

@@ -10,12 +10,10 @@ import subprocess
 import sys
 import time
 import warnings
-import weakref
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
-from scipy.stats import binom
 
 import netpeer
 from netpeer import cli, estimation, graph as graphmod, model, montecarlo
@@ -39,7 +37,7 @@ from netpeer.montecarlo import (
     write_grid_csv,
     write_records_csv,
 )
-from oracles import connected_er, star
+from oracles import star
 
 PARAMS = ModelParams(0.0, 1.0, 1.5, 1.0)
 
@@ -473,84 +471,37 @@ class TestFreedHeapKept:
 
 
 class TestDrawGraph:
-    def test_same_graph_as_the_connected_rule_at_the_paper_density(self):
-        # at N=10^3, p=1% a draw with no isolated vertex is connected, so both
-        # rules keep the same draw of the same stream, redrawn or not
-        redrawn = 0
+    def test_first_draw_at_the_paper_density(self):
+        # draw_graph keeps the first G(N, p) draw of the graph stream, isolated
+        # vertices and all: 18 of these 300 draws at N=10^3, p=1% have one
+        isolated = 0
         for rep in range(300):
             g = draw_graph((0, rep), 1000, 0.01)
-            want = connected_er(1000, 0.01, stream((0, rep), STREAM_GRAPH))
+            want = graphmod.generate_er(1000, 0.01, stream((0, rep), STREAM_GRAPH))
             assert g.indices.tobytes() == want.indices.tobytes()
             assert g.offsets.tobytes() == want.offsets.tobytes()
-            first = graphmod.generate_er(1000, 0.01, stream((0, rep), STREAM_GRAPH))
-            redrawn += not graphmod.degrees(first).all()
-        assert redrawn == 18
+            isolated += not graphmod.degrees(g).all()
+        assert isolated == 18
 
-    # (n, p, MAX_ATTEMPTS, the draws made before the ConnectivityError): a
-    # graph with no isolated vertex needs ceil(n/2) edges, and the cases
-    # straddle the point where every attempt's Chernoff bound on that falls
-    # below montecarlo.HOPELESS
-    @pytest.mark.parametrize("n, p, attempts, draws", [
-        (1, 0.5, 1000, 0),        # no edge can exist
-        (2, 5e-324, 1000, 0),     # the smallest positive p on the one pair
-        (100, 1e-19, 1000, 0),
-        (100, 5e-324, 1000, 0),
-        (100, 1e-4, 3, 0),
-        (100, 0.002, 1000, 0),     # 9.9 edges expected, 50 needed: bound 1.8e-18
-        (100, 0.0025, 1, 0),       # 12.4 expected: bound 1.0e-14
-        (100, 0.003, 1, 1),        # 14.85 expected: bound 8.0e-12
-        (100, 0.003, 1000, 1000),
-        (300, 0.01, 5, 5),         # 448.5 expected, 150 needed: bound 1
-        (1000, 0.005, 2, 2),       # 2497.5 expected, 500 needed
-    ])
-    def test_hopeless_density_fails_before_drawing(self, monkeypatch, n, p, attempts, draws):
-        calls = []
-
-        def empty(n, p, rng):  # every draw has an isolated vertex
-            calls.append(n)
-            return graphmod.from_edges(n, np.empty((0, 2)))
-        monkeypatch.setattr(graphmod, "generate_er", empty)
-        monkeypatch.setattr(montecarlo, "MAX_ATTEMPTS", attempts)
-        with pytest.raises(ComputationError, match="^no graph without an isolated vertex"
-                           ) as err:
-            draw_graph((0,), n, p)
-        assert len(calls) == draws
-        assert ("so none was drawn" in str(err.value)) == (draws == 0)
-
-    def test_drops_a_rejected_draw_before_the_next(self, monkeypatch):
-        # a rejected graph still bound during the next draw adds its CSR to that
-        # draw's peak; at N=300, p=2% and seed 0 the third draw is kept
+    def test_sparse_regime_draws_once(self, monkeypatch):
+        # at N=10^5, p=10^-4 a draw has about N e^-10 = 4.5 isolated vertices,
+        # so nearly every draw has one; the replication draws one graph and fits it
         draws = []
         real = graphmod.generate_er
 
         def recording(n, p, rng):
-            assert all(ref() is None for ref in draws), "a rejected draw is still held"
-            g = real(n, p, rng)
-            draws.append(weakref.ref(g))
-            return g
+            draws.append(real(n, p, rng))
+            return draws[-1]
         monkeypatch.setattr(graphmod, "generate_er", recording)
-        g = draw_graph((0,), 300, 0.02)
-        assert len(draws) == 3 and draws[-1]() is g
-        want = connected_er(300, 0.02, stream((0,), STREAM_GRAPH))
-        assert g.indices.tobytes() == want.indices.tobytes()
-        assert g.offsets.tobytes() == want.offsets.tobytes()
-        draws.clear()
-        monkeypatch.setattr(montecarlo, "MAX_ATTEMPTS", 2)
-        with pytest.raises(ComputationError, match="in 2 attempts"):
-            draw_graph((0,), 300, 0.02)
-        assert len(draws) == 2
-
-    @pytest.mark.parametrize("n, p", [(10, 0.05), (20, 0.02), (30, 0.02), (100, 0.003),
-                                      (1000, 0.0003)])
-    def test_hopeless_bound_is_above_the_binomial_tail(self, n, p):
-        pairs = n * (n - 1) // 2
-        tail = binom.sf(-(-n // 2) - 1, pairs, p)
-        assert tail <= montecarlo._success_bound(n, pairs * p) < 1.0
+        cell = ExperimentCell(100_000, 1e-4, 0.2, PARAMS, reps=1, master_seed=1)
+        assert run_replication(cell, 0).ok
+        assert len(draws) == 1
+        assert not graphmod.degrees(draws[0]).all()
 
 
 class TestGivenGraph:
-    """A graph passed to `run_replication(graph=...)` that has an isolated
-    vertex fails that replication."""
+    """A graph passed to `run_replication(graph=...)` is fitted as given,
+    isolated vertices and all."""
 
     # at N=200, p=3% and seed 42, 5 of the 12 first draws have an isolated vertex
     CELL = small_cell(density=0.03)
@@ -559,14 +510,15 @@ class TestGivenGraph:
         rng = stream((self.CELL.master_seed, rep), STREAM_GRAPH)
         return graphmod.generate_er(self.CELL.n_pop, self.CELL.density, rng)
 
-    def test_isolated_vertex_fails_the_replication(self):
+    def test_isolated_vertex_is_kept(self):
         draws = {i: self.first_draw(i) for i in range(self.CELL.reps)}
         isolated = [i for i, g in draws.items() if graphmod.degrees(g).min() == 0]
         assert isolated == [1, 3, 4, 8, 10]
         for i in isolated:
-            rec = run_replication(self.CELL, i, graph=draws[i])  # recorded, not raised
-            assert not rec.ok and rec.rep_index == i
-            assert "is isolated" in rec.error
+            rec = run_replication(self.CELL, i, graph=draws[i])
+            assert rec.ok and rec.rep_index == i
+            # the rep's own draw is the same graph
+            assert rec == run_replication(self.CELL, i)
 
 
 class TestCellValidation:
