@@ -22,10 +22,10 @@ from .errors import ValidationError
 # bound on an edge list's vertex count: its CSR offsets take 8 bytes per vertex
 MAX_VERTICES = 10**7
 # bound on a G(n, p) draw's expected edge count n(n-1)/2 * p: its CSR indices
-# take 16 bytes per edge, 1.6 GB at the bound. The draw peaks at about 32 bytes
-# per edge, the CSR included, but an f=0.8 replication peaks higher, in the
-# induced subgraph beside the graph: about 42 bytes per edge (tracemalloc,
-# N=10^4 at p = 1%)
+# take 16 bytes per edge, 1.6 GB at the bound. The draw peaks at about 26 bytes
+# per edge with uint32 keys (n < 2**16) and 34 with int64 ones (N=10^5, p=10^-4),
+# the CSR included, but an f=0.8 replication peaks higher, in the induced
+# subgraph beside the graph: about 42 bytes per edge (tracemalloc, N=10^4, p=1%)
 MAX_EDGES = 10**8
 # edges formatted per write in write_edge_list: about 58 bytes each while formatted
 WRITE_CHUNK_EDGES = 2**16
@@ -55,17 +55,21 @@ def _row_ids(offsets: np.ndarray) -> np.ndarray:
     return np.arange(n, dtype=np.int64).repeat(offsets[1:] - offsets[:-1])
 
 
-def _edge_keys(n: int, a: np.ndarray, b: np.ndarray) -> tuple:
-    """(keys, bits): both orientations of the edges (a[e], b[e]), each edge
-    listed once, keyed as src << bits | dst with bits the bit length of
-    n - 1; once sorted, the input of _csr.
+def _key_layout(n: int) -> tuple:
+    """(dtype, bits) of the keys src << bits | dst over n vertices, with bits
+    the bit length of n - 1, so that 2**bits >= n.
 
     The keys are uint32, which sorts faster than int64, when n < 2**16:
     the largest value _csr computes is the last row bound n << bits, which
     fits 32 bits only below 2**16 (at n = 2**16 it wraps to 0).
     """
-    key_type = np.uint32 if n < 2**16 else np.int64
-    bits = max(1, (n - 1).bit_length())
+    return (np.uint32 if n < 2**16 else np.int64), max(1, (n - 1).bit_length())
+
+
+def _edge_keys(n: int, a: np.ndarray, b: np.ndarray) -> tuple:
+    """(keys, bits): both orientations of the edges (a[e], b[e]), each edge
+    listed once, as _key_layout's keys; once sorted, the input of _csr."""
+    key_type, bits = _key_layout(n)
     a, b = a.astype(key_type, copy=False), b.astype(key_type, copy=False)
     keys = np.empty(2 * a.size, dtype=key_type)
     forward, backward = keys[:a.size], keys[a.size:]
@@ -76,23 +80,26 @@ def _edge_keys(n: int, a: np.ndarray, b: np.ndarray) -> tuple:
     return keys, bits
 
 
-def _csr(n: int, keys: np.ndarray, bits: int) -> Graph:
-    """CSR graph of _edge_keys' keys, which the caller has sorted; overwrites them.
+def _csr(n: int, keys: np.ndarray, bits: int, offsets: np.ndarray) -> Graph:
+    """CSR graph of _edge_keys' or _pair_keys' keys, which the caller has
+    sorted, with its row offsets written into `offsets` (n + 1 int64).
 
     Sorted keys are grouped by source with every row's neighbors ascending.
-    A caller drops the endpoint arrays before its sort, so that the sort,
-    where a draw peaks, holds only the keys.
+    A caller drops the endpoint arrays before its sort, so that the sort
+    holds only the keys.
     """
-    offsets = keys.searchsorted(np.arange(n + 1, dtype=keys.dtype) << bits)
-    # a key's low bits are its neighbor
-    keys &= (1 << bits) - 1
-    return Graph(n, keys.astype(np.int64, copy=False), offsets)
+    offsets[:] = keys.searchsorted(np.arange(n + 1, dtype=keys.dtype) << bits)
+    # a key's low bits are its neighbor: uint32 keys widen to int64 in the
+    # same pass, and int64 keys are masked in place
+    indices = keys if keys.dtype == np.int64 else np.empty(keys.size, dtype=np.int64)
+    np.bitwise_and(keys, (1 << bits) - 1, out=indices)
+    return Graph(n, indices, offsets)
 
 
 def check_integer(value, what: str) -> int:
     """value as a Python int; a float, which int() would truncate, is a ValidationError.
 
-    A numpy integer is converted too: _edge_keys takes a Python int's bit length.
+    A numpy integer is converted too: _key_layout takes a Python int's bit length.
     """
     try:
         return operator.index(value)
@@ -120,23 +127,32 @@ def from_edges(n: int, edges: np.ndarray) -> Graph:
     keys.sort()
     if np.any(keys[1:] == keys[:-1]):
         raise ValidationError("duplicate edge in edge list")
-    return _csr(n, keys, bits)
+    return _csr(n, keys, bits, np.empty(n + 1, dtype=np.int64))
 
 
-def _pair_index_to_edges(idx: np.ndarray, n: int) -> tuple:
-    """Map ascending linear indices over the n*(n-1)/2 unordered pairs to
-    (i, j) arrays, i<j.
+def _pair_keys(idx: np.ndarray, n: int) -> tuple:
+    """_edge_keys' (keys, bits) of the pairs (i, j), i < j, at the ascending
+    linear indices idx; row i covers pairs (i, i+1..n-1), from starts[i] on.
 
-    Pairs are enumerated lexicographically: row i covers pairs (i, i+1..n-1).
+    Pair starts[i] + t is (i, i + 1 + t): its forward key is idx plus the
+    row constant (i << bits) + i + 1 - starts[i], positive as 2**bits >= n.
+    Each index, constant and key fits the key type, so the sums are exact.
     """
+    key_type, bits = _key_layout(n)
     rows = np.arange(n, dtype=np.int64)
     starts = rows * n - rows * (rows + 1) // 2
     bounds = idx.searchsorted(starts)  # starts[n - 1] = n*(n-1)/2 exceeds every index
-    counts = bounds[1:] - bounds[:-1]
-    # pair starts[i] + t is (i, i + 1 + t), so j = idx - (starts[i] - i - 1)
-    j = (starts[:-1] - rows[:-1] - 1).repeat(counts)
-    np.subtract(idx, j, out=j)
-    return rows[:-1].repeat(counts), j
+    row_keys = ((rows << bits) + rows + 1 - starts)[:-1].astype(key_type, copy=False)
+    row_keys = row_keys.repeat(bounds[1:] - bounds[:-1])
+    del rows, starts, bounds
+    keys = np.empty(2 * idx.size, dtype=key_type)
+    forward, backward = keys[:idx.size], keys[idx.size:]
+    np.add(idx, row_keys, out=forward, dtype=key_type, casting="unsafe")
+    np.bitwise_and(forward, (1 << bits) - 1, out=backward)
+    backward <<= bits
+    np.right_shift(forward, bits, out=row_keys)
+    backward |= row_keys
+    return keys, bits
 
 
 def check_er_size(n: int, p: float) -> tuple:
@@ -160,18 +176,25 @@ def check_er_size(n: int, p: float) -> tuple:
 def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
     """Draw G(n, p): each unordered pair carries an edge independently with prob p.
 
-    Uses a geometric-skip scan over the linearized pair indices, which
-    draws the exact G(n, p) distribution in O(edges) work. Deterministic
-    per seed (algorithm version: geometric-skip v1).
+    Uses a geometric-skip scan (Batagelj & Brandes 2005) over the
+    linearized pair indices, which draws the exact G(n, p) distribution in
+    O(edges) work. Deterministic per seed (algorithm version:
+    geometric-skip v2, v1's edges from fewer skips).
 
     The skips are Generator.geometric's: below p = 1/3 numpy draws each
     one as ceil(-E / log1p(-p)) from its own exponential, and the scan
     takes that same inversion over a whole batch at once, so it reads
     the same stream and leaves the generator in the same state as
     rng.geometric(p, size=batch). From numpy's switch point up it calls
-    rng.geometric itself.
+    rng.geometric itself. A batch covers the edges expected in the pairs
+    left plus 8 standard deviations; the skips past the last pair are
+    dropped. The edges do not depend on the batch sizes, but the state a
+    draw leaves rng in does: v1's batches held 1.2 times the expected edges.
     """
     n, _ = check_er_size(n, p)
+    # allocated before the scan, low in the heap, so that the keys freed after
+    # the CSR build join its free top, where populate's neighbor gather reuses them
+    offsets = np.empty(n + 1, dtype=np.int64)
     m_total = n * (n - 1) // 2
     hits = [np.empty(0, dtype=np.int64)]
     current = -1
@@ -179,7 +202,8 @@ def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
     # math.log1p is libm's, as numpy's C is; the ufunc may take a SIMD kernel
     scale = -math.log1p(-p) if invert else None
     while current < m_total - 1:
-        batch = max(256, int((m_total - current - 1) * p * 1.2) + 16)
+        expected = (m_total - current - 1) * p  # a second batch has odds under 1e-15
+        batch = int(expected + 8 * math.sqrt(expected)) + 16
         if invert:
             skips = rng.standard_exponential(batch)
             # -E / log1p(-p) overflows to inf at the smallest p
@@ -207,12 +231,10 @@ def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
     # one batch usually ends the scan, and concatenating would copy it
     idx = hits[1] if len(hits) == 2 else np.concatenate(hits)
     del hits
-    i, j = _pair_index_to_edges(idx, n)
+    keys, bits = _pair_keys(idx, n)
     del idx
-    keys, bits = _edge_keys(n, i, j)
-    del i, j
     keys.sort()
-    return _csr(n, keys, bits)
+    return _csr(n, keys, bits, offsets)
 
 
 def degrees(g: Graph) -> np.ndarray:

@@ -204,15 +204,17 @@ def er_one_geometric_call(n: int, p: float, rng) -> Graph:
 
 
 def er_geometric_batches(n: int, p: float, rng) -> list:
-    """Batch sizes of the geometric-skip v1 scan of G(n, 0 < p <= 1) when every
-    batch is drawn through Generator.geometric.
+    """Batch sizes of the geometric-skip v2 scan of G(n, 0 < p <= 1) when every
+    batch is drawn through rng.geometric.
 
-    A batch covers 1.2 times the edges expected in the pairs left, plus 16,
-    and at least 256 skips. The skips are summed as Python ints."""
+    A batch covers the mu edges expected in the pairs left plus 8 sqrt(mu),
+    8 standard deviations of a Poisson count, plus 16 skips. The skips are
+    summed as Python ints."""
     m_total = n * (n - 1) // 2
     sizes, current = [], -1
     while current < m_total - 1:
-        sizes.append(max(256, int((m_total - current - 1) * p * 1.2) + 16))
+        mu = (m_total - current - 1) * p
+        sizes.append(int(mu + 8 * math.sqrt(mu)) + 16)
         current += sum(rng.geometric(p, size=sizes[-1]).tolist())
     return sizes
 

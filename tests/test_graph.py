@@ -66,6 +66,20 @@ class RecordingRng:
         return self.rng.standard_exponential(size)
 
 
+class SkipsOfOne:
+    """A stream whose every geometric-skip draw is 1, on either of generate_er's branches."""
+
+    def __init__(self, p):
+        self.scale = -np.log1p(-p)
+
+    def geometric(self, p, size):
+        return np.ones(size, dtype=np.int64)
+
+    def standard_exponential(self, size):
+        # ceil(E / scale) = 1
+        return np.full(size, self.scale / 2)
+
+
 class TestGenerateEr:
     def test_mean_edge_count_matches_binomial(self):
         # expected edges = p * n(n-1)/2 = 4995 at n=1000, p=0.01
@@ -88,7 +102,6 @@ class TestGenerateEr:
             validate_graph(generate_er(n, p, np.random.default_rng(seed)))
 
     @pytest.mark.parametrize("n,p,seed,calls,m", [
-        (201, 0.01, 2300, 2, 257),  # the first batch of 257 skips ends inside the scan
         (60, 0.1, 4, 1, None),
         (300, 0.02, 9, 1, None),
         # skips near 2**63 end the scan at once: the sum must not wrap
@@ -129,6 +142,29 @@ class TestGenerateEr:
         # not only the skips the scan uses
         want = np.random.default_rng(seed)
         assert rng.sizes == er_geometric_batches(n, p, want) + er_geometric_batches(n, p, want)
+
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_skips_of_one_give_the_complete_graph_over_batches(self, p):
+        # a stream whose every skip is 1 hits every pair, so the scan runs out
+        # of its first batches and joins the hits of several; p = 0.1 takes the
+        # exponential inversion (E = scale / 2 gives a skip of 1), p = 0.5 the
+        # geometric branch
+        n = 60
+        rng = RecordingRng(SkipsOfOne(p))
+        assert same_csr(generate_er(n, p, rng), complete(n))
+        assert len(rng.sizes) >= 2
+        assert rng.sizes == er_geometric_batches(n, p, SkipsOfOne(p))
+
+    @pytest.mark.parametrize("n", [1000, 10_000])
+    def test_one_batch_sized_to_the_draw(self, n):
+        # one batch ends the scan, and at N=10^4 it draws at most 2% more
+        # skips than the draw has edges
+        for seed in range(20):
+            rng = RecordingRng(np.random.default_rng(seed))
+            g = generate_er(n, 0.01, rng)
+            assert len(rng.sizes) == 1
+            if n == 10_000:
+                assert rng.sizes[0] <= 1.02 * g.n_edges()
 
     def test_deterministic_given_seed(self):
         a = generate_er(100, 0.05, np.random.default_rng(7))
@@ -182,7 +218,8 @@ class TestCsrKeyWidth:
         # _edge_keys takes either orientation of an edge
         keys, bits = graphmod._edge_keys(n, edges[:, 1], edges[:, 0])
         keys.sort()
-        for got in (graphmod._csr(n, keys, bits), from_edges(n, edges)):
+        got_csr = graphmod._csr(n, keys, bits, np.empty(n + 1, dtype=np.int64))
+        for got in (got_csr, from_edges(n, edges)):
             for array, want in ((got.indices, want_indices), (got.offsets, want_offsets)):
                 assert array.dtype == want.dtype == np.int64
                 assert array.tobytes() == want.tobytes()
@@ -207,6 +244,19 @@ class TestCsrBytesPinned:
             members = np.sort(np.random.default_rng(1).choice(10_000, k, replace=False))
             assert self.digest(induced_subgraph(g, members)) == want
 
+    @pytest.mark.parametrize("n,p,seed,m,isolated,want", [
+        # int64 keys: n = 2**16, the first width past uint32, and the sparse
+        # regime N=10^5, p=10^-4, whose draw holds isolated vertices
+        (2**16, 1e-4, 16, 214240, 93,
+         "a5422aed79422a715ca8e8192ba3de505046969bc4ebbbbbd12051fd008f3c63"),
+        (100_000, 1e-4, 9, 501161, 5,
+         "9a4dc57b3e9720b54ba1e3de697b9824b3ab144962d3d416d352f5f76350225e"),
+    ])
+    def test_generate_er_int64_keys(self, n, p, seed, m, isolated, want):
+        g = generate_er(n, p, np.random.default_rng(seed))
+        assert (g.n_edges(), int((degrees(g) == 0).sum())) == (m, isolated)
+        assert self.digest(g) == want
+
     @pytest.mark.parametrize("n,m,want", [
         (2**16 - 1, 4232, "f4aaae4f676ea6a88962345141dbbc3492ce4ec4c966f4528db086d4aeae0fe0"),
         (2**16, 4392, "eb302477f03cf009dcfa0d184d703ef332cb77cef1d9659a6295be16d109c8d9"),
@@ -219,7 +269,16 @@ class TestCsrBytesPinned:
 
 
 class TestPairIndexToEdges:
-    """Linear pair indices map to the lexicographic pairs (i, j), i < j."""
+    """Linear pair indices map to the keys that _edge_keys gives the
+    lexicographic pairs (i, j), i < j, byte for byte and in its dtype."""
+
+    @staticmethod
+    def assert_keys_of(n, idx, pairs):
+        got, got_bits = graphmod._pair_keys(idx, n)
+        want, want_bits = graphmod._edge_keys(n, pairs[:, 0], pairs[:, 1])
+        assert got_bits == want_bits
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", range(7))
     def test_every_subset_matches_combinations(self, n):
@@ -228,9 +287,17 @@ class TestPairIndexToEdges:
         # each subset of the pairs, the empty one and the last pair included, as a bit mask
         for mask in range(2 ** len(pairs)):
             idx = every[(mask >> every) & 1 == 1]
-            i, j = graphmod._pair_index_to_edges(idx, n)
-            assert i.dtype == j.dtype == np.int64
-            assert np.array_equal(np.column_stack([i, j]), pairs[idx])
+            self.assert_keys_of(n, idx, pairs[idx])
+
+    @pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1])
+    def test_key_width_corners(self, n):
+        # uint32 keys end below 2**16 and bits grows by one past it; the corner
+        # pairs (0, n-1) and (n-2, n-1) give the largest keys and row constants
+        pairs = corner_edges(n)
+        i, j = pairs[:, 0], pairs[:, 1]
+        idx = i * n - i * (i + 1) // 2 + j - i - 1
+        assert (idx[1:] > idx[:-1]).all() and idx[-1] == n * (n - 1) // 2 - 1
+        self.assert_keys_of(n, idx, pairs)
 
 
 def traced_peak(fn):
@@ -247,40 +314,58 @@ class TestMemoryBound:
     """The N=10^4 draw and subgraph hold no dead arrays. Holding them peaked
     at 36.0 MiB for the draw and 22.2 MiB for the f=0.8 subgraph. Without
     them the draw peaked at 19.2 MiB while the int64 endpoints lived
-    through the CSR sort, and at 15.25 MiB once they died before it. With
-    packed keys it still peaks at 15.25 MiB, in _edge_keys, where the
-    endpoints, their key-type casts and the keys are live. The row-mask
+    through the CSR sort, and at 15.25 MiB once they died before it. Keys
+    packed from the int64 endpoints peaked there too, in _edge_keys, where
+    the endpoints, their key-type casts and the keys were live (15.96 MiB
+    with batches of 1.2 times the expected edges). Keys built straight from
+    the pair indices, in their own dtype, leave no endpoints: the draw
+    peaks at 12.26 MiB, about 26 bytes per edge, in _csr, where the sorted
+    uint32 keys and the int64 indices are live. With int64 keys _csr masks
+    the keys in place, and the N=10^5, p=10^-4 draw peaks at 16.09 MiB in
+    _pair_keys (17.59 while _csr copied them into new indices, 15.30 from
+    the endpoints, before the row offsets were allocated ahead of the
+    scan). The row-mask
     subgraph peaked at 16.14 MiB (16.12 through row positions) while it
     gathered the kept entries into one new array and relabelled them into
     another; gathering and relabelling in the kept positions' own buffer
     brings it to 12.02 MiB. A whole f=0.8 replication's traced peak came
     with it: 24.04 MiB before, 19.93 after, against 15.91 at f=0.2, where
-    the draw and populate set the peak. Each bound sits above its peak.
+    populate's gather of x over the 2|E| neighbor entries, beside the
+    graph, sets the peak. Each bound sits above its peak.
 
     These are tracemalloc peaks, not the resident set: the glibc heap
-    keeps what a replication frees, and the resident high-water settles
-    in the second N=10^4 replication's draw, 60.4 MB at f=0.8 and 60.1 MB
-    at f=0.2 (README, "Performance"), so the subgraph's peak hardly moves
-    peak_rss_mb."""
+    keeps what a replication frees, and the first N=10^4 replication sets
+    nearly all of the resident high-water, stage by stage (README,
+    "Performance"), so the subgraph's peak hardly moves peak_rss_mb."""
 
     def test_draw_peak(self):
         # the TestSamplerPinned draw: 499,680 edges, a 7.6 MiB CSR
         g, peak = traced_peak(lambda: generate_er(10_000, 0.01, np.random.default_rng(8)))
         assert g.n_edges() == 499680
+        # 12.26 MiB plus 6%, about the margin the bound of 17.0 MiB left over 15.96
+        assert peak < 13.0
+
+    def test_int64_key_draw_peak(self):
+        # n >= 2**16 takes int64 keys: 501,161 edges, a 7.6 MiB CSR
+        g, peak = traced_peak(lambda: generate_er(100_000, 1e-4, np.random.default_rng(9)))
+        assert g.n_edges() == 501161
+        # 16.09 MiB plus 6%
         assert peak < 17.0
 
     def test_skip_scan_peak(self, monkeypatch):
-        # the scan holds a batch of skips and their sums, 4.6 MiB each here;
-        # cumsum(skips, dtype=np.int64) held a third, its cast copy: 13.7 MiB
+        # the scan holds a batch of skips and their sums, 3.9 MiB each here,
+        # 8.51 MiB in all (4.6 MiB each under batches of 1.2 times the
+        # expected edges); cumsum(skips, dtype=np.int64) would hold a third,
+        # its cast copy
         scan = []
-        real = graphmod._pair_index_to_edges
+        real = graphmod._pair_keys
 
         def after_scan(idx, n):
             scan.append(tracemalloc.get_traced_memory()[1] / 2**20)
             return real(idx, n)
-        monkeypatch.setattr(graphmod, "_pair_index_to_edges", after_scan)
+        monkeypatch.setattr(graphmod, "_pair_keys", after_scan)
         traced_peak(lambda: generate_er(10_000, 0.01, np.random.default_rng(8)))
-        assert len(scan) == 1 and scan[0] < 11.0
+        assert len(scan) == 1 and scan[0] < 9.0
 
     def test_induced_subgraph_peak(self):
         g = generate_er(10_000, 0.01, np.random.default_rng(8))
