@@ -155,8 +155,8 @@ def _pair_keys(idx: np.ndarray, n: int) -> tuple:
     return keys, bits
 
 
-def check_er_size(n: int, p: float) -> tuple:
-    """(n as a Python int, expected edge count) of a valid G(n, p) request.
+def check_er_size(n: int, p: float) -> int:
+    """n, as a Python int, of a valid G(n, p) request.
 
     Raises ValidationError, before anything is allocated, above MAX_VERTICES or
     MAX_EDGES or at p outside (0, 1), where the peer mean is absent or linear in x.
@@ -170,7 +170,7 @@ def check_er_size(n: int, p: float) -> tuple:
     if expected > MAX_EDGES:
         raise ValidationError(
             f"expected edge count n(n-1)/2 * p = {expected:.3g} exceeds {MAX_EDGES:.0e}")
-    return n, expected
+    return n
 
 
 def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
@@ -179,43 +179,39 @@ def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
     Uses a geometric-skip scan (Batagelj & Brandes 2005) over the
     linearized pair indices, which draws the exact G(n, p) distribution in
     O(edges) work. Deterministic per seed (algorithm version:
-    geometric-skip v2, v1's edges from fewer skips).
+    geometric-skip v3, v2's edges below p = 1/3).
 
-    The skips are Generator.geometric's: below p = 1/3 numpy draws each
-    one as ceil(-E / log1p(-p)) from its own exponential, and the scan
-    takes that same inversion over a whole batch at once, so it reads
-    the same stream and leaves the generator in the same state as
-    rng.geometric(p, size=batch). From numpy's switch point up it calls
-    rng.geometric itself. A batch covers the edges expected in the pairs
-    left plus 8 standard deviations; the skips past the last pair are
-    dropped. The edges do not depend on the batch sizes, but the state a
-    draw leaves rng in does: v1's batches held 1.2 times the expected edges.
+    Each skip inverts a standard exponential E, ceil(E / -log1p(-p)), the
+    exact geometric law at every p (Devroye 1986, X.2), and is at least 1:
+    numpy's exponential is 0.0 once in 2**53 draws. Below p = 1/3 numpy's
+    Generator.geometric draws the same inversion, so there the scan leaves
+    rng where rng.geometric(p, size=batch) would.
+    A batch covers the edges expected in the pairs left plus 8 standard
+    deviations; the skips past the last pair are dropped. The edges do not
+    depend on the batch sizes, but the state a draw leaves rng in does: v1's
+    batches held 1.2 times the expected edges.
     """
-    n, _ = check_er_size(n, p)
+    n = check_er_size(n, p)
     # allocated before the scan, low in the heap, so that the keys freed after
     # the CSR build join its free top, where populate's neighbor gather reuses them
     offsets = np.empty(n + 1, dtype=np.int64)
     m_total = n * (n - 1) // 2
     hits = [np.empty(0, dtype=np.int64)]
     current = -1
-    invert = p < 0.333333333333333333333333  # numpy's own switch point
     # math.log1p is libm's, as numpy's C is; the ufunc may take a SIMD kernel
-    scale = -math.log1p(-p) if invert else None
+    scale = -math.log1p(-p)
     while current < m_total - 1:
         expected = (m_total - current - 1) * p  # a second batch has odds under 1e-15
         batch = int(expected + 8 * math.sqrt(expected)) + 16
-        if invert:
-            skips = rng.standard_exponential(batch)
-            # -E / log1p(-p) overflows to inf at the smallest p
-            with np.errstate(over="ignore"):
-                skips /= scale
-            np.ceil(skips, out=skips)
-        else:
-            skips = rng.geometric(p, size=batch)
-        # a skip past the last pair ends the scan either way; clipping keeps an
-        # inf out of the int64 cast and the sum from wrapping at tiny p, and is
-        # exact in float64 since m_total + 1 < 2**53
-        np.minimum(skips, m_total + 1, out=skips)
+        skips = rng.standard_exponential(batch)
+        # -E / log1p(-p) overflows to inf at the smallest p
+        with np.errstate(over="ignore"):
+            skips /= scale
+        np.ceil(skips, out=skips)
+        # a skip of 0, from E = 0, would repeat a pair; one past the last pair
+        # ends the scan, and clipping there keeps an inf out of the int64 cast
+        # and the sum from wrapping at tiny p, exact in float64 as m_total + 1 < 2**53
+        np.clip(skips, 1, m_total + 1, out=skips)
         # a draw peaks at the sum of the arrays still bound, so each dies once
         # read; cumsum(skips, dtype=np.int64) would hold a third, its cast copy
         cand = skips.astype(np.int64, copy=False)

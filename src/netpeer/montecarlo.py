@@ -79,7 +79,7 @@ class ExperimentCell:
         if not 1 <= self.reps <= MAX_REPS:
             raise ValidationError(f"reps must be in [1, {MAX_REPS}]")
         # a numpy integer count is kept as the equal Python int
-        object.__setattr__(self, "n_pop", graphmod.check_er_size(self.n_pop, self.density)[0])
+        object.__setattr__(self, "n_pop", graphmod.check_er_size(self.n_pop, self.density))
         # sample_size also rejects a fraction outside (0, 1]
         rows = estimation.MIN_ROWS
         if sampling.sample_size(self.n_pop, self.fraction) < rows:

@@ -46,10 +46,17 @@ star(n) is the star graph on n vertices with centre 0.
 er_one_geometric_call(n, p, rng) is G(n, p) by the geometric-skip scan
 that `graph.generate_er` runs in batches, from one `geometric` call long
 enough for any scan (every skip is at least 1), walked in Python over the
-pairs (i, j), i < j, in lexicographic order. er_geometric_batches(n, p, rng)
-is the list of batch sizes that the batched scan requests when each batch
-is drawn through `Generator.geometric`: the calls that must leave the
-generator where `graph.generate_er` leaves it.
+pairs (i, j), i < j, in lexicographic order; below p = 1/3, where numpy
+inverts an exponential too, it is the independent reference.
+er_inversion_loop(n, p, rng) walks the same pairs with one scalar
+`rng.standard_exponential()` draw per skip, max(1, ceil(E / -log1p(-p))),
+the law `graph.generate_er` draws at every p. er_geometric_batches(n, p, rng)
+is the list of batch sizes that the batched scan requests, with each batch's
+skips inverted the same way from `rng.standard_exponential(size)`.
+zero_output_pcg64(seed) is a PCG64 Generator, with `default_rng(seed)`'s
+increment, whose next 64-bit output is 0: its state is one step back through
+the 128-bit LCG from one whose output is 0. Its first standard exponential is
+exactly 0.0, the draw numpy's ziggurat makes once in 2**53.
 
 reachable_oracle(g) tells whether every vertex is reachable from vertex 0
 by a depth-first search over Python lists. connected_er(n, p, rng) is the
@@ -203,9 +210,30 @@ def er_one_geometric_call(n: int, p: float, rng) -> Graph:
     return from_edges(n, edges)
 
 
+def inversion_skip(e: float, p: float):
+    """The geometric skip of one standard exponential e: max(1, ceil(e / -log1p(-p))),
+    an int, or inf where the quotient overflows at the smallest p."""
+    skip = e / -math.log1p(-p)
+    return max(1, math.ceil(skip)) if skip < math.inf else skip
+
+
+def er_inversion_loop(n: int, p: float, rng) -> Graph:
+    """G(n, 0 < p < 1) from one rng.standard_exponential() draw per skip.
+
+    The skips are summed as Python ints, so no p can wrap the sum."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges, k = [], -1
+    while True:
+        k += inversion_skip(rng.standard_exponential(), p)
+        if k >= len(pairs):
+            break
+        edges.append(pairs[k])
+    return from_edges(n, edges)
+
+
 def er_geometric_batches(n: int, p: float, rng) -> list:
-    """Batch sizes of the geometric-skip v2 scan of G(n, 0 < p <= 1) when every
-    batch is drawn through rng.geometric.
+    """Batch sizes of the geometric-skip v3 scan of G(n, 0 < p < 1), each
+    batch's skips inverted from rng.standard_exponential(size).
 
     A batch covers the mu edges expected in the pairs left plus 8 sqrt(mu),
     8 standard deviations of a Poisson count, plus 16 skips. The skips are
@@ -215,8 +243,25 @@ def er_geometric_batches(n: int, p: float, rng) -> list:
     while current < m_total - 1:
         mu = (m_total - current - 1) * p
         sizes.append(int(mu + 8 * math.sqrt(mu)) + 16)
-        current += sum(rng.geometric(p, size=sizes[-1]).tolist())
+        current += sum(inversion_skip(e, p) for e in rng.standard_exponential(sizes[-1]).tolist())
     return sizes
+
+
+# numpy's PCG64 steps its 128-bit state s to s * MULTIPLIER + inc, then outputs
+# rotr64(hi(s) ^ lo(s), s >> 122): 0 once hi(s) == lo(s)
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def zero_output_pcg64(seed: int) -> np.random.Generator:
+    """A PCG64 Generator, with default_rng(seed)'s increment, whose next
+    64-bit output is 0."""
+    bit_generator = np.random.PCG64(seed)
+    state = bit_generator.state
+    inc = state["state"]["inc"]
+    zero = (1 << 64) | 1  # hi == lo
+    state["state"]["state"] = (zero - inc) * pow(PCG64_MULTIPLIER, -1, 1 << 128) % (1 << 128)
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
 
 
 def candidate_means_loop(candidate, observed, params) -> np.ndarray:

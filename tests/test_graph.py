@@ -14,11 +14,13 @@ from oracles import (
     edge_list_error,
     edge_list_text,
     er_geometric_batches,
+    er_inversion_loop,
     er_one_geometric_call,
     neighbors,
     reachable_oracle,
     star,
     validate_graph,
+    zero_output_pcg64,
 )
 from netpeer.errors import ValidationError
 from netpeer.graph import (
@@ -52,14 +54,12 @@ def same_csr(a, b):
 
 
 class RecordingRng:
-    """A Generator that logs the size of every batch of skips drawn from it."""
+    """A Generator that logs the size of every batch of skips drawn from it.
+
+    It has no other method, so a draw through any other call fails."""
 
     def __init__(self, rng):
         self.rng, self.sizes = rng, []
-
-    def geometric(self, p, size):
-        self.sizes.append(size)
-        return self.rng.geometric(p, size=size)
 
     def standard_exponential(self, size):
         self.sizes.append(size)
@@ -67,17 +67,30 @@ class RecordingRng:
 
 
 class SkipsOfOne:
-    """A stream whose every geometric-skip draw is 1, on either of generate_er's branches."""
+    """A stream whose every geometric-skip draw is 1."""
 
     def __init__(self, p):
         self.scale = -np.log1p(-p)
 
-    def geometric(self, p, size):
-        return np.ones(size, dtype=np.int64)
-
     def standard_exponential(self, size):
         # ceil(E / scale) = 1
         return np.full(size, self.scale / 2)
+
+
+class ZeroAt:
+    """default_rng(seed)'s standard exponentials, with the one at position k
+    set to 0.0: a draw that a real PCG64 makes (zero_output_pcg64). A scalar
+    draw and a batch read the same stream, as a Generator's do."""
+
+    def __init__(self, seed, k):
+        self.rng, self.k, self.position = np.random.default_rng(seed), k, 0
+
+    def standard_exponential(self, size=None):
+        e = self.rng.standard_exponential(1 if size is None else size)
+        if 0 <= self.k - self.position < e.size:
+            e[self.k - self.position] = 0.0
+        self.position += e.size
+        return float(e[0]) if size is None else e
 
 
 class TestGenerateEr:
@@ -88,6 +101,16 @@ class TestGenerateEr:
             for s in range(200)
         ]
         assert abs(np.mean(counts) - 4995.0) / 4995.0 < 0.02
+
+    @pytest.mark.parametrize("p", [0.5, 0.9])
+    def test_mean_edge_count_matches_binomial_above_one_third(self, p):
+        # numpy's geometric stops inverting an exponential at 1/3; the scan does
+        # not, and its edge count must stay Bin(n(n-1)/2, p): the mean of 2,000
+        # draws within 4 of its standard errors, a band set before the run
+        n, draws = 60, 2000
+        m = n * (n - 1) // 2
+        counts = [generate_er(n, p, np.random.default_rng(s)).n_edges() for s in range(draws)]
+        assert abs(np.mean(counts) - m * p) < 4 * np.sqrt(m * p * (1 - p) / draws)
 
     def test_mean_degree_matches_binomial(self):
         means = [
@@ -111,18 +134,37 @@ class TestGenerateEr:
         # numpy's switch from inversion to search: the double below 1/3, 1/3 itself
         # (numpy's literal threshold rounds to it), the double above, and 1/2
         (60, 0.33333333333333326, 11, 1, 600),
-        (60, 0.3333333333333333, 12, 1, 576),
-        (60, 0.33333333333333337, 13, 1, 606),
-        (60, 0.5, 14, 1, 877),
+        (60, 0.3333333333333333, 12, 1, 568),
+        (60, 0.33333333333333337, 13, 1, 574),
+        (60, 0.5, 14, 1, 870),
     ])
     def test_matches_one_geometric_call(self, n, p, seed, calls, m):
-        # below the switch the skips are an inversion of standard_exponential,
-        # checked here against Generator.geometric itself
+        # below 1/3 Generator.geometric inverts a standard exponential too and
+        # is the reference; from 1/3 up numpy draws otherwise, and the scalar
+        # inversion loop is the reference
         rng = RecordingRng(np.random.default_rng(seed))
         g = generate_er(n, p, rng)
         assert len(rng.sizes) == calls
         assert m is None or g.n_edges() == m
-        assert same_csr(g, er_one_geometric_call(n, p, np.random.default_rng(seed)))
+        oracle = er_one_geometric_call if p < 1 / 3 else er_inversion_loop
+        assert same_csr(g, oracle(n, p, np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 40])
+    def test_zero_exponential_is_a_skip_of_one(self, k):
+        # E = 0 inverts to a skip of 0: at position 0 it made pair index -1,
+        # later it repeated a pair. Clipped to 1, it is the next pair
+        g = generate_er(60, 0.1, ZeroAt(4, k))
+        validate_graph(g)
+        assert same_csr(g, er_inversion_loop(60, 0.1, ZeroAt(4, k)))
+
+    def test_a_pcg64_draws_a_zero_exponential(self):
+        # the zero of ZeroAt is a real draw: the state one LCG step before an
+        # output of 0 gives E = 0.0, and the scan starts at pair (0, 1)
+        assert zero_output_pcg64(4).standard_exponential() == 0.0
+        g = generate_er(60, 0.1, zero_output_pcg64(4))
+        validate_graph(g)
+        assert neighbors(g, 0)[0] == 1
+        assert same_csr(g, er_inversion_loop(60, 0.1, zero_output_pcg64(4)))
 
     @pytest.mark.parametrize("p", [5e-324, 1e-300, 1e-19, 1e-6, 0.01, 0.2, 0.33333333333333326,
                                    0.3333333333333333, 0.33333333333333337, 0.9, 0.999])
@@ -134,21 +176,25 @@ class TestGenerateEr:
         rng = RecordingRng(np.random.default_rng(seed))
         generate_er(n, p, rng)
         generate_er(n, p, rng)
+        # every batch reads what standard_exponential(size) reads, which below
+        # 1/3 is what Generator.geometric reads: the replay there uses the latter
         replay = np.random.default_rng(seed)
         for size in rng.sizes:
-            replay.geometric(p, size=size)
+            if p < 1 / 3:
+                replay.geometric(p, size=size)
+            else:
+                replay.standard_exponential(size)
         assert rng.rng.bit_generator.state == replay.bit_generator.state
-        # the batches are the ones a scan through Generator.geometric requests,
-        # not only the skips the scan uses
+        # the batches are the ones the scan's skips request, not only the
+        # skips the scan uses
         want = np.random.default_rng(seed)
         assert rng.sizes == er_geometric_batches(n, p, want) + er_geometric_batches(n, p, want)
 
     @pytest.mark.parametrize("p", [0.1, 0.5])
     def test_skips_of_one_give_the_complete_graph_over_batches(self, p):
         # a stream whose every skip is 1 hits every pair, so the scan runs out
-        # of its first batches and joins the hits of several; p = 0.1 takes the
-        # exponential inversion (E = scale / 2 gives a skip of 1), p = 0.5 the
-        # geometric branch
+        # of its first batches and joins the hits of several (E = scale / 2
+        # gives a skip of 1)
         n = 60
         rng = RecordingRng(SkipsOfOne(p))
         assert same_csr(generate_er(n, p, rng), complete(n))
@@ -692,6 +738,15 @@ class TestSamplerPinned:
         g = generate_er(n, 0.01, np.random.default_rng(seed))
         assert g.n_edges() == m
         edges = g.edge_array().astype("<i8").tobytes()
+        assert hashlib.sha256(edges).hexdigest() == digest
+
+    def test_edge_digest_above_one_third(self):
+        # geometric-skip v3, pinned when it took over from Generator.geometric
+        # at p >= 1/3
+        g = generate_er(300, 0.5, np.random.default_rng(21))
+        assert g.n_edges() == 22293
+        edges = g.edge_array().astype("<i8").tobytes()
+        digest = "ba009f5a206ca1e429e94499ddfeaded4c09392eeb5f719318f0236a9b3daa8b"
         assert hashlib.sha256(edges).hexdigest() == digest
 
 

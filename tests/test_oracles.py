@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from netpeer.graph import from_edges
-from oracles import connected_er, expected_scaling_factor, reachable_oracle
+from oracles import (
+    connected_er,
+    er_inversion_loop,
+    er_one_geometric_call,
+    expected_scaling_factor,
+    reachable_oracle,
+    zero_output_pcg64,
+)
 
 
 class TestExpectedScalingFactor:
@@ -66,3 +73,16 @@ class TestReachableOracle:
         else:
             h = from_edges(120, np.vstack([edges, edges + 60]))
         assert reachable_oracle(g) and not reachable_oracle(h)
+
+
+class TestSkipOracles:
+    @pytest.mark.parametrize("p,seed", [(0.05, 0), (0.3, 1), (0.33333333333333326, 2)])
+    def test_inversion_loop_is_numpy_geometric_below_one_third(self, p, seed):
+        # below 1/3 numpy's geometric inverts the same exponentials, one per skip
+        a = er_inversion_loop(40, p, np.random.default_rng(seed))
+        b = er_one_geometric_call(40, p, np.random.default_rng(seed))
+        assert np.array_equal(a.edge_array(), b.edge_array())
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_zero_output_pcg64(self, seed):
+        assert zero_output_pcg64(seed).bit_generator.random_raw() == 0
