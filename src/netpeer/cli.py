@@ -59,7 +59,6 @@ _SCHEMAS = {
     "fit": {
         "sample": (str, _REQUIRED),
         "edges": (str, _REQUIRED),
-        "level": (float, 0.95),
         "use_t": (_boolean, False),
     },
     "mc": {
@@ -67,7 +66,6 @@ _SCHEMAS = {
         "density": (_comma_list(float), _REQUIRED),
         "fraction": (_comma_list(float), _REQUIRED),
         "reps": (int, 1000),
-        "level": (float, 0.95),
         "seed": (int, 0),
         "workers": (int, 1),
         "fixed_graph": (_boolean, False),
@@ -192,7 +190,7 @@ def _cmd_simulate(v: dict, out: str) -> None:
 def _cmd_fit(v: dict, out: str) -> None:
     g_r = graphmod.read_edge_list(v["edges"])
     s = sampling.read_sample_csv(v["sample"], g_r)
-    fit = estimation.fit_corrected(s, level=v["level"], use_t=v["use_t"])
+    fit = estimation.fit_corrected(s, use_t=v["use_t"])
     _write_json(out, "fit.json", fit.to_dict())
 
 
@@ -201,7 +199,7 @@ def _cmd_mc(v: dict, out: str) -> None:
     cells = [
         ExperimentCell(
             n_pop=n, density=p, fraction=f, params=params, reps=v["reps"],
-            level=v["level"], master_seed=v["seed"], fixed_graph=v["fixed_graph"],
+            master_seed=v["seed"], fixed_graph=v["fixed_graph"],
         )
         for n, p, f in itertools.product(v["n_pop"], v["density"], v["fraction"])
     ]

@@ -68,7 +68,6 @@ class ExperimentCell:
     fraction: float
     params: ModelParams
     reps: int = 1000
-    level: float = 0.95
     master_seed: int = 0
     fixed_graph: bool = False
 
@@ -84,8 +83,6 @@ class ExperimentCell:
         rows = estimation.MIN_ROWS
         if sampling.sample_size(self.n_pop, self.fraction) < rows:
             raise ValidationError(f"sample size below {rows}: the fit needs {rows} units")
-        if not 0.0 < self.level < 1.0:
-            raise ValidationError("confidence level must be in (0, 1)")
         if self.master_seed < 0:
             raise ValidationError("seed must be nonnegative")
 
@@ -128,7 +125,7 @@ def run_replication(cell: ExperimentCell, rep_index: int, graph=None) -> RepReco
         prefix = (cell.master_seed, rep_index)
         g = graph if graph is not None else draw_graph(prefix, cell.n_pop, cell.density)
         s = draw_sample(prefix, g, cell.fraction, *populate(prefix, g, cell.params))
-        fit = estimation.fit_corrected(s, level=cell.level)
+        fit = estimation.fit_corrected(s)
     except ComputationError as exc:
         return RepRecord(rep_index=rep_index, ok=False, error=str(exc))
     return RepRecord(

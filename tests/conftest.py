@@ -35,7 +35,6 @@ def _cell(n_pop, fraction, reps):
         fraction=fraction,
         params=PARAMS,
         reps=reps,
-        level=0.95,
         master_seed=MASTER_SEED,
     )
 

@@ -257,14 +257,17 @@ class TestConfigFile:
         ("simulate", "max_attempts"), ("sample", "n_sample"),
         ("identify-demo", "j"), ("identify-demo", "l"),
         ("identify-demo", "x_u1"), ("identify-demo", "x_u2"),
+        ("fit", "level"), ("mc", "level"),
     ])
     def test_removed_setting_is_unknown(self, tmp_path, capsys, command, key):
         # simulate and mc keep the first G(N, p) draw, so no graph is redrawn
         # and there is no redraw budget, f is the one sample size
-        # and identify-demo reports the first witness; a run_config.txt written
-        # while a setting existed names it with its default, or empty
+        # and identify-demo reports the first witness, fit and mc compute every
+        # interval at 95%; a run_config.txt written while a setting existed
+        # names it with its default, or empty
         settings = {"mc": "n_pop = 100\ndensity = 0.1\nfraction = 0.5\nreps = 2\n",
                     "simulate": "n = 40\np = 0.15\nf = 0.5\n",
+                    "fit": "sample = s.csv\nedges = s.edges\n",
                     "sample": "graph = g.edges\nf = 0.5\n", "identify-demo": ""}[command]
         cfg = tmp_path / "run.ini"
         cfg.write_text(f"[{command}]\n{settings}{key} = \n")
@@ -346,7 +349,6 @@ class TestSettingsBoundary:
         "reps above MAX_REPS": (["mc", *MC, "--reps", 10**20], None),
         "workers above MAX_WORKERS": (["mc", *MC, "--workers", 100_000], None),
         "mc n_pop 1": (["mc", *MC, "--n-pop", 1], None),
-        "mc level 1.5": (["mc", *MC, "--level", 1.5], None),
         "mc x_mean nan": (["mc", *MC, "--workers", 2, "--x-mean", "nan"], None),
         "mc x_mean inf": (["mc", *MC, "--workers", 2, "--x-mean", "inf"], None),
         "mc x_sd inf": (["mc", *MC, "--workers", 2], b"[mc]\nx_sd = inf\n"),
@@ -415,10 +417,10 @@ class TestSettingsBoundary:
     def test_parser_keeps_no_state_between_calls(self, tmp_path, simulated, capsys):
         # main() reuses one parser per process: a flag of one call is not the next's
         files = ["--sample", simulated / "sample.csv", "--edges", simulated / "sample.edges"]
-        assert run(["fit", *files, "--level", 0.9, "--out", tmp_path / "a"]) == 0
+        assert run(["fit", *files, "--use-t", "--out", tmp_path / "a"]) == 0
         assert run(["fit", *files, "--out", tmp_path / "b"]) == 0
-        assert "level = 0.9\n" in (tmp_path / "a" / "run_config.txt").read_text()
-        assert "level = 0.95\n" in (tmp_path / "b" / "run_config.txt").read_text()
+        assert "use_t = True\n" in (tmp_path / "a" / "run_config.txt").read_text()
+        assert "use_t = False\n" in (tmp_path / "b" / "run_config.txt").read_text()
         with pytest.raises(SystemExit) as info:
             run(["fit", *files, "--no-such-flag", "--out", tmp_path / "c"])
         assert info.value.code == 2
@@ -495,7 +497,7 @@ class TestInputMismatch:
 CONFIGS = {
     "sample": "[sample]\ngraph = g.edges\ndata = pop.csv\nf = 0.5\nseed = 2\n",
     "simulate": "[simulate]\nn = 60\np = 0.1\nf = 0.5\nbeta2 = 1.5\nseed = 9\n",
-    "fit": "[fit]\nsample = s.csv\nedges = s.edges\nlevel = 0.9\nuse_t = true\n",
+    "fit": "[fit]\nsample = s.csv\nedges = s.edges\nuse_t = true\n",
     "mc": "[mc]\nn_pop = 100,200\ndensity = 0.1\nfraction = 0.2, 0.5\nreps = 4\n"
           "workers = 2\nsave_records = yes\n",
     "identify-demo": "[identify-demo]\nn = 40\nf = 0.5\nx_mean = 4\nx_sd = 2\nseed = 0\n",
@@ -609,8 +611,7 @@ def round_trip_argv(command, sim):
         "simulate": [*instance, "--f", 0.5, "--beta2", 2],
         "sample": ["--graph", sim / "graph.edges", "--data", sim / "population.csv",
                    "--f", 0.3, "--seed", 2],
-        "fit": ["--sample", sim / "sample.csv", "--edges", sim / "sample.edges",
-                "--use-t", "--level", 0.9],
+        "fit": ["--sample", sim / "sample.csv", "--edges", sim / "sample.edges", "--use-t"],
         "mc": ["--n-pop", "100,120", "--density", 0.1, "--fraction", 0.5, "--reps", 3,
                "--save-records"],
         "identify-demo": [*instance, "--f", 0.5, "--x-mean", 4, "--x-sd", 2],
@@ -919,21 +920,6 @@ class TestExtremeSettings:
         if code and argv[0] != "mc":  # nothing written but the settings
             assert os.listdir(tmp_path) == ["run_config.txt"]
 
-
-    # this level rounds q = 0.5 + level / 2 to 1.0, whose normal quantile is inf
-    TOP_LEVEL = 0.9999999999999999
-
-    def test_fit_at_top_level_exits_3(self, tmp_path, capsys, simulated):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert run(["fit", "--sample", simulated / "sample.csv",
-                        "--edges", simulated / "sample.edges",
-                        "--level", self.TOP_LEVEL, "--out", tmp_path]) == 3
-        assert [str(w.message) for w in caught] == []
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: fit.json: non-finite result")
-        assert os.listdir(tmp_path) == ["run_config.txt"]
-
     def test_fit_at_top_reported_degree(self, tmp_path, capsys, simulated):
         # d_true at int64's maximum gives the smallest w_hat a sample file can:
         # fit takes it from scaling_factor as given, and its report stays finite
@@ -951,17 +937,6 @@ class TestExtremeSettings:
         assert 0.0 < fit["w_hat"] < 1e-18
         assert abs(fit["beta2_corrected"]) > 1e17
 
-    def test_mc_at_top_level_covers_every_replication(self, tmp_path, capsys):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert run(["mc", "--n-pop", 200, "--density", 0.05, "--fraction", 0.5,
-                        "--reps", 3, "--level", self.TOP_LEVEL, "--out", tmp_path]) == 0
-        assert [str(w.message) for w in caught] == []
-        assert capsys.readouterr().err == ""
-        with open(tmp_path / "results.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [(r["estimator"], r["coverage"]) for r in rows] == [
-            ("naive", "1"), ("corrected", "1")]
 
 TOKENS = ("", "nan", "inf", "-1", "0", "1", "2.5", "abc", "1e3", "99999999999999999999",
           "#", "0,1")

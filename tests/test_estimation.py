@@ -1,13 +1,11 @@
-import math
-
 import numpy as np
 import pytest
 from scipy import special
 
-from netpeer.errors import RankDeficiencyError, ValidationError
+from netpeer.errors import RankDeficiencyError
 from netpeer.estimation import (
+    Z_975,
     ObservedDesign,
-    _ndtri,
     build_observed_design,
     diagnostics,
     fit_corrected,
@@ -124,12 +122,6 @@ class TestFitMle:
         with pytest.raises(RankDeficiencyError, match=message):
             fit_mle(d)
 
-    def test_level_validation(self):
-        X = np.column_stack([np.ones(5), np.arange(5.0), np.arange(5.0) ** 2])
-        d = ObservedDesign(X=X, y=np.arange(5.0), dropped_count=0)
-        with pytest.raises(ValidationError):
-            fit_mle(d, level=1.2)
-
     def test_t_quantile_widens_small_sample_ci(self):
         rng = np.random.default_rng(3)
         X = np.column_stack([np.ones(8), rng.normal(size=8), rng.normal(size=8)])
@@ -146,39 +138,15 @@ class TestFitMle:
         rng = np.random.default_rng(n)
         X = np.column_stack([np.ones(n), rng.normal(size=n), rng.normal(size=n)])
         d = ObservedDesign(X=X, y=rng.normal(size=n), dropped_count=0)
-        for level in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
-            for fit, c in ((fit_mle(d, level=level), critical_value(level)),
-                           (fit_mle(d, level=level, use_t=True), critical_value(level, n - 3))):
-                b, se = fit.beta_hat[2], fit.se[2]
-                assert fit.ci_naive == (b - c * se, b + c * se)
+        for fit, c in ((fit_mle(d), critical_value(0.95)),
+                       (fit_mle(d, use_t=True), critical_value(0.95, n - 3))):
+            b, se = fit.beta_hat[2], fit.se[2]
+            assert fit.ci_naive == (b - c * se, b + c * se)
 
-
-class TestNdtri:
-    """The z critical value's quantile is Cephes ndtri, bit for bit scipy's."""
-
-    def test_equals_scipy_on_a_dense_grid(self):
-        tail_switch = 1.0 - math.exp(-2.0)  # central rational function up to here
-        q = np.concatenate([
-            0.5 + np.linspace(0.0, 1.0, 100_001) / 2.0,  # q = 0.5 and q = 1.0 included
-            0.5 + np.random.default_rng(0).random(50_000) / 2.0,
-            1.0 - np.geomspace(1e-16, 0.5, 20_000),  # levels close to 1
-            # floats in [0.5, 1) are 2**-53 apart: the 601 nearest the switch, and
-            # every one from 1 - 256 ulps to 1, where z = sqrt(-2 log(1 - q))
-            # crosses 8 (at 1 - q = exp(-32), about 114 ulps below 1)
-            tail_switch + np.arange(-300, 301) * 2.0**-53,
-            1.0 - np.arange(257) * 2.0**-53,
-        ])
-        q = q[(q >= 0.5) & (q <= 1.0)]
-        z = np.sqrt(-2.0 * np.log1p(-q[q < 1.0]))
-        assert (q <= tail_switch).any() and (q > tail_switch).any()
-        assert ((z >= 2.0) & (z < 8.0)).any() and (z >= 8.0).any()
-        got = np.array([_ndtri(float(v)) for v in q])
-        assert got.tobytes() == special.ndtri(q).tobytes()
-
-    def test_one_is_infinite(self):
-        # level 0.9999999999999999 rounds q to exactly 1.0
-        assert 0.5 + 0.9999999999999999 / 2.0 == 1.0
-        assert _ndtri(1.0) == special.ndtri(1.0) == math.inf
+    def test_normal_constant_is_scipy_ndtri(self):
+        # the t quantile's 0.975 is the level's own 0.5 + 0.95 / 2
+        assert 0.5 + 0.95 / 2.0 == 0.975
+        assert np.float64(Z_975).tobytes() == special.ndtri(0.975).tobytes()
 
 
 class TestFitMleCorrection:
@@ -253,8 +221,8 @@ class TestFitCorrected:
         x = gen_covariates(200, 3.0, 1.5, np.random.default_rng(22))
         y = conditional_means(g, x, PARAMS) + np.random.default_rng(23).normal(size=200)
         s = rns_sample(g, 80, np.random.default_rng(24), x, y)
-        want = fit_mle(build_observed_design(s), *scaling_factor(s), level=0.9, use_t=True)
-        got = fit_corrected(s, level=0.9, use_t=True)
+        want = fit_mle(build_observed_design(s), *scaling_factor(s), use_t=True)
+        got = fit_corrected(s, use_t=True)
         assert got.to_dict() == want.to_dict()
         assert got.var_corrected == want.var_corrected
         assert 0.0 < got.w_hat < 1.0
@@ -284,7 +252,8 @@ class TestAsymptoticVariance:
     def test_zero_regressor_variance_rejected(self):
         X = np.column_stack([np.ones(5), np.arange(5.0), np.full(5, 1.0)])
         d = ObservedDesign(X=X, y=np.arange(5.0), dropped_count=0)
-        with pytest.raises(RankDeficiencyError):
+        # the rank check names the constant column before the sxx check is reached
+        with pytest.raises(RankDeficiencyError, match=r"constant column\(s\): peer_mean$"):
             fit_mle(d)
 
     def test_matches_monte_carlo_variance(self, cell_large_f20):

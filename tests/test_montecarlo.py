@@ -174,7 +174,7 @@ class TestRunReplication:
                 prefix = (cell.master_seed, i)
                 g = draw_graph(prefix, cell.n_pop, cell.density)
                 s = draw_sample(prefix, g, cell.fraction, *populate(prefix, g, cell.params))
-                fit = estimation.fit_corrected(s, level=cell.level)
+                fit = estimation.fit_corrected(s)
                 assert run_replication(cell, i) == RepRecord(
                     rep_index=i,
                     ok=True,

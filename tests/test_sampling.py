@@ -71,6 +71,13 @@ class TestRnsSample:
         with pytest.raises(ValidationError):
             rns_sample(g, 11, np.random.default_rng(1), *zeros(g))
 
+    def test_unit_data_one_short(self):
+        g = generate_er(10, 0.5, np.random.default_rng(0))
+        x, y = zeros(g)
+        message = "^unit-data vector length must equal n_vertices$"
+        with pytest.raises(ValidationError, match=message):
+            rns_sample(g, 5, np.random.default_rng(1), x[:-1], y)
+
     def test_deterministic(self):
         g = generate_er(50, 0.2, np.random.default_rng(0))
         a = rns_sample(g, 10, np.random.default_rng(9), *zeros(g))
